@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/netsim"
-	"repro/internal/packet"
 	"repro/internal/rate"
 	"repro/internal/receiver"
 	"repro/internal/sender"
@@ -173,9 +172,9 @@ func benchUdpCrossover(b *testing.B, loss float64, fecK int) {
 			b.Skipf("loopback multicast unavailable: %v", err)
 		}
 		lossy := &lossyUDP{
-			ReceiverTransport: rt,
-			p:                 loss,
-			rng:               rand.New(rand.NewSource(int64(43 + i))),
+			Endpoint: rt,
+			p:        loss,
+			rng:      rand.New(rand.NewSource(int64(43 + i))),
 		}
 		runCrossoverTransfer(b, sink, data, scratch, lossy, st, fecK, fast)
 	}
@@ -244,13 +243,11 @@ func runCrossoverTransfer(b *testing.B, sink *gapSink, data, scratch []byte, rtr
 	}
 }
 
-// lossyUDP injects downlink loss into a real-UDP receiver transport:
+// lossyUDP injects downlink loss into a real-UDP receiving endpoint:
 // each inbound packet is dropped independently with probability p,
-// seeded deterministically. It overrides both the batch and the
-// per-packet receive paths so the loss draw happens regardless of how
-// the session lifts the transport.
+// seeded deterministically.
 type lossyUDP struct {
-	*udpmcast.ReceiverTransport
+	*udpmcast.Endpoint
 	p   float64
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -258,7 +255,7 @@ type lossyUDP struct {
 
 func (l *lossyUDP) RecvBatch(buf []transport.Envelope) (int, error) {
 	for {
-		n, err := l.ReceiverTransport.RecvBatch(buf)
+		n, err := l.Endpoint.RecvBatch(buf)
 		if n == 0 || err != nil {
 			return n, err
 		}
@@ -276,19 +273,6 @@ func (l *lossyUDP) RecvBatch(buf []transport.Envelope) (int, error) {
 		l.mu.Unlock()
 		if kept > 0 {
 			return kept, nil
-		}
-	}
-}
-
-func (l *lossyUDP) Recv() (*packet.Packet, packet.NodeID, error) {
-	var buf [1]transport.Envelope
-	for {
-		n, err := l.RecvBatch(buf[:])
-		if err != nil {
-			return nil, 0, err
-		}
-		if n == 1 {
-			return buf[0].Pkt, buf[0].From, nil
 		}
 	}
 }

@@ -108,14 +108,14 @@ func runManyGroupsTransfer(b *testing.B, datas, scratch [][]byte) int {
 			b.Fatalf("group %d join: %v", g, err)
 		}
 		sp, rp := uint16(2+2*g), uint16(3+2*g)
-		rf, err := sess.OpenReceiverFlow(transport.AsTransport(rcv[shard]), session.FlowSpec{
+		rf, err := sess.OpenReceiverFlow(rcv[shard], session.FlowSpec{
 			Kind: session.KindReceiver, LocalPort: rp, PeerPort: sp,
 			Buf: 128 << 10, Group: gid,
 		})
 		if err != nil {
 			b.Fatalf("group %d receiver: %v", g, err)
 		}
-		sf, err := sess.OpenSenderFlow(transport.AsTransport(snd[shard]), session.FlowSpec{
+		sf, err := sess.OpenSenderFlow(snd[shard], session.FlowSpec{
 			Kind: session.KindSender, LocalPort: sp, PeerPort: rp,
 			Buf: 128 << 10, Receivers: 1,
 			MinRateBps: 32e6, MaxRateBps: 1e9, Group: gid,

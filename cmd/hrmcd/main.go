@@ -82,11 +82,6 @@ type Config struct {
 	// DataPort is the UDP data port shared by every group in sharded
 	// mode. Group addresses must be bare IPs or ip:DataPort.
 	DataPort int `json:"data_port,omitempty"`
-	// GSO, when explicitly false, disables UDP segmentation offload
-	// (GSO on send, GRO on receive) for every socket the daemon opens.
-	// Unset or true leaves offload on; kernels without UDP_SEGMENT /
-	// UDP_GRO fall back automatically either way.
-	GSO *bool `json:"gso,omitempty"`
 	// SendPollers is how many session send pollers drain staged
 	// outgoing traffic, with transports spread across them round-robin.
 	// 0 defaults to Shards in sharded mode (TX parallelism matching the
@@ -227,7 +222,7 @@ func newDialer(cfg *Config) (control.Dialer, func(), error) {
 	shards := make([]transport.GroupTransport, 0, cfg.Shards)
 	closeAll := func() {
 		for _, s := range shards {
-			s.(*udpmcast.GroupTransport).Close()
+			s.Close()
 		}
 	}
 	for i := 0; i < cfg.Shards; i++ {
@@ -250,9 +245,7 @@ func newDialer(cfg *Config) (control.Dialer, func(), error) {
 }
 
 func run(cfg *Config) error {
-	if cfg.GSO != nil && !*cfg.GSO {
-		udpmcast.SetOffload(false)
-	} else if gso, gro := udpmcast.ProbeOffload(); gso || gro {
+	if gso, gro := udpmcast.ProbeOffload(); gso || gro {
 		fmt.Printf("hrmcd: UDP offload: gso=%v gro=%v\n", gso, gro)
 	}
 	dialer, closeShards, err := newDialer(cfg)

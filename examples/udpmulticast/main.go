@@ -40,7 +40,7 @@ func main() {
 		return
 	}
 
-	var rts []*udpmcast.ReceiverTransport
+	var rts []*udpmcast.Endpoint
 	for i := 0; i < nReceivers; i++ {
 		rt, err := udpmcast.NewReceiverTransport(group, lo)
 		if err != nil {

@@ -57,10 +57,7 @@ func (d *ShardedDialer) Dial(spec FlowSpec) (Link, error) {
 	if err != nil {
 		return Link{}, err
 	}
-	// AsTransport is a no-op for shard transports that already expose
-	// the per-packet surface (udpmcast's does); otherwise it narrows the
-	// batch interface for the session to re-widen with Batched.
-	return Link{Transport: transport.AsTransport(tr), Group: gid, Shared: true}, nil
+	return Link{Transport: tr, Group: gid, Shared: true}, nil
 }
 
 // Shards returns the number of shard transports.

@@ -142,31 +142,39 @@ func TestHubLossAndDeterminism(t *testing.T) {
 	hub := transport.NewHub()
 	a, b, c := hub.Endpoint(), hub.Endpoint(), hub.Endpoint()
 	pkt := testPacket()
-	if err := a.Send(pkt, true, 0); err != nil {
+	send := func(tr transport.Transport, multicast bool, to packet.NodeID) error {
+		return tr.SendBatch([]transport.Envelope{{Pkt: pkt, Multicast: multicast, To: to}})
+	}
+	recv := func(tr transport.Transport) (*packet.Packet, packet.NodeID, error) {
+		var one [1]transport.Envelope
+		_, err := tr.RecvBatch(one[:])
+		return one[0].Pkt, one[0].From, err
+	}
+	if err := send(a, true, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, ep := range []transport.Transport{b, c} {
-		got, from, err := ep.Recv()
+		got, from, err := recv(ep)
 		if err != nil || got.Seq != pkt.Seq || from != a.Local() {
 			t.Fatalf("multicast recv: %v %v %v", got, from, err)
 		}
 	}
-	if err := b.Send(pkt, false, a.Local()); err != nil {
+	if err := send(b, false, a.Local()); err != nil {
 		t.Fatal(err)
 	}
-	got, from, err := a.Recv()
+	got, from, err := recv(a)
 	if err != nil || from != b.Local() || got.Seq != pkt.Seq {
 		t.Fatalf("unicast recv: %v %v %v", got, from, err)
 	}
 	a.Close()
-	if _, _, err := a.Recv(); err != transport.ErrClosed {
+	if _, _, err := recv(a); err != transport.ErrClosed {
 		t.Errorf("Recv after Close = %v, want ErrClosed", err)
 	}
 	// A closed endpoint no longer receives multicast.
-	if err := b.Send(pkt, true, 0); err != nil {
+	if err := send(b, true, 0); err != nil {
 		t.Fatal(err)
 	}
-	got2, _, _ := c.Recv()
+	got2, _, _ := recv(c)
 	if got2 == nil {
 		t.Error("open endpoint missed multicast after peer close")
 	}

@@ -112,7 +112,6 @@ type anyFlow interface {
 type flow struct {
 	sess   *Session
 	tr     transport.Transport
-	bt     transport.BatchTransport
 	kind   Kind
 	id     int
 	label  string
@@ -139,7 +138,6 @@ type flow struct {
 func (f *flow) init(s *Session, kind Kind, tr transport.Transport, port uint16, opts []FlowOption) {
 	f.sess = s
 	f.tr = tr
-	f.bt = transport.Batched(tr)
 	f.kind = kind
 	f.port = port
 	f.weight = 1
@@ -159,7 +157,7 @@ func (f *flow) stage(items []outItem, p *packet.Packet, windowed, multicast bool
 		packet.Retain(p)
 	}
 	return append(items, outItem{
-		bt:        f.bt,
+		tr:        f.tr,
 		hdr:       p.Header,
 		payload:   p.Payload,
 		owner:     p,

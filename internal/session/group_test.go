@@ -45,14 +45,14 @@ func TestSessionGroupAddressedFlows(t *testing.T) {
 	}
 
 	sp, rp := groupPorts(0)
-	rf, err := sess.OpenReceiverFlow(transport.AsTransport(rcvEp), FlowSpec{
+	rf, err := sess.OpenReceiverFlow(rcvEp, FlowSpec{
 		Kind: KindReceiver, Label: "a-rcv",
 		LocalPort: rp, PeerPort: sp, Buf: 64 << 10, Group: gidA,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf, err := sess.OpenSenderFlow(transport.AsTransport(sndEp), FlowSpec{
+	sf, err := sess.OpenSenderFlow(sndEp, FlowSpec{
 		Kind: KindSender, Label: "a-snd",
 		LocalPort: sp, PeerPort: rp, Buf: 64 << 10, Receivers: 1,
 		MinRateBps: 1e6, MaxRateBps: 64e6, Group: gidA,

@@ -7,9 +7,8 @@
 //
 //   - a single wall-clock tick loop (default one kernel jiffy, 10 ms)
 //     driving every flow's transmit and timer machinery;
-//   - one batched receive loop per transport (the transport's native
-//     BatchTransport interface, or any per-packet Transport lifted by
-//     transport.Batched), with a port-based demultiplexer that drains
+//   - one batched receive loop per transport, with a port-based
+//     demultiplexer that drains
 //     a whole batch, groups envelopes by destination port, and hands
 //     each flow its slice under one flow-lock acquisition per batch —
 //     the 20-byte H-RMC header carries src/dst ports end to end, so
@@ -136,7 +135,7 @@ type sendShard struct {
 // bumps) cannot race the send; the payload is aliased, kept alive by
 // the owner reference the poller releases after the send.
 type outItem struct {
-	bt        transport.BatchTransport
+	tr        transport.Transport
 	hdr       packet.Header
 	payload   []byte
 	owner     *packet.Packet
@@ -324,7 +323,7 @@ func sendItems(items []outItem, env []transport.Envelope, pkts []packet.Packet) 
 	i := 0
 	for i < len(items) {
 		j := i + 1
-		for j < len(items) && items[j].bt == items[i].bt {
+		for j < len(items) && items[j].tr == items[i].tr {
 			j++
 		}
 		n := j - i
@@ -342,7 +341,7 @@ func sendItems(items []outItem, env []transport.Envelope, pkts []packet.Packet) 
 			pkts[k] = packet.Packet{Header: it.hdr, Payload: it.payload}
 			env[k] = transport.Envelope{Pkt: &pkts[k], Multicast: it.multicast, To: it.to, Group: it.group}
 		}
-		_ = items[i].bt.SendBatch(env)
+		_ = items[i].tr.SendBatch(env)
 		for k := 0; k < n; k++ {
 			packet.Put(items[i+k].owner)
 			pkts[k] = packet.Packet{}
@@ -393,12 +392,8 @@ func (s *Session) Budget() float64 {
 const recvBatchSize = 64
 
 // recvLoop is the per-transport receive driver plus its demultiplexer.
-// The transport is driven through its batch interface (a native
-// BatchTransport, or any per-packet Transport lifted to batch size 1
-// by transport.Batched).
 type recvLoop struct {
 	tr transport.Transport
-	bt transport.BatchTransport
 	// sendShard is the send-poller shard every flow of this transport
 	// stages onto, assigned round-robin at loop creation; immutable.
 	sendShard int
@@ -451,7 +446,7 @@ func (l *recvLoop) unbind(port uint16, f anyFlow) {
 // (port 0) binding clears the filter — everything must be delivered.
 // Transports without filter support demux-drop as before.
 func (l *recvLoop) refreshFilter() {
-	ft, ok := l.bt.(transport.FilteredTransport)
+	ft, ok := l.tr.(transport.FilteredTransport)
 	if !ok {
 		return
 	}
@@ -502,7 +497,7 @@ func (s *Session) runRecv(l *recvLoop) {
 	flows := make([]anyFlow, recvBatchSize)
 	var groups []flowGroup
 	for {
-		n, err := l.bt.RecvBatch(env)
+		n, err := l.tr.RecvBatch(env)
 		if err != nil {
 			for _, f := range l.bound() {
 				f.base().fail(err)
@@ -573,7 +568,7 @@ func (s *Session) attach(f anyFlow) error {
 	}
 	l, ok := s.loops[b.tr]
 	if !ok {
-		l = &recvLoop{tr: b.tr, bt: b.bt, byPort: make(map[uint16]anyFlow)}
+		l = &recvLoop{tr: b.tr, byPort: make(map[uint16]anyFlow)}
 		l.sendShard = s.nextShard % len(s.sendShards)
 		s.nextShard++
 		s.loops[b.tr] = l

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -20,7 +19,7 @@ func payloadPkt(seq uint32, payload []byte) *packet.Packet {
 
 // drainEnvelopes collects exactly want envelopes from bt in the
 // background, failing the test on timeout.
-func drainEnvelopes(t *testing.T, bt BatchTransport, want int) []Envelope {
+func drainEnvelopes(t *testing.T, bt Transport, want int) []Envelope {
 	t.Helper()
 	out := make(chan []Envelope, 1)
 	go func() {
@@ -65,7 +64,6 @@ func TestHubBatchLossDelayBitExact(t *testing.T) {
 	)
 	hub := NewHub(WithLoss(loss, seed), WithDelay(delay))
 	a, b := hub.Endpoint(), hub.Endpoint()
-	abt, bbt := Batched(a), Batched(b)
 
 	// Unicast draws happen in envelope order under the hub lock, so the
 	// surviving set replays deterministically from the same seed.
@@ -81,7 +79,7 @@ func TestHubBatchLossDelayBitExact(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	if err := abt.SendBatch(env); err != nil {
+	if err := a.SendBatch(env); err != nil {
 		t.Fatal(err)
 	}
 	// SendBatch only borrows the packets: scribbling over them now must
@@ -93,7 +91,7 @@ func TestHubBatchLossDelayBitExact(t *testing.T) {
 		}
 	}
 
-	got := drainEnvelopes(t, bbt, len(wantSeqs))
+	got := drainEnvelopes(t, b, len(wantSeqs))
 	if elapsed := time.Since(start); elapsed < delay {
 		t.Errorf("first delivery after %v, want >= %v", elapsed, delay)
 	}
@@ -123,7 +121,7 @@ func TestHubConcurrentBatchEndpointsAndLoss(t *testing.T) {
 		batchN  = 8
 	)
 	hub := NewHub(WithLoss(0.5, 42))
-	sink := Batched(hub.Endpoint())
+	sink := hub.Endpoint()
 	sinkDone := make(chan struct{})
 	go func() {
 		defer close(sinkDone)
@@ -147,7 +145,7 @@ func TestHubConcurrentBatchEndpointsAndLoss(t *testing.T) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			ep := Batched(hub.Endpoint())
+			ep := hub.Endpoint()
 			defer ep.Close()
 			mu.Lock()
 			if seen[ep.Local()] {
@@ -172,60 +170,6 @@ func TestHubConcurrentBatchEndpointsAndLoss(t *testing.T) {
 	wg.Wait()
 	sink.Close()
 	<-sinkDone
-}
-
-// legacyTransport hides a hub endpoint's batch methods so Batched must
-// wrap it in the batch-size-1 adapter.
-type legacyTransport struct{ tr Transport }
-
-func (l *legacyTransport) Send(p *packet.Packet, multicast bool, node packet.NodeID) error {
-	return l.tr.Send(p, multicast, node)
-}
-func (l *legacyTransport) Recv() (*packet.Packet, packet.NodeID, error) { return l.tr.Recv() }
-func (l *legacyTransport) Local() packet.NodeID                         { return l.tr.Local() }
-func (l *legacyTransport) Close() error                                 { return l.tr.Close() }
-
-// TestAdapterEquivalence runs the same traffic through the two adapter
-// directions — a per-packet transport lifted by Batched, and a native
-// batch transport narrowed by AsTransport — and expects identical
-// delivery in both.
-func TestAdapterEquivalence(t *testing.T) {
-	hub := NewHub()
-	a, b := hub.Endpoint(), hub.Endpoint()
-
-	// Lifted direction: batch calls over a per-packet-only transport.
-	lifted := Batched(&legacyTransport{tr: a})
-	if _, native := lifted.(*hubEndpoint); native {
-		t.Fatal("legacyTransport should not resolve to the native batch endpoint")
-	}
-	env := make([]Envelope, 5)
-	for i := range env {
-		env[i] = Envelope{Pkt: payloadPkt(uint32(i), []byte{byte(i)}), To: b.Local()}
-	}
-	if err := lifted.SendBatch(env); err != nil {
-		t.Fatal(err)
-	}
-
-	// Narrowed direction: per-packet calls over the native batch endpoint.
-	narrowed := AsTransport(Batched(b))
-	for i := 0; i < 5; i++ {
-		p, from, err := narrowed.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if from != a.Local() || p.Seq != uint32(i) || !bytes.Equal(p.Payload, []byte{byte(i)}) {
-			t.Fatalf("recv %d: seq=%d from=%v payload=%v", i, p.Seq, from, p.Payload)
-		}
-	}
-
-	// Batched must pass a native implementation straight through, and
-	// AsTransport must unwrap one that still is a Transport.
-	if _, ok := Batched(a).(*hubEndpoint); !ok {
-		t.Error("Batched(hub endpoint) should be the endpoint itself")
-	}
-	if _, ok := AsTransport(Batched(a)).(*hubEndpoint); !ok {
-		t.Error("AsTransport(hub endpoint) should be the endpoint itself")
-	}
 }
 
 // TestPacketPoolRoundTrip checks the pool contract: a released packet
@@ -262,39 +206,3 @@ func TestPacketPoolRoundTrip(t *testing.T) {
 	PutPacket(p)
 	ReleaseEnvelopes([]Envelope{{Pkt: GetPacket()}, {}})
 }
-
-// TestBatchAdapterPropagatesErrors checks the lifted adapter's error
-// contract: first error wins, the rest of the batch is still attempted.
-func TestBatchAdapterPropagatesErrors(t *testing.T) {
-	calls := 0
-	ft := &funcTransport{
-		send: func(p *packet.Packet, mc bool, node packet.NodeID) error {
-			calls++
-			if p.Seq == 1 {
-				return fmt.Errorf("boom %d", p.Seq)
-			}
-			return nil
-		},
-	}
-	bt := Batched(ft)
-	err := bt.SendBatch([]Envelope{
-		{Pkt: payloadPkt(0, nil)}, {Pkt: payloadPkt(1, nil)}, {Pkt: payloadPkt(2, nil)},
-	})
-	if err == nil || err.Error() != "boom 1" {
-		t.Fatalf("err = %v, want boom 1", err)
-	}
-	if calls != 3 {
-		t.Fatalf("attempted %d sends, want 3", calls)
-	}
-}
-
-type funcTransport struct {
-	send func(*packet.Packet, bool, packet.NodeID) error
-}
-
-func (f *funcTransport) Send(p *packet.Packet, mc bool, node packet.NodeID) error {
-	return f.send(p, mc, node)
-}
-func (f *funcTransport) Recv() (*packet.Packet, packet.NodeID, error) { return nil, 0, ErrClosed }
-func (f *funcTransport) Local() packet.NodeID                         { return 0 }
-func (f *funcTransport) Close() error                                 { return nil }

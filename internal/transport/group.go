@@ -1,24 +1,22 @@
 // Group-addressed transport: one endpoint, many multicast groups.
 //
-// The per-group transports (udpmcast's SenderTransport and
-// ReceiverTransport, hub endpoints) burn one endpoint per group, which
-// caps how many groups a process can serve: fds and receive loops grow
-// O(groups). A GroupTransport amortizes the endpoint instead — a single
-// socket (pair) joins N groups, arriving traffic is demultiplexed on
-// the destination group address, and outgoing multicast is addressed
-// per envelope via Envelope.Group. internal/session hosts many flows on
-// one shared GroupTransport, so a daemon's fd and goroutine counts are
-// O(shards), not O(groups).
+// An endpoint per group caps how many groups a process can serve: fds
+// and receive loops grow O(groups). A GroupTransport amortizes the
+// endpoint instead — a single socket (pair) joins N groups, arriving
+// traffic is demultiplexed on the destination group address, and
+// outgoing multicast is addressed per envelope via Envelope.Group.
+// internal/session hosts many flows on one shared GroupTransport, so a
+// daemon's fd and goroutine counts are O(shards), not O(groups).
 //
-// GroupIDs are transport-scoped opaque handles. The udpmcast
-// implementation uses the IPv4 group address (a uint32) so the kernel's
-// IP_PKTINFO destination maps straight to the ID; the hub assigns dense
-// IDs per group name. ID 0 is reserved: it marks "no group" — a unicast
-// arrival, or a flow on a classic single-group transport.
+// GroupIDs are transport-scoped opaque handles. The udpmcast endpoint
+// uses the IPv4 group address (a uint32) so the kernel's IP_PKTINFO
+// destination maps straight to the ID; the hub assigns dense IDs per
+// group name. ID 0 is reserved: it marks "no group" — a unicast
+// arrival — or the default group of an endpoint opened for one group.
 package transport
 
 // GroupID identifies one multicast group within a GroupTransport. Zero
-// means no group: a unicast arrival or a single-group transport.
+// means no group (a unicast arrival) or the endpoint's default group.
 type GroupID uint32
 
 // GroupStats is a point-in-time snapshot of one group transport's
@@ -49,13 +47,13 @@ type GroupReporter interface {
 	GroupStats() GroupStats
 }
 
-// GroupTransport is a BatchTransport hosting many multicast groups on
+// GroupTransport is a Transport hosting many multicast groups on
 // one endpoint. Outgoing multicast envelopes select their group with
 // Envelope.Group; arriving multicast is tagged with the group it was
 // addressed to (unicast arrivals carry Group 0). Implementations must
 // be safe for concurrent use.
 type GroupTransport interface {
-	BatchTransport
+	Transport
 	// Join makes the endpoint a member of the named group — its traffic
 	// is received from now on — and returns the group's ID for envelope
 	// addressing. Joining an already-joined group is idempotent and

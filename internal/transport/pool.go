@@ -7,9 +7,9 @@ import (
 // The transport layer draws its packets from the process-wide
 // reference-counted pool in internal/packet (see packet/pool.go for
 // the full ownership rules). These wrappers exist so transport code
-// and its callers keep one vocabulary for the Transport v2 contract:
+// and its callers keep one vocabulary for the ownership contract:
 //
-//   - A BatchTransport's RecvBatch hands packet ownership to the
+//   - A Transport's RecvBatch hands packet ownership to the
 //     caller. The caller either releases the packet with PutPacket
 //     once it is done — the demultiplexer does this for packets no
 //     flow is bound to — or hands ownership on. A protocol machine

@@ -1,15 +1,13 @@
-// Package transport defines the packet transports the live (real-time)
+// Package transport defines the packet transport the live (real-time)
 // protocol drivers run over, plus an in-memory multicast hub for tests
 // and examples that need no network at all. The same sans-I/O protocol
 // machines also run under internal/netsim; this interface is only for
 // wall-clock operation.
 //
-// Since Transport v2 the native interface is batch-first (see
-// BatchTransport in batch.go): implementations move []Envelope batches
+// The interface is batch-first: implementations move []Envelope batches
 // so one syscall or lock acquisition is amortized over many packets,
-// and hot receive paths draw packet buffers from the shared pool
-// (GetPacket/PutPacket). The per-packet Transport interface below is
-// retained as the compatibility surface for existing callers.
+// every endpoint delivers through the same bounded Inbox, and receive
+// paths draw packet buffers from the shared pool (GetPacket/PutPacket).
 package transport
 
 import (
@@ -25,35 +23,74 @@ import (
 // ErrClosed is returned by operations on a closed transport.
 var ErrClosed = errors.New("transport: closed")
 
-// Transport moves encoded H-RMC packets between one sender and many
-// receivers, one packet per call. Implementations must be safe for
-// concurrent use.
-//
-// Deprecated-in-spirit, kept-in-practice: Transport is the documented
-// compatibility surface of the pre-batch API. Every transport in this
-// repository implements the batch-first BatchTransport natively and
-// exposes these methods as thin batch-size-1 adapters; internal/core,
-// internal/hrmcsock, and the examples keep compiling unchanged against
-// it. New transport implementations should implement BatchTransport
-// (Batched lifts any remaining per-packet implementation), and new
-// drivers should consume BatchTransport directly as internal/session
-// does.
+// Envelope is one packet in flight with its addressing. On the send
+// side To and Multicast select the destination (To is ignored for
+// multicast), and Group selects which multicast group of a
+// GroupTransport the packet goes to (0 is a single-group endpoint's
+// default group); on the receive side From carries the source node ID,
+// Group the multicast group the packet arrived on (0 for unicast and
+// for a default group), and the destination fields are zero.
+type Envelope struct {
+	Pkt       *packet.Packet
+	From      packet.NodeID
+	To        packet.NodeID
+	Group     GroupID
+	Multicast bool
+}
+
+// Transport moves batches of encoded H-RMC packets between one sender
+// and many receivers. Implementations must be safe for concurrent use.
+// Packet buffers obey the pool ownership rules documented on
+// GetPacket: RecvBatch transfers ownership of each delivered packet to
+// the caller (who may release it with PutPacket); SendBatch borrows
+// the packets only for the duration of the call.
 type Transport interface {
-	// Send transmits p to the whole group (multicast) or to one node.
-	Send(p *packet.Packet, multicast bool, node packet.NodeID) error
-	// Recv blocks until a packet arrives and returns it with the
-	// source's node ID. It returns ErrClosed after Close.
-	Recv() (*packet.Packet, packet.NodeID, error)
+	// SendBatch transmits every envelope, each to the whole group
+	// (multicast) or to one node. It returns the first per-envelope
+	// error after attempting the rest, or ErrClosed.
+	SendBatch(env []Envelope) error
+	// RecvBatch blocks until at least one packet arrives, fills buf
+	// with as many as are immediately available (at most len(buf)),
+	// and returns the count. It returns ErrClosed after Close.
+	RecvBatch(buf []Envelope) (int, error)
 	// Local returns this endpoint's node ID.
 	Local() packet.NodeID
-	// Close shuts the endpoint down and unblocks Recv.
+	// Close shuts the endpoint down and unblocks RecvBatch.
 	Close() error
 }
 
-// hubInboxDepth bounds each endpoint's pending-delivery queue, playing
-// the role of a kernel socket buffer: deliveries beyond it behave like
-// network loss.
-const hubInboxDepth = 4096
+// BatchTransport is Transport under the name it had while a per-packet
+// interface existed beside it. It remains only because the frozen
+// benchmark/ directory spells it; a later benchmark PR drops it.
+// Nothing outside benchmark/ uses it.
+type BatchTransport = Transport
+
+// Batched returns tr: every transport is batch-first now. It remains
+// only because the frozen benchmark/ directory calls it; a later
+// benchmark PR drops it. Nothing outside benchmark/ calls it.
+func Batched(tr Transport) BatchTransport { return tr }
+
+// InboundFilterFunc inspects a packet header before the transport
+// commits resources to delivering it. Returning false discards the
+// packet at the source — before cloning or queueing — so the filter
+// must be cheap and must not retain the header.
+type InboundFilterFunc func(h *packet.Header) bool
+
+// FilteredTransport is implemented by transports that support early
+// demultiplexing: the consumer pushes a destination filter down to the
+// delivery path, and packets no local flow could accept are discarded
+// before they are cloned or queued — the in-memory analogue of NIC
+// multicast filtering / the kernel's early demux. internal/session
+// installs its port-binding table here, which is what removes the
+// O(endpoints²) clone fan-out on a shared hub. Filtering is advisory:
+// consumers must still drop unroutable packets themselves.
+type FilteredTransport interface {
+	// SetInboundFilter installs f as the early-demux predicate; nil
+	// restores deliver-everything. Safe for concurrent use with
+	// traffic; packets already in flight may bypass a newly installed
+	// filter.
+	SetInboundFilter(f InboundFilterFunc)
+}
 
 // Hub is an in-memory multicast domain: one process, many endpoints.
 // Configurable loss and delay make it a convenient harness for
@@ -70,7 +107,6 @@ type Hub struct {
 	loss   float64
 	delay  time.Duration
 	rng    *rand.Rand
-	closed bool
 }
 
 // HubOption configures a Hub.
@@ -108,33 +144,21 @@ func NewHub(opts ...HubOption) *Hub {
 }
 
 // Endpoint creates a new endpoint attached to the hub. The returned
-// Transport also implements BatchTransport (the hub's native
-// interface); internal/session discovers that via Batched.
+// Transport also implements GroupTransport and FilteredTransport.
 func (h *Hub) Endpoint() Transport {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	id := h.next
 	h.next++
-	ep := &hubEndpoint{
-		hub:    h,
-		id:     id,
-		stage:  -1,
-		notify: make(chan struct{}, 1),
-	}
+	ep := &hubEndpoint{hub: h, id: id, stage: -1, inbox: NewInbox()}
 	h.eps[id] = ep
 	return ep
-}
-
-type hubItem struct {
-	pkt   *packet.Packet
-	from  packet.NodeID
-	group GroupID
 }
 
 // delivery is one target endpoint's share of a SendBatch.
 type delivery struct {
 	t     *hubEndpoint
-	items []hubItem
+	items []Envelope
 }
 
 type hubEndpoint struct {
@@ -154,19 +178,10 @@ type hubEndpoint struct {
 	// it before cloning a delivery for this endpoint.
 	filter atomic.Pointer[InboundFilterFunc]
 
-	mu    sync.Mutex
-	queue []hubItem // pending deliveries, queue[head:] live
-	head  int
-
-	notify chan struct{} // capacity 1: "queue may be non-empty"
-	closed sync.Once
-	done   chan struct{}
-	init   sync.Once
+	inbox *Inbox
 }
 
 var (
-	_ Transport         = (*hubEndpoint)(nil)
-	_ BatchTransport    = (*hubEndpoint)(nil)
 	_ FilteredTransport = (*hubEndpoint)(nil)
 	_ GroupTransport    = (*hubEndpoint)(nil)
 )
@@ -189,9 +204,6 @@ func (e *hubEndpoint) Join(group string) (GroupID, error) {
 	h := e.hub
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
-		return 0, ErrClosed
-	}
 	id := h.groupID(group)
 	if e.joined == nil {
 		e.joined = make(map[GroupID]bool)
@@ -206,9 +218,6 @@ func (e *hubEndpoint) Register(group string) (GroupID, error) {
 	h := e.hub
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
-		return 0, ErrClosed
-	}
 	return h.groupID(group), nil
 }
 
@@ -263,9 +272,7 @@ func (sb *stageBuf) add(t *hubEndpoint) int {
 // release clears packet references and returns the buffer to the pool.
 func (sb *stageBuf) release() {
 	for i := range sb.dels {
-		for j := range sb.dels[i].items {
-			sb.dels[i].items[j] = hubItem{}
-		}
+		clear(sb.dels[i].items)
 		sb.dels[i].items = sb.dels[i].items[:0]
 		sb.dels[i].t = nil
 	}
@@ -273,14 +280,9 @@ func (sb *stageBuf) release() {
 	stagePool.Put(sb)
 }
 
-func (e *hubEndpoint) doneCh() chan struct{} {
-	e.init.Do(func() { e.done = make(chan struct{}) })
-	return e.done
-}
-
 func (e *hubEndpoint) Local() packet.NodeID { return e.id }
 
-// SendBatch implements BatchTransport: one hub-lock acquisition covers
+// SendBatch implements Transport: one hub-lock acquisition covers
 // membership lookup and loss draws for the whole batch, then each
 // target's inbox is filled under a single lock acquisition. Unknown
 // unicast nodes are silently dropped, like the network.
@@ -288,11 +290,6 @@ func (e *hubEndpoint) SendBatch(env []Envelope) error {
 	h := e.hub
 	sb := stagePool.Get().(*stageBuf)
 	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		sb.release()
-		return ErrClosed
-	}
 	keep := func(t *hubEndpoint, p *packet.Packet, g GroupID) {
 		// Early demux: a target that could never route this packet to
 		// a flow discards it before the loss draw and before cloning.
@@ -305,7 +302,7 @@ func (e *hubEndpoint) SendBatch(env []Envelope) error {
 		if t.stage < 0 {
 			t.stage = sb.add(t)
 		}
-		sb.dels[t.stage].items = append(sb.dels[t.stage].items, hubItem{pkt: p, from: e.id, group: g})
+		sb.dels[t.stage].items = append(sb.dels[t.stage].items, Envelope{Pkt: p, From: e.id, Group: g})
 	}
 	for i := range env {
 		switch {
@@ -341,12 +338,14 @@ func (e *hubEndpoint) SendBatch(env []Envelope) error {
 	// so the caller regains ownership of its batch even under delay.
 	for _, d := range sb.dels {
 		for i := range d.items {
-			d.items[i].pkt = ClonePacket(d.items[i].pkt)
+			d.items[i].Pkt = ClonePacket(d.items[i].Pkt)
 		}
 	}
 	deliver := func() {
 		for _, d := range sb.dels {
-			d.t.enqueue(d.items)
+			// Overflow and deliveries to a closed endpoint behave like
+			// loss; the inbox recycles those clones.
+			d.t.inbox.Push(d.items)
 		}
 		sb.release()
 	}
@@ -358,126 +357,14 @@ func (e *hubEndpoint) SendBatch(env []Envelope) error {
 	return nil
 }
 
-// enqueue appends a whole delivery batch to the inbox under one lock
-// acquisition. Overflow beyond hubInboxDepth behaves like loss, and the
-// dropped clones go straight back to the packet pool.
-func (e *hubEndpoint) enqueue(items []hubItem) {
-	select {
-	case <-e.doneCh():
-		for _, it := range items {
-			PutPacket(it.pkt)
-		}
-		return
-	default:
-	}
-	e.mu.Lock()
-	if e.head > 0 {
-		n := copy(e.queue, e.queue[e.head:])
-		for i := n; i < len(e.queue); i++ {
-			e.queue[i] = hubItem{}
-		}
-		e.queue = e.queue[:n]
-		e.head = 0
-	}
-	space := hubInboxDepth - len(e.queue)
-	for i, it := range items {
-		if i >= space {
-			PutPacket(it.pkt)
-			continue
-		}
-		e.queue = append(e.queue, it)
-	}
-	e.mu.Unlock()
-	select {
-	case e.notify <- struct{}{}:
-	default:
-	}
-}
+// RecvBatch implements Transport.
+func (e *hubEndpoint) RecvBatch(buf []Envelope) (int, error) { return e.inbox.RecvBatch(buf) }
 
-// pop moves up to len(buf) pending deliveries into buf. It re-arms the
-// notify token when items remain, so a second blocked reader wakes.
-func (e *hubEndpoint) pop(buf []Envelope) int {
-	e.mu.Lock()
-	n := len(e.queue) - e.head
-	if n > len(buf) {
-		n = len(buf)
-	}
-	for i := 0; i < n; i++ {
-		it := e.queue[e.head+i]
-		e.queue[e.head+i] = hubItem{}
-		buf[i] = Envelope{Pkt: it.pkt, From: it.from, Group: it.group}
-	}
-	e.head += n
-	remaining := len(e.queue) - e.head
-	if remaining == 0 {
-		e.queue = e.queue[:0]
-		e.head = 0
-	}
-	e.mu.Unlock()
-	if remaining > 0 {
-		select {
-		case e.notify <- struct{}{}:
-		default:
-		}
-	}
-	return n
-}
-
-// pending reports the number of queued deliveries (tests only).
-func (e *hubEndpoint) pending() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.queue) - e.head
-}
-
-// RecvBatch implements BatchTransport.
-func (e *hubEndpoint) RecvBatch(buf []Envelope) (int, error) {
-	if len(buf) == 0 {
-		return 0, nil
-	}
-	for {
-		if n := e.pop(buf); n > 0 {
-			return n, nil
-		}
-		select {
-		case <-e.notify:
-		case <-e.doneCh():
-			// Drain anything that raced with close.
-			if n := e.pop(buf); n > 0 {
-				return n, nil
-			}
-			return 0, ErrClosed
-		}
-	}
-}
-
-// Send implements Transport as a batch-size-1 adapter over SendBatch.
-func (e *hubEndpoint) Send(p *packet.Packet, multicast bool, node packet.NodeID) error {
-	env := [1]Envelope{{Pkt: p, Multicast: multicast, To: node}}
-	return e.SendBatch(env[:])
-}
-
-// Recv implements Transport as a batch-size-1 adapter over RecvBatch.
-func (e *hubEndpoint) Recv() (*packet.Packet, packet.NodeID, error) {
-	var buf [1]Envelope
-	for {
-		n, err := e.RecvBatch(buf[:])
-		if err != nil {
-			return nil, 0, err
-		}
-		if n == 1 {
-			return buf[0].Pkt, buf[0].From, nil
-		}
-	}
-}
-
+// Close detaches the endpoint from the hub; closing twice is harmless.
 func (e *hubEndpoint) Close() error {
-	e.closed.Do(func() {
-		close(e.doneCh())
-		h := e.hub
-		h.mu.Lock()
-		delete(h.eps, e.id)
-		h.mu.Unlock()
-	})
+	e.inbox.Close()
+	e.hub.mu.Lock()
+	delete(e.hub.eps, e.id)
+	e.hub.mu.Unlock()
 	return nil
 }

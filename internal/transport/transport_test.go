@@ -12,6 +12,19 @@ func pkt(seq uint32) *packet.Packet {
 	return &packet.Packet{Header: packet.Header{Type: packet.TypeData, Seq: seq, Length: 0}}
 }
 
+// send1 and recv1 move one packet through the batch interface.
+func send1(tr Transport, p *packet.Packet, multicast bool, to packet.NodeID) error {
+	return tr.SendBatch([]Envelope{{Pkt: p, Multicast: multicast, To: to}})
+}
+
+func recv1(tr Transport) (*packet.Packet, packet.NodeID, error) {
+	var buf [1]Envelope
+	if _, err := tr.RecvBatch(buf[:]); err != nil {
+		return nil, 0, err
+	}
+	return buf[0].Pkt, buf[0].From, nil
+}
+
 func TestHubEndpointIdentity(t *testing.T) {
 	hub := NewHub()
 	a, b := hub.Endpoint(), hub.Endpoint()
@@ -23,11 +36,11 @@ func TestHubEndpointIdentity(t *testing.T) {
 func TestHubMulticastExcludesOrigin(t *testing.T) {
 	hub := NewHub()
 	a, b, c := hub.Endpoint(), hub.Endpoint(), hub.Endpoint()
-	if err := a.Send(pkt(1), true, 0); err != nil {
+	if err := send1(a, pkt(1), true, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, ep := range []Transport{b, c} {
-		got, from, err := ep.Recv()
+		got, from, err := recv1(ep)
 		if err != nil || got.Seq != 1 || from != a.Local() {
 			t.Fatalf("multicast recv: %v %v %v", got, from, err)
 		}
@@ -36,7 +49,7 @@ func TestHubMulticastExcludesOrigin(t *testing.T) {
 	// read without blocking. Close unblocks with ErrClosed.
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := a.Recv()
+		_, _, err := recv1(a)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -49,17 +62,17 @@ func TestHubMulticastExcludesOrigin(t *testing.T) {
 func TestHubUnicastTargetsOneEndpoint(t *testing.T) {
 	hub := NewHub()
 	a, b, c := hub.Endpoint(), hub.Endpoint(), hub.Endpoint()
-	if err := a.Send(pkt(9), false, b.Local()); err != nil {
+	if err := send1(a, pkt(9), false, b.Local()); err != nil {
 		t.Fatal(err)
 	}
-	got, from, err := b.Recv()
+	got, from, err := recv1(b)
 	if err != nil || got.Seq != 9 || from != a.Local() {
 		t.Fatalf("unicast recv: %v %v %v", got, from, err)
 	}
 	// c must not see the unicast.
 	done := make(chan struct{})
 	go func() {
-		c.Recv()
+		recv1(c)
 		close(done)
 	}()
 	select {
@@ -73,7 +86,7 @@ func TestHubUnicastTargetsOneEndpoint(t *testing.T) {
 func TestHubUnicastToUnknownNodeIsDropped(t *testing.T) {
 	hub := NewHub()
 	a := hub.Endpoint()
-	if err := a.Send(pkt(1), false, 999); err != nil {
+	if err := send1(a, pkt(1), false, 999); err != nil {
 		t.Errorf("send to unknown node errored: %v", err)
 	}
 }
@@ -87,9 +100,9 @@ func TestHubDeliveryIsolation(t *testing.T) {
 		Header:  packet.Header{Type: packet.TypeData, Seq: 1, Length: 3},
 		Payload: []byte{1, 2, 3},
 	}
-	a.Send(p, true, 0)
+	send1(a, p, true, 0)
 	p.Payload[0] = 99
-	got, _, err := b.Recv()
+	got, _, err := recv1(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +115,11 @@ func TestHubLossDropsDeliveries(t *testing.T) {
 	hub := NewHub(WithLoss(1.0, 1)) // drop everything
 	a, b := hub.Endpoint(), hub.Endpoint()
 	for i := 0; i < 10; i++ {
-		a.Send(pkt(uint32(i)), true, 0)
+		send1(a, pkt(uint32(i)), true, 0)
 	}
 	done := make(chan struct{})
 	go func() {
-		b.Recv()
+		recv1(b)
 		close(done)
 	}()
 	select {
@@ -122,11 +135,11 @@ func TestHubPartialLossStatistics(t *testing.T) {
 	a, b := hub.Endpoint(), hub.Endpoint()
 	const n = 2000
 	for i := 0; i < n; i++ {
-		a.Send(pkt(uint32(i)), false, b.Local())
+		send1(a, pkt(uint32(i)), false, b.Local())
 	}
 	// Without a configured delay, delivery is synchronous: everything
 	// that survived the loss draw is already queued.
-	got := b.(*hubEndpoint).pending()
+	got := b.(*hubEndpoint).inbox.pending()
 	if got < 800 || got > 1200 {
 		t.Errorf("50%% loss delivered %d of %d", got, n)
 	}
@@ -136,8 +149,8 @@ func TestHubDelay(t *testing.T) {
 	hub := NewHub(WithDelay(50 * time.Millisecond))
 	a, b := hub.Endpoint(), hub.Endpoint()
 	start := time.Now()
-	a.Send(pkt(1), true, 0)
-	_, _, err := b.Recv()
+	send1(a, pkt(1), true, 0)
+	_, _, err := recv1(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +166,11 @@ func TestHubCloseSemantics(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Errorf("double Close errored: %v", err)
 	}
-	if _, _, err := a.Recv(); err != ErrClosed {
+	if _, _, err := recv1(a); err != ErrClosed {
 		t.Errorf("Recv after Close = %v", err)
 	}
 	// Sending to a closed endpoint is a silent drop, like the network.
-	if err := b.Send(pkt(1), false, a.Local()); err != nil {
+	if err := send1(b, pkt(1), false, a.Local()); err != nil {
 		t.Errorf("send to closed endpoint errored: %v", err)
 	}
 }
@@ -173,7 +186,7 @@ func TestHubConcurrentSendersSafe(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				ep.Send(pkt(uint32(i)), false, rx.Local())
+				send1(ep, pkt(uint32(i)), false, rx.Local())
 			}
 		}()
 	}
@@ -182,7 +195,7 @@ func TestHubConcurrentSendersSafe(t *testing.T) {
 	go func() {
 		n := 0
 		for n < senders*per {
-			_, _, err := rx.Recv()
+			_, _, err := recv1(rx)
 			if err != nil {
 				break
 			}

@@ -22,9 +22,9 @@ func groupAddr(i int) string {
 	return fmt.Sprintf("239.77.%d.%d:%d", 1+i/254, 1+i%254, groupTestPort)
 }
 
-// newTestGroupTransport opens a loopback-confined group transport or
+// newTestGroupTransport opens a loopback-confined many-group endpoint or
 // skips the test when the environment forbids it.
-func newTestGroupTransport(t *testing.T, port int) *GroupTransport {
+func newTestGroupTransport(t *testing.T, port int) *Endpoint {
 	t.Helper()
 	gt, err := NewGroupTransport(GroupConfig{Port: port, Loopback: true})
 	if err != nil {
@@ -80,7 +80,7 @@ func groupMulticastWorks(t *testing.T) bool {
 
 // recvTagged drains t until a packet tagged with want arrives (or the
 // deadline passes), returning the envelope's source node ID.
-func recvTagged(t *testing.T, gt *GroupTransport, want transport.GroupID, deadline time.Duration) (packet.NodeID, bool) {
+func recvTagged(t *testing.T, gt *Endpoint, want transport.GroupID, deadline time.Duration) (packet.NodeID, bool) {
 	t.Helper()
 	type res struct {
 		from packet.NodeID
@@ -258,7 +258,7 @@ func TestGroupTransportThousandGroups(t *testing.T) {
 
 	fdsBefore := countFDs(t)
 	goroutinesBefore := runtime.NumGoroutine()
-	var rxs [shards]*GroupTransport
+	var rxs [shards]*Endpoint
 	for s := range rxs {
 		rxs[s] = newTestGroupTransport(t, groupTestPort)
 	}

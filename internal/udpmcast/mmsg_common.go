@@ -1,12 +1,13 @@
 // Batch I/O plumbing shared by the recvmmsg/sendmmsg implementation
 // (mmsg_linux.go) and the portable single-syscall fallback
 // (mmsg_fallback.go). Both expose the same batchReader/batchWriter
-// surface, so the transports above are identical on every platform.
+// surface, so the endpoint above is identical on every platform.
 package udpmcast
 
 import (
 	"log"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 
@@ -23,13 +24,27 @@ const (
 	mmsgBufSize = 16 << 10
 )
 
-// outMsg is one encoded datagram and its destination. A nil addr marks
-// a message the caller already failed (e.g. unknown node) — writers
-// skip it.
+// outMsg is one encoded datagram and its IPv4 destination. Writers
+// skip a message whose addr is not IPv4 (the zero value included).
 type outMsg struct {
 	buf  []byte
-	addr *net.UDPAddr
+	addr netip.AddrPort
 }
+
+// offloadEnabled is the reference switch behind SetOffload: when
+// cleared, new sockets skip the offload probes entirely and run the
+// plain mmsg path.
+var offloadEnabled atomic.Bool
+
+func init() { offloadEnabled.Store(true) }
+
+// SetOffload enables or disables UDP GSO/GRO for sockets opened from
+// now on (default enabled; existing sockets keep their arming). The
+// ladder needs no configuration — it chooses by probe and by the errno
+// the kernel returns — so this exists for the tests and benchmarks
+// that compare offload-on against offload-off. A no-op on platforms
+// without an offload path.
+func SetOffload(on bool) { offloadEnabled.Store(on) }
 
 // truncLogOnce gates the one-time log line for truncated-datagram
 // drops; afterwards the incident is visible only through the counters.
@@ -106,10 +121,10 @@ func splitDatagrams(b []byte, seg int, fn func([]byte)) int {
 func writeSeq(conn *net.UDPConn, msgs []outMsg, errs *atomic.Int64) error {
 	var firstErr error
 	for _, m := range msgs {
-		if m.addr == nil || len(m.buf) == 0 {
+		if !m.addr.Addr().Is4() || len(m.buf) == 0 {
 			continue
 		}
-		if _, err := conn.WriteToUDP(m.buf, m.addr); err != nil {
+		if _, err := conn.WriteToUDPAddrPort(m.buf, m.addr); err != nil {
 			countSendError(errs)
 			if firstErr == nil {
 				firstErr = err

@@ -12,7 +12,9 @@
 package udpmcast
 
 import (
+	"fmt"
 	"net"
+	"net/netip"
 	"sync/atomic"
 	"syscall"
 	"unsafe"
@@ -55,11 +57,9 @@ type batchReader struct {
 	iovs  []syscall.Iovec
 	names []syscall.RawSockaddrInet4
 	bufs  [][]byte
-	addrs []net.UDPAddr // reused per-datagram source addresses
 
-	// Destination-address recovery (IP_PKTINFO), enabled by
-	// newBatchReaderDst for group transports that demux on the
-	// multicast group a datagram was addressed to.
+	// Destination-address recovery (IP_PKTINFO) for the data socket,
+	// which demuxes on the multicast group a datagram was addressed to.
 	wantDst bool
 	// wantGro marks a socket armed for UDP_GRO: slots are sized for a
 	// full supersegment (bufSize) and gro() reports each datagram's
@@ -70,7 +70,7 @@ type batchReader struct {
 	ctrls     [][]byte // per-slot control buffers, nil unless wantDst/wantGro
 
 	// trunc, when set, additionally counts truncated-datagram drops for
-	// the owning transport's stats.
+	// the owning endpoint's stats.
 	trunc *atomic.Int64
 
 	// Single-read fallback state, used when rc is unavailable or the
@@ -80,33 +80,49 @@ type batchReader struct {
 	oneN    int
 	oneDst  uint32
 	oneGro  int
-	oneAddr *net.UDPAddr
+	oneAddr netip.AddrPort
 	lastOne bool // last read() used the fallback path
 }
 
-func newBatchReader(conn *net.UDPConn) *batchReader {
-	return newReader(conn, false, false)
+// dstDemux reports that this platform's reader recovers each
+// datagram's destination address, so one data socket can host many
+// groups.
+const dstDemux = true
+
+// ipMulticastAll is the IP_MULTICAST_ALL socket option (absent from the
+// syscall package). Linux defaults it to 1, which delivers traffic for
+// ANY group any socket on the host joined to every socket bound to the
+// group's port — clearing it confines a data socket to its own
+// memberships, which is what makes several endpoints sharing one port
+// on one host sane.
+const ipMulticastAll = 49
+
+// armDemux prepares a data socket for destination demux: IP_PKTINFO so
+// each datagram reports the group it was addressed to, and
+// !IP_MULTICAST_ALL so only joined groups arrive.
+func armDemux(conn *net.UDPConn) error {
+	return controlConn(conn, func(fd int) error {
+		if err := syscall.SetsockoptInt(fd, syscall.IPPROTO_IP, syscall.IP_PKTINFO, 1); err != nil {
+			return fmt.Errorf("udpmcast: enable IP_PKTINFO: %w", err)
+		}
+		if err := syscall.SetsockoptInt(fd, syscall.IPPROTO_IP, ipMulticastAll, 0); err != nil {
+			return fmt.Errorf("udpmcast: clear IP_MULTICAST_ALL: %w", err)
+		}
+		return nil
+	})
 }
 
-// newBatchReaderOffload is newBatchReader plus UDP GRO: when the knob
-// is on and the socket accepts the option, the kernel may deliver
-// coalesced supersegments, so each slot is sized for a full 64 KB UDP
-// payload and carries control space for the UDP_GRO segment-size cmsg.
-func newBatchReaderOffload(conn *net.UDPConn) *batchReader {
-	return newReader(conn, false, enableGRO(conn))
-}
-
-// newBatchReaderDst is newBatchReader plus destination-address
-// recovery: each recvmmsg slot carries a control buffer sized for one
-// IP_PKTINFO message (the socket must have the option enabled), and
-// dst() reports the IPv4 address each datagram was sent to. GRO is
-// armed alongside when available.
-func newBatchReaderDst(conn *net.UDPConn) *batchReader {
-	return newReader(conn, true, enableGRO(conn))
-}
-
-func newReader(conn *net.UDPConn, wantDst, gro bool) *batchReader {
-	r := &batchReader{conn: conn, wantDst: wantDst, wantGro: gro, bufSize: mmsgBufSize}
+// newBatchReader builds the reader for one socket and settles its
+// offload state: when the knob is on and the socket accepts UDP_GRO,
+// the kernel may deliver coalesced supersegments, so each slot is sized
+// for a full 64 KB UDP payload and carries control space for the
+// segment-size cmsg. wantDst adds destination-address recovery (the
+// socket must have been through armDemux): dst() then reports the IPv4
+// address each datagram was sent to. trunc, when non-nil, additionally
+// counts truncated-datagram drops for the owning endpoint.
+func newBatchReader(conn *net.UDPConn, wantDst bool, trunc *atomic.Int64) *batchReader {
+	gro := enableGRO(conn)
+	r := &batchReader{conn: conn, wantDst: wantDst, wantGro: gro, bufSize: mmsgBufSize, trunc: trunc}
 	if gro {
 		r.bufSize = groBufSize
 	}
@@ -119,7 +135,6 @@ func newReader(conn *net.UDPConn, wantDst, gro bool) *batchReader {
 	r.iovs = make([]syscall.Iovec, mmsgBatch)
 	r.names = make([]syscall.RawSockaddrInet4, mmsgBatch)
 	r.bufs = make([][]byte, mmsgBatch)
-	r.addrs = make([]net.UDPAddr, mmsgBatch)
 	for i := range r.msgs {
 		r.bufs[i] = make([]byte, r.bufSize)
 		r.iovs[i].Base = &r.bufs[i][0]
@@ -202,7 +217,7 @@ func (r *batchReader) readOne() (int, error) {
 		if r.oneOOB == nil {
 			r.oneOOB = make([]byte, groCtrlSpace)
 		}
-		n, oobn, _, addr, err := r.conn.ReadMsgUDP(r.oneBuf, r.oneOOB)
+		n, oobn, _, addr, err := r.conn.ReadMsgUDPAddrPort(r.oneBuf, r.oneOOB)
 		if err != nil {
 			return 0, err
 		}
@@ -214,7 +229,7 @@ func (r *batchReader) readOne() (int, error) {
 		}
 		return 1, nil
 	}
-	n, addr, err := r.conn.ReadFromUDP(r.oneBuf)
+	n, addr, err := r.conn.ReadFromUDPAddrPort(r.oneBuf)
 	if err != nil {
 		return 0, err
 	}
@@ -223,8 +238,8 @@ func (r *batchReader) readOne() (int, error) {
 }
 
 // datagram returns the i-th datagram of the last read and its source
-// address. The returned slices/addresses are valid until the next read.
-func (r *batchReader) datagram(i int) ([]byte, *net.UDPAddr) {
+// address. The returned slice is valid until the next read.
+func (r *batchReader) datagram(i int) ([]byte, netip.AddrPort) {
 	if r.lastOne {
 		return r.oneBuf[:r.oneN], r.oneAddr
 	}
@@ -237,17 +252,12 @@ func (r *batchReader) datagram(i int) ([]byte, *net.UDPAddr) {
 		countTruncated(r.trunc)
 	}
 	name := &r.names[i]
-	addr := &r.addrs[i]
-	*addr = net.UDPAddr{
-		IP:   net.IPv4(name.Addr[0], name.Addr[1], name.Addr[2], name.Addr[3]),
-		Port: int(ntohs(name.Port)),
-	}
-	return r.bufs[i][:n], addr
+	return r.bufs[i][:n], netip.AddrPortFrom(netip.AddrFrom4(name.Addr), ntohs(name.Port))
 }
 
 // dst returns the IPv4 destination address of the i-th datagram of the
 // last read as a big-endian uint32, or 0 when unavailable. Valid only
-// on readers built with newBatchReaderDst.
+// on readers built with wantDst.
 func (r *batchReader) dst(i int) uint32 {
 	if r.lastOne {
 		return r.oneDst
@@ -321,11 +331,15 @@ type sendSpan struct {
 	start, count int
 }
 
-func newBatchWriter(conn *net.UDPConn) *batchWriter {
-	w := &batchWriter{conn: conn}
+// newBatchWriter builds the writer for one socket and settles its
+// offload state (see enableGSO). errs, when non-nil, additionally
+// counts send failures for the owning endpoint.
+func newBatchWriter(conn *net.UDPConn, errs *atomic.Int64) *batchWriter {
+	w := &batchWriter{conn: conn, errs: errs}
 	if rc, err := conn.SyscallConn(); err == nil {
 		w.rc = rc
 	}
+	w.enableGSO()
 	return w
 }
 
@@ -348,10 +362,7 @@ func coalesceRun(msgs []outMsg, i int) int {
 	run := 1
 	for run < max && i+run < len(msgs) {
 		m := &msgs[i+run]
-		if m.addr == nil || len(m.buf) == 0 || len(m.buf) > seg {
-			break
-		}
-		if m.addr != a && (m.addr.Port != a.Port || !m.addr.IP.Equal(a.IP)) {
+		if m.addr != a || len(m.buf) == 0 || len(m.buf) > seg {
 			break
 		}
 		run++
@@ -366,8 +377,8 @@ func coalesceRun(msgs []outMsg, i int) int {
 // as few syscalls as possible; with GSO armed, consecutive
 // same-destination same-size messages collapse further into single
 // UDP_SEGMENT supersegments (multi-iovec gather, zero copies) that the
-// kernel splits into wire datagrams. A per-message destination of nil
-// is skipped (the caller has already recorded its error). A message the
+// kernel splits into wire datagrams. A message without an IPv4
+// destination is skipped. A message the
 // kernel rejects is counted, skipped, and the batch continues — one
 // dead destination no longer strands the rest of the batch — with the
 // first error returned at the end.
@@ -386,12 +397,7 @@ func (w *batchWriter) write(msgs []outMsg) error {
 	n, iv := 0, 0 // mmsghdrs built, iovecs consumed
 	for i := 0; i < len(msgs); {
 		m := &msgs[i]
-		if m.addr == nil || len(m.buf) == 0 {
-			i++
-			continue
-		}
-		ip4 := m.addr.IP.To4()
-		if ip4 == nil {
+		if !m.addr.Addr().Is4() || len(m.buf) == 0 {
 			i++
 			continue
 		}
@@ -401,8 +407,8 @@ func (w *batchWriter) write(msgs []outMsg) error {
 		}
 		w.names[n] = syscall.RawSockaddrInet4{
 			Family: syscall.AF_INET,
-			Port:   htons(uint16(m.addr.Port)),
-			Addr:   [4]byte(ip4),
+			Port:   htons(m.addr.Port()),
+			Addr:   m.addr.Addr().As4(),
 		}
 		first := iv
 		for k := 0; k < run; k++ {

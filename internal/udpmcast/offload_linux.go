@@ -17,8 +17,8 @@
 // plain mmsg path in charge. A kernel that accepts the option but
 // rejects a live UDP_SEGMENT send (observed with some seccomp/tc
 // setups) flips the process-wide gsoSupported kill-switch and the
-// writer re-sends the remainder unsegmented. SetOffload(false) turns
-// the whole feature off for new sockets.
+// writer re-sends the remainder unsegmented. SetOffload(false) is the
+// reference switch tests compare against.
 package udpmcast
 
 import (
@@ -58,27 +58,12 @@ const (
 	groCtrlSpace = pktinfoSpace + gsoCmsgSpace
 )
 
-// offloadEnabled is the configuration knob (hrmcd "gso": false, or
-// SetOffload): when cleared, new sockets skip the offload probes
-// entirely and run the plain mmsg path.
-var offloadEnabled atomic.Bool
-
 // gsoSupported is the runtime kill-switch: set while UDP_SEGMENT sends
 // are believed to work, cleared process-wide the first time the kernel
 // rejects one so every writer falls back to unsegmented sends.
 var gsoSupported atomic.Bool
 
-func init() {
-	offloadEnabled.Store(true)
-	gsoSupported.Store(true)
-}
-
-// SetOffload enables or disables UDP GSO/GRO for sockets opened from
-// now on (default enabled; existing sockets keep their arming).
-func SetOffload(on bool) { offloadEnabled.Store(on) }
-
-// OffloadEnabled reports the SetOffload knob.
-func OffloadEnabled() bool { return offloadEnabled.Load() }
+func init() { gsoSupported.Store(true) }
 
 // ProbeOffload reports whether the running kernel accepts the
 // UDP_SEGMENT and UDP_GRO socket options, independent of the SetOffload
@@ -103,20 +88,18 @@ func ProbeOffload() (gso, gro bool) {
 // enableGSO arms the writer for UDP_SEGMENT coalescing when the knob is
 // on and the socket accepts the option. A zero segment size means "no
 // standing segmentation" — actual sizes ride per-send cmsgs.
-func (w *batchWriter) enableGSO(conn *net.UDPConn) {
+func (w *batchWriter) enableGSO() {
 	if !offloadEnabled.Load() || w.rc == nil {
 		return
 	}
-	var ok bool
-	_ = w.rc.Control(func(fd uintptr) {
-		ok = syscall.SetsockoptInt(int(fd), solUDP, udpSegment, 0) == nil
-	})
-	w.gso = ok
-	if ok {
+	w.gso = control(w.rc, func(fd int) error {
+		return syscall.SetsockoptInt(fd, solUDP, udpSegment, 0)
+	}) == nil
+	if w.gso {
 		// A coalesced batch hands the kernel up to 64 KB per sendmmsg
 		// entry; give the socket queue room for several supersegments
 		// (clamped by wmem_max) so bursts don't stall the send poller.
-		_ = conn.SetWriteBuffer(offloadSockBuf)
+		_ = w.conn.SetWriteBuffer(offloadSockBuf)
 	}
 }
 
@@ -127,14 +110,9 @@ func enableGRO(conn *net.UDPConn) bool {
 	if !offloadEnabled.Load() {
 		return false
 	}
-	rc, err := conn.SyscallConn()
-	if err != nil {
-		return false
-	}
-	var ok bool
-	_ = rc.Control(func(fd uintptr) {
-		ok = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1) == nil
-	})
+	ok := controlConn(conn, func(fd int) error {
+		return syscall.SetsockoptInt(fd, solUDP, udpGRO, 1)
+	}) == nil
 	if ok {
 		// A GSO sender delivers 64 KB bursts per syscall; the default
 		// ~208 KB receive queue holds only three supersegments, so

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/packet"
 	"repro/internal/receiver"
 	"repro/internal/sender"
+	"repro/internal/transport"
 )
 
 const testGroup = "239.66.77.88:39877"
@@ -51,14 +53,18 @@ func multicastAvailable(t *testing.T) bool {
 		return false
 	}
 	defer st.Close()
-	probe := &packet.Packet{Header: packet.Header{Type: packet.TypeKeepalive, Seq: 42}}
+	probe := []transport.Envelope{{
+		Pkt:       &packet.Packet{Header: packet.Header{Type: packet.TypeKeepalive, Seq: 42}},
+		Multicast: true,
+	}}
 	got := make(chan bool, 1)
 	go func() {
-		p, _, err := rt.Recv()
-		got <- err == nil && p.Seq == 42
+		var one [1]transport.Envelope
+		_, err := rt.RecvBatch(one[:])
+		got <- err == nil && one[0].Pkt.Seq == 42
 	}()
 	for i := 0; i < 5; i++ {
-		if err := st.Send(probe, true, 0); err != nil {
+		if err := st.SendBatch(probe); err != nil {
 			t.Logf("multicast send failed: %v", err)
 			return false
 		}
@@ -79,7 +85,7 @@ func TestUDPMulticastTransfer(t *testing.T) {
 	const size = 64 << 10
 	ifi := loopbackInterface(t)
 
-	var rts []*ReceiverTransport
+	var rts []*Endpoint
 	for i := 0; i < n; i++ {
 		rt, err := NewReceiverTransport(testGroup, ifi)
 		if err != nil {
@@ -99,7 +105,7 @@ func TestUDPMulticastTransfer(t *testing.T) {
 	results := make([][]byte, n)
 	for i, rt := range rts {
 		wg.Add(1)
-		go func(i int, rt *ReceiverTransport) {
+		go func(i int, rt *Endpoint) {
 			defer wg.Done()
 			rc := core.NewReceiver(rt, receiver.Config{RcvBuf: 64 << 10})
 			got, err := io.ReadAll(rc)
@@ -142,71 +148,36 @@ func TestSenderTransportRejectsNonMulticastGroup(t *testing.T) {
 	}
 }
 
-func TestSenderTransportUnknownNode(t *testing.T) {
-	st, err := NewSenderTransport(testGroup)
-	if err != nil {
-		t.Skipf("cannot open sender transport: %v", err)
+// TestLearnStableAndAllocFree checks the peer table: dense IDs from
+// peerIDBase in order of first appearance, the same ID for the same
+// source on every call, and no allocation for a known peer — learn runs
+// once per received datagram slot.
+func TestLearnStableAndAllocFree(t *testing.T) {
+	e := &Endpoint{ids: make(map[netip.AddrPort]packet.NodeID)}
+	a := netip.MustParseAddrPort("127.0.0.1:4000")
+	b := netip.MustParseAddrPort("127.0.0.1:4001")
+	ida, idb := e.learn(a), e.learn(b)
+	if ida != peerIDBase || idb != peerIDBase+1 {
+		t.Errorf("first two peers got IDs %v and %v, want %v and %v", ida, idb, peerIDBase, peerIDBase+1)
 	}
-	defer st.Close()
-	p := &packet.Packet{Header: packet.Header{Type: packet.TypeProbe}}
-	if err := st.Send(p, false, 99); err == nil {
-		t.Error("unicast to unknown node succeeded")
+	for i := 0; i < 3; i++ {
+		if got := e.learn(a); got != ida {
+			t.Errorf("call %d: known source re-learned as %v, was %v", i, got, ida)
+		}
 	}
-}
-
-func TestReceiverTransportSendBeforeSenderKnown(t *testing.T) {
-	rt, err := NewReceiverTransport(testGroup, loopbackInterface(t))
-	if err != nil {
-		t.Skipf("cannot join group: %v", err)
+	if got := e.learn(b); got != idb {
+		t.Errorf("second source re-learned as %v, was %v", got, idb)
 	}
-	defer rt.Close()
-	p := &packet.Packet{Header: packet.Header{Type: packet.TypeNak}}
-	if err := rt.Send(p, false, 0); err == nil {
-		t.Error("feedback before the sender address is known succeeded")
+	var sink packet.NodeID
+	if n := testing.AllocsPerRun(1000, func() { sink = e.learn(a) }); n != 0 {
+		t.Errorf("learn of a known peer allocates %.1f times per call, want 0", n)
 	}
-	// Multicast (local-recovery traffic) needs no sender address.
-	if err := rt.Send(p, true, 0); err != nil {
-		t.Errorf("receiver multicast failed: %v", err)
-	}
-}
-
-func TestNodeIDAssignmentStable(t *testing.T) {
-	st, err := NewSenderTransport(testGroup)
-	if err != nil {
-		t.Skipf("cannot open sender transport: %v", err)
-	}
-	defer st.Close()
-	// Feed feedback from two local sockets straight to the sender's
-	// unicast port; IDs must be dense and stable per source.
-	dst := st.Addr()
-	c1, err := net.DialUDP("udp4", nil, &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: dst.Port})
-	if err != nil {
-		t.Skipf("dial: %v", err)
-	}
-	defer c1.Close()
-	c2, err := net.DialUDP("udp4", nil, &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: dst.Port})
-	if err != nil {
-		t.Skipf("dial: %v", err)
-	}
-	defer c2.Close()
-	send := func(c *net.UDPConn, seq uint32) {
-		p := &packet.Packet{Header: packet.Header{Type: packet.TypeUpdate, Seq: seq}}
-		buf, _ := p.Encode(nil)
-		c.Write(buf)
-	}
-	send(c1, 1)
-	p1, id1, err := st.Recv()
-	if err != nil || p1.Seq != 1 {
-		t.Fatalf("recv1: %v %v", p1, err)
-	}
-	send(c2, 2)
-	_, id2, _ := st.Recv()
-	send(c1, 3)
-	_, id3, _ := st.Recv()
-	if id1 == id2 {
-		t.Error("two sources shared a node ID")
-	}
-	if id3 != id1 {
-		t.Error("same source got a different node ID")
+	_ = sink
+	// dest maps the ID back to the address it was learned from.
+	e.mu.Lock()
+	got, err := e.dest(&transport.Envelope{To: idb})
+	e.mu.Unlock()
+	if err != nil || got != b {
+		t.Errorf("dest(%v) = %v, %v; want %v", idb, got, err, b)
 	}
 }
