@@ -50,9 +50,6 @@ import (
 // Config is the daemon's JSON configuration — the initial control-plane
 // state.
 type Config struct {
-	// TickMS is the shared driver tick in milliseconds (default 10,
-	// one kernel jiffy).
-	TickMS int `json:"tick_ms"`
 	// BudgetMbps, when positive, caps the aggregate send rate of all
 	// sending groups, in megabits/second; the demand-aware fair-share
 	// governor splits it by weight. PATCH /v1/governor adjusts it at
@@ -97,7 +94,6 @@ type Config struct {
 }
 
 const exampleConfig = `{
-  "tick_ms": 10,
   "budget_mbps": 50,
   "stats_every_sec": 5,
   "loopback": true,
@@ -159,7 +155,7 @@ func main() {
 }
 
 func loadConfig(path string) (*Config, error) {
-	cfg := &Config{TickMS: 10, StatsEverySec: 5}
+	cfg := &Config{StatsEverySec: 5}
 	if path == "" {
 		return cfg, nil
 	}
@@ -262,9 +258,8 @@ func run(cfg *Config) error {
 			cfg.Shards, cfg.DataPort, pollers)
 	}
 	sess := session.New(session.Config{
-		TickInterval: time.Duration(cfg.TickMS) * time.Millisecond,
-		Budget:       cfg.BudgetMbps * 1e6 / 8,
-		SendPollers:  pollers,
+		Budget:      cfg.BudgetMbps * 1e6 / 8,
+		SendPollers: pollers,
 	})
 	mgr := control.NewManager(control.ManagerConfig{
 		Session:   sess,

@@ -30,16 +30,13 @@ import (
 	"repro/internal/transport"
 )
 
-// TickInterval is the wall-clock transmit/timer tick, one kernel jiffy.
-const TickInterval = session.DefaultTickInterval
-
 // ErrAborted is returned by operations on an aborted connection.
 var ErrAborted = session.ErrAborted
 
 // newFlowSession builds the private one-flow session backing a core
 // connection.
 func newFlowSession() *session.Session {
-	return session.New(session.Config{TickInterval: TickInterval})
+	return session.New(session.Config{})
 }
 
 // Sender is a reliable-multicast sending connection.

@@ -56,9 +56,6 @@ func NewEncoder(k int) *Encoder {
 	return &Encoder{k: k}
 }
 
-// GroupSize returns K.
-func (e *Encoder) GroupSize() int { return e.k }
-
 // xorInto accumulates [len16 ‖ flags8 ‖ payload] into acc, growing it
 // as needed.
 func xorInto(acc []byte, flags uint8, payload []byte) []byte {
@@ -84,10 +81,6 @@ func xorInto(acc []byte, flags uint8, payload []byte) []byte {
 // starts a fresh one at seq — emitting parity over a gapped group
 // would silently corrupt it, because the receiver reconstructs members
 // as base..base+K-1.
-//
-// The parity packet is drawn from the shared packet pool with one
-// reference; the caller owns it and must eventually Put it (directly
-// or through a path that does).
 func (e *Encoder) Add(seq seqspace.Seq, flags uint8, payload []byte) *packet.Packet {
 	if e.count > 0 && seq != e.base+seqspace.Seq(e.count) {
 		e.count = 0
@@ -102,11 +95,18 @@ func (e *Encoder) Add(seq seqspace.Seq, flags uint8, payload []byte) *packet.Pac
 	if e.count < e.k {
 		return nil
 	}
+	return e.parity()
+}
+
+// parity closes the open group: its parity packet, Length the member
+// count, drawn from the shared packet pool with one reference the caller
+// owns and must eventually Put (directly or through a path that does).
+func (e *Encoder) parity() *packet.Packet {
 	p := packet.GetBuf(len(e.acc))
 	p.Header = packet.Header{
 		Type:   packet.TypeFec,
 		Seq:    uint32(e.base),
-		Length: uint32(e.k),
+		Length: uint32(e.count),
 	}
 	p.Payload = append(p.Payload[:0], e.acc...)
 	e.count = 0
@@ -128,22 +128,11 @@ func (e *Encoder) Pending() int { return e.count }
 // transmit pipeline goes idle mid-group — a stall, a rate-control pause,
 // or the stream tail — so that already-sent packets do not sit
 // unprotected past the receivers' NAK-defer window.
-//
-// Like Add, the returned packet carries one pool reference owned by the
-// caller.
 func (e *Encoder) Flush() *packet.Packet {
 	if e.count < 2 {
 		return nil
 	}
-	p := packet.GetBuf(len(e.acc))
-	p.Header = packet.Header{
-		Type:   packet.TypeFec,
-		Seq:    uint32(e.base),
-		Length: uint32(e.count),
-	}
-	p.Payload = append(p.Payload[:0], e.acc...)
-	e.count = 0
-	return p
+	return e.parity()
 }
 
 // PayloadLookup resolves a stored data packet's payload and header
@@ -227,11 +216,4 @@ func (d *Decoder) Recover(parity *packet.Packet, lookup PayloadLookup) (*packet.
 	}
 	rebuilt.Payload = append(rebuilt.Payload[:0], acc[lenPrefix:lenPrefix+n]...)
 	return rebuilt, true
-}
-
-// Recover is the stateless form of Decoder.Recover, for callers without
-// a long-lived decoder (tests, one-shot tooling).
-func Recover(parity *packet.Packet, lookup PayloadLookup) (*packet.Packet, bool) {
-	var d Decoder
-	return d.Recover(parity, lookup)
 }

@@ -37,6 +37,12 @@ func mkGroup(t *testing.T, k int, base seqspace.Seq, sizes []int) ([][]byte, *pa
 	return payloads, parity
 }
 
+// Recover runs a fresh Decoder, for tests without a long-lived one.
+func Recover(parity *packet.Packet, lookup PayloadLookup) (*packet.Packet, bool) {
+	var d Decoder
+	return d.Recover(parity, lookup)
+}
+
 func lookupFrom(payloads [][]byte, base seqspace.Seq, missing int) PayloadLookup {
 	return func(seq seqspace.Seq) ([]byte, uint8, bool) {
 		i := int(seqspace.Diff(seq, base))
@@ -49,13 +55,13 @@ func lookupFrom(payloads [][]byte, base seqspace.Seq, missing int) PayloadLookup
 
 func TestEncoderGroupBoundaries(t *testing.T) {
 	enc := NewEncoder(3)
-	if enc.GroupSize() != 3 {
-		t.Fatalf("group size %d", enc.GroupSize())
+	if enc.k != 3 {
+		t.Fatalf("group size %d", enc.k)
 	}
-	if NewEncoder(0).GroupSize() < 2 {
+	if NewEncoder(0).k < 2 {
 		t.Error("group size not clamped up")
 	}
-	if NewEncoder(1000).GroupSize() != MaxGroup {
+	if NewEncoder(1000).k != MaxGroup {
 		t.Error("group size not clamped down")
 	}
 	p := enc.Add(10, 0, []byte("aa"))

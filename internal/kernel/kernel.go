@@ -1,7 +1,6 @@
 // Package kernel emulates the small slice of the Linux kernel environment
-// the H-RMC driver lives in: the 10 ms jiffy clock, timer_list-style
-// one-shot timers, and sk_buff_head-style packet queues with socket-buffer
-// byte accounting (sndbuf/rcvbuf).
+// the H-RMC driver lives in: the 10 ms jiffy clock and timer_list-style
+// one-shot timers.
 //
 // The protocol machines in internal/sender and internal/receiver observe
 // time only through these abstractions, so the same code runs unchanged
@@ -9,10 +8,7 @@
 // analogue of the paper importing its kernel code into the CSIM simulator.
 package kernel
 
-import (
-	"repro/internal/packet"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Jiffy is the Linux 2.1 timer tick on the paper's machines: 10 ms.
 const Jiffy = 10 * sim.Millisecond
@@ -73,63 +69,4 @@ func Earliest(timers ...*Timer) (sim.Time, bool) {
 		}
 	}
 	return best, found
-}
-
-// Queue is a FIFO of packets with byte accounting, the analogue of a
-// struct sk_buff_head plus the sock rmem/wmem counters. Bytes counts wire
-// size (header + payload) like the kernel's truesize accounting.
-type Queue struct {
-	pkts  []*packet.Packet
-	head  int
-	bytes int
-}
-
-// Len returns the number of queued packets.
-func (q *Queue) Len() int { return len(q.pkts) - q.head }
-
-// Bytes returns the total wire bytes queued.
-func (q *Queue) Bytes() int { return q.bytes }
-
-// Push appends a packet to the tail.
-func (q *Queue) Push(p *packet.Packet) {
-	q.pkts = append(q.pkts, p)
-	q.bytes += p.WireSize()
-}
-
-// Pop removes and returns the head packet, or nil when empty.
-func (q *Queue) Pop() *packet.Packet {
-	if q.head >= len(q.pkts) {
-		return nil
-	}
-	p := q.pkts[q.head]
-	q.pkts[q.head] = nil
-	q.head++
-	q.bytes -= p.WireSize()
-	// Reclaim space once the dead prefix dominates.
-	if q.head > 64 && q.head*2 >= len(q.pkts) {
-		n := copy(q.pkts, q.pkts[q.head:])
-		for i := n; i < len(q.pkts); i++ {
-			q.pkts[i] = nil
-		}
-		q.pkts = q.pkts[:n]
-		q.head = 0
-	}
-	return p
-}
-
-// Peek returns the head packet without removing it, or nil when empty.
-func (q *Queue) Peek() *packet.Packet {
-	if q.head >= len(q.pkts) {
-		return nil
-	}
-	return q.pkts[q.head]
-}
-
-// Drain removes all packets and returns them in order.
-func (q *Queue) Drain() []*packet.Packet {
-	out := make([]*packet.Packet, 0, q.Len())
-	for p := q.Pop(); p != nil; p = q.Pop() {
-		out = append(out, p)
-	}
-	return out
 }

@@ -2,9 +2,7 @@ package kernel
 
 import (
 	"testing"
-	"testing/quick"
 
-	"repro/internal/packet"
 	"repro/internal/sim"
 )
 
@@ -76,132 +74,5 @@ func TestEarliest(t *testing.T) {
 	d, ok := Earliest(&a, &b, &c)
 	if !ok || d != 10*sim.Millisecond {
 		t.Errorf("Earliest = %v,%v, want 10ms,true", d, ok)
-	}
-}
-
-func mkData(seq uint32, n int) *packet.Packet {
-	return &packet.Packet{
-		Header:  packet.Header{Type: packet.TypeData, Seq: seq, Length: uint32(n)},
-		Payload: make([]byte, n),
-	}
-}
-
-func TestQueueFIFO(t *testing.T) {
-	var q Queue
-	if q.Pop() != nil || q.Peek() != nil || q.Len() != 0 || q.Bytes() != 0 {
-		t.Fatal("zero Queue not empty")
-	}
-	for i := uint32(0); i < 5; i++ {
-		q.Push(mkData(i, 100))
-	}
-	if q.Len() != 5 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-	wantBytes := 5 * (packet.HeaderSize + 100)
-	if q.Bytes() != wantBytes {
-		t.Fatalf("Bytes = %d, want %d", q.Bytes(), wantBytes)
-	}
-	if q.Peek().Seq != 0 {
-		t.Error("Peek returned wrong packet")
-	}
-	for i := uint32(0); i < 5; i++ {
-		p := q.Pop()
-		if p == nil || p.Seq != i {
-			t.Fatalf("Pop %d returned %v", i, p)
-		}
-	}
-	if q.Len() != 0 || q.Bytes() != 0 {
-		t.Error("queue not empty after draining")
-	}
-}
-
-func TestQueueDrain(t *testing.T) {
-	var q Queue
-	for i := uint32(0); i < 3; i++ {
-		q.Push(mkData(i, 1))
-	}
-	out := q.Drain()
-	if len(out) != 3 || out[0].Seq != 0 || out[2].Seq != 2 {
-		t.Fatalf("Drain = %v", out)
-	}
-	if q.Len() != 0 {
-		t.Error("Drain left packets behind")
-	}
-}
-
-func TestQueueCompaction(t *testing.T) {
-	// Push/pop far past the compaction threshold; FIFO order and byte
-	// accounting must survive the internal copy.
-	var q Queue
-	next := uint32(0)
-	popped := uint32(0)
-	for round := 0; round < 50; round++ {
-		for i := 0; i < 10; i++ {
-			q.Push(mkData(next, 10))
-			next++
-		}
-		for i := 0; i < 9; i++ {
-			p := q.Pop()
-			if p == nil || p.Seq != popped {
-				t.Fatalf("round %d: popped %v, want seq %d", round, p, popped)
-			}
-			popped++
-		}
-	}
-	if q.Len() != 50 {
-		t.Fatalf("Len = %d, want 50", q.Len())
-	}
-	if q.Bytes() != 50*(packet.HeaderSize+10) {
-		t.Fatalf("Bytes = %d", q.Bytes())
-	}
-	for p := q.Pop(); p != nil; p = q.Pop() {
-		if p.Seq != popped {
-			t.Fatalf("tail drain: got %d, want %d", p.Seq, popped)
-		}
-		popped++
-	}
-	if popped != next {
-		t.Fatalf("popped %d packets, pushed %d", popped, next)
-	}
-}
-
-// Property: any interleaving of pushes and pops preserves FIFO order and
-// exact byte accounting.
-func TestPropQueueFIFOAccounting(t *testing.T) {
-	f := func(ops []bool, sizes []uint8) bool {
-		var q Queue
-		next, popped := uint32(0), uint32(0)
-		bytes := 0
-		for i, push := range ops {
-			if push {
-				n := 1
-				if i < len(sizes) {
-					n = int(sizes[i])%200 + 1
-				}
-				q.Push(mkData(next, n))
-				bytes += packet.HeaderSize + n
-				next++
-			} else {
-				p := q.Pop()
-				if next == popped {
-					if p != nil {
-						return false
-					}
-					continue
-				}
-				if p == nil || p.Seq != popped {
-					return false
-				}
-				bytes -= p.WireSize()
-				popped++
-			}
-			if q.Bytes() != bytes || q.Len() != int(next-popped) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }

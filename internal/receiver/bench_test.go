@@ -25,9 +25,7 @@ func BenchmarkInOrderDataPath(b *testing.B) {
 		for r.Buffered() > 0 {
 			r.Read(sim.Time(i), buf)
 		}
-		if r.HasOutgoing() {
-			r.Outgoing()
-		}
+		r.Outgoing()
 	}
 }
 

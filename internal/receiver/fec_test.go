@@ -287,7 +287,7 @@ func TestFecHeadWindowConsistentUnderRecoveryRace(t *testing.T) {
 	if r.Stats().Duplicates != 1 {
 		t.Fatalf("retransmission after recovery not counted as duplicate")
 	}
-	if src, ok := r.Head().Retained(2); !ok {
+	if src, ok := r.head.Retained(2); !ok {
 		t.Fatal("head retained window lost the recovered packet")
 	} else if !bytes.Equal(src.Payload, payloads[2]) {
 		t.Fatalf("head retained %q for seq 2, want %q", src.Payload, payloads[2])
@@ -348,9 +348,9 @@ func TestFecCachePoolBalance(t *testing.T) {
 	var want bytes.Buffer
 	now := sim.Time(0)
 	feed := func(p *packet.Packet) {
-		retained, err := r.HandleEnvelope(now, p)
+		retained, err := r.HandleFrom(now, 0, p)
 		if err != nil {
-			t.Fatalf("HandleEnvelope: %v", err)
+			t.Fatalf("HandleFrom: %v", err)
 		}
 		if !retained {
 			packet.Put(p)

@@ -5,10 +5,18 @@
 // Interface.
 //
 // The machine is driven from outside: the owner feeds packets with
-// HandlePacket, advances timers with Advance, reads the stream with Read,
-// and drains queued feedback packets with Outgoing. All feedback is
-// unicast to the sender. The same code runs under the discrete-event
-// simulator and the live UDP transport.
+// HandleFrom, advances timers with Advance, reads the stream with Read,
+// and drains queued feedback packets with the Outgoing views. The same
+// code runs under the discrete-event simulator and the live UDP
+// transport.
+//
+// This file is the flat receiver of the paper and nothing else. The
+// extension roles a receiver can additionally hold each live in their
+// own file — leaf.go (member of a repair head), head.go (repair head
+// over internal/repair), recovery.go (the packet cache FEC and local
+// recovery share, parity, peer repairs) — and the machine consults them
+// only at the seams listed in roles.go. outbox.go is the one place a
+// packet gets its destination and ports.
 //
 // Wire-field conventions (see the packet package): UPDATE, CONTROL and
 // JOIN carry the receiver's next expected sequence number (rcv_nxt) in
@@ -22,190 +30,15 @@ package receiver
 import (
 	"errors"
 	"io"
+	"math"
 
-	"repro/internal/fec"
 	"repro/internal/kernel"
 	"repro/internal/packet"
-	"repro/internal/repair"
 	"repro/internal/seqspace"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/window"
-)
-
-// Mode selects the protocol variant.
-type Mode int
-
-const (
-	// HRMC is the full hybrid protocol: periodic updates and probe
-	// responses.
-	HRMC Mode = iota
-	// RMC is the original pure NAK-based protocol: no updates, probes
-	// are ignored.
-	RMC
-)
-
-func (m Mode) String() string {
-	if m == RMC {
-		return "RMC"
-	}
-	return "H-RMC"
-}
-
-// Config parametrizes a receiver.
-type Config struct {
-	// LocalAddr identifies this receiver; the sender keeps it as the
-	// member's unicast address.
-	LocalAddr packet.NodeID
-	// LocalPort and RemotePort fill the port fields of feedback packets.
-	LocalPort, RemotePort uint16
-	// RcvBuf is the per-socket kernel receive buffer in bytes; the
-	// receive window holds RcvBuf/(MSS+header) packets.
-	RcvBuf int
-	// MSS is the data payload size per packet.
-	MSS int
-	// Mode selects H-RMC or the RMC baseline.
-	Mode Mode
-	// InitialSeq is the first sequence number of the stream, agreed at
-	// session setup (the simulator and the live transport both configure
-	// it on all parties).
-	InitialSeq seqspace.Seq
-
-	// InitialUpdatePeriod is the Update Generator's starting period; the
-	// paper uses 50 jiffies (0.5 s).
-	InitialUpdatePeriod sim.Time
-	// MinUpdatePeriod and MaxUpdatePeriod bound the dynamic adjustment.
-	MinUpdatePeriod, MaxUpdatePeriod sim.Time
-	// NakRetryInterval is the NAK Manager's base resend interval for
-	// pending NAKs (local NAK suppression window); retries back off
-	// linearly with the try count.
-	NakRetryInterval sim.Time
-	// AssumedRTT seeds the round-trip estimate used by the WARNBUF rule
-	// and urgent-request throttling until the JOIN exchange measures one.
-	AssumedRTT sim.Time
-	// WarnBuf is the number of round-trip times of sending the warning
-	// rule looks ahead; the paper sets 4.
-	WarnBuf int
-
-	// LocalRecovery enables the local-recovery extension (Section 7,
-	// item 3): NAKs are multicast to the whole group with SRM-style
-	// suppression, and receivers holding the requested data answer with
-	// multicast repairs after a randomized delay, offloading
-	// retransmission work from the sender.
-	LocalRecovery bool
-	// RecoverySeed seeds the randomized repair/suppression timers;
-	// zero derives one from LocalAddr.
-	RecoverySeed uint64
-
-	// FECGroupSize mirrors the sender's FEC extension setting. When
-	// positive, the first NAK for a fresh gap is deferred long enough
-	// for the group's parity packet to arrive and repair single losses
-	// locally, so FEC actually removes NAK round trips instead of merely
-	// racing them.
-	FECGroupSize int
-
-	// RecyclePackets makes the receiver return retained data packets to
-	// the shared pool (packet.Put) once the application consumes them —
-	// the zero-copy hold-until-release path. Enable only when every
-	// packet fed to HandlePacket/HandleEnvelope is pool-owned (the
-	// session's batched receive loop guarantees this). The FEC/local-
-	// recovery group cache holds its own pool references, so recycling
-	// stays on under FEC.
-	RecyclePackets bool
-
-	// Head makes this receiver a repair head (hierarchical recovery
-	// extension): it tracks downstream members, answers their HEAD_NAKs
-	// from a retained window, and reports one aggregated UPDATE to the
-	// sender instead of per-member feedback. Head mode implies HRMC and
-	// disables local recovery (the repair tier subsumes it).
-	Head *repair.Config
-	// RepairHead, when nonzero, makes this receiver a downstream member
-	// (leaf) of the given repair head: JOIN/UPDATE/LEAVE feedback and
-	// retransmission requests (as HEAD_NAK) are addressed to the head
-	// instead of the sender. Flow-control CONTROL packets still go to
-	// the sender — rate control stays end-to-end. Ignored when Head is
-	// set (a head reports straight to the sender).
-	RepairHead packet.NodeID
-	// HeadNakRetryBudget (leaf mode) is how many NAK retries one missing
-	// packet may burn, unanswered by any head traffic, before the leaf
-	// declares the head dead and fails over to flat mode. Zero means
-	// DefaultHeadNakRetryBudget; negative disables the budget.
-	HeadNakRetryBudget int
-	// HeadSilenceTimeout (leaf mode) declares the head dead when a
-	// response-expecting request (JOIN, HEAD_NAK, LEAVE) has been
-	// outstanding this long with no traffic from the head at all. Zero
-	// means DefaultHeadSilenceTimeout; negative disables the timer.
-	HeadSilenceTimeout sim.Time
-	// ReadoptHead re-attaches a failed-over leaf to its configured head
-	// when the head's traffic reappears (a restarted head).
-	ReadoptHead bool
-	// JoinInProgress admits this receiver to a stream already flowing:
-	// instead of NAKing the whole history back to InitialSeq, the
-	// receive window is rebased to the first position the receiver can
-	// anchor to (the first data packet seen, or one past a
-	// PROBE/KEEPALIVE sequence number) and delivery starts there. Used
-	// by restarted repair heads and late (flash-crowd) joiners.
-	JoinInProgress bool
-
-	// Stats receives counters; nil allocates a private set.
-	Stats *stats.Receiver
-	// Trace receives protocol events; nil disables tracing.
-	Trace trace.Sink
-}
-
-func (c *Config) sanitize() {
-	if c.MSS <= 0 {
-		c.MSS = 1400
-	}
-	if c.RcvBuf <= 0 {
-		c.RcvBuf = 64 << 10
-	}
-	if c.InitialUpdatePeriod <= 0 {
-		c.InitialUpdatePeriod = 50 * kernel.Jiffy
-	}
-	if c.MinUpdatePeriod <= 0 {
-		c.MinUpdatePeriod = kernel.Jiffy
-	}
-	if c.MaxUpdatePeriod <= 0 {
-		c.MaxUpdatePeriod = 500 * kernel.Jiffy
-	}
-	if c.NakRetryInterval <= 0 {
-		c.NakRetryInterval = 4 * kernel.Jiffy
-	}
-	if c.AssumedRTT < 2*kernel.Jiffy {
-		c.AssumedRTT = 2 * kernel.Jiffy // jiffy-clock measurement floor
-	}
-	if c.WarnBuf <= 0 {
-		c.WarnBuf = 4
-	}
-	if c.Head != nil {
-		// The repair tier subsumes peer-based local recovery, and a head
-		// reports straight to the sender.
-		c.LocalRecovery = false
-		c.RepairHead = 0
-	}
-	if c.RepairHead != 0 {
-		c.LocalRecovery = false
-	}
-	if c.HeadNakRetryBudget == 0 {
-		c.HeadNakRetryBudget = DefaultHeadNakRetryBudget
-	}
-	if c.HeadSilenceTimeout == 0 {
-		c.HeadSilenceTimeout = DefaultHeadSilenceTimeout
-	}
-	if c.Stats == nil {
-		c.Stats = &stats.Receiver{}
-	}
-}
-
-// Leaf-failover defaults for Config fields left zero. The silence
-// timeout must stay well below the sender's own head-eviction timeout
-// so stranded leaves re-home (and re-gate releases) before the sender
-// forgets their evicted head.
-const (
-	DefaultHeadNakRetryBudget = 6
-	DefaultHeadSilenceTimeout = 2 * sim.Second
 )
 
 // nakEntry tracks one pending missing packet for the NAK Manager.
@@ -222,6 +55,9 @@ type nakEntry struct {
 	// attached to a repair head — set when the head declined the range
 	// (HEAD_DECLINE): re-asking the head cannot help.
 	direct bool
+	// scan is the last nakScan that found the packet still missing; an
+	// entry left behind by the current scan has been filled.
+	scan uint32
 }
 
 // Receiver is the H-RMC receiver state machine. Not safe for concurrent
@@ -230,11 +66,16 @@ type Receiver struct {
 	cfg Config
 	wnd *window.ReceiveWindow
 	st  *stats.Receiver
+	out outbox
 
-	out kernel.Queue // queued feedback packets (all unicast to sender)
-
-	// NAK Manager state: one entry per missing sequence number.
+	// NAK Manager state: one entry per missing sequence number. dead
+	// marks sequence numbers the sender refused with NAK_ERR: released
+	// end-to-end, unrecoverable. The NAK manager stops asking; the hole
+	// stays visible as a stream that never advances past it.
 	pending  map[seqspace.Seq]*nakEntry
+	dead     map[seqspace.Seq]bool
+	gaps     []window.Gap // nakScan scratch
+	scan     uint32
 	nakTimer kernel.Timer
 
 	// Update Generator state.
@@ -261,60 +102,21 @@ type Receiver struct {
 
 	advRate uint32 // last rate advertisement heard from the sender
 
-	// fecCache retains recently received packets so parity can repair a
-	// loss even after earlier group members were consumed by the
-	// application (bounded to a few FEC groups; the kernel analogue is
-	// holding a handful of sk_buffs past delivery). When fecPooled, the
-	// cache holds its own pool reference per entry (Retain on insert,
-	// Put on prune), which is what lets receive-window recycling stay on
-	// under FEC; otherwise entries are plain aliases and nothing
-	// recycles them.
-	fecCache  map[seqspace.Seq]*packet.Packet
-	fecPooled bool
-	// fdec reuses one XOR scratch buffer across parity recoveries.
-	fdec fec.Decoder
-
-	// Local-recovery state.
-	outMC         kernel.Queue // multicast feedback/repairs
-	repairPending map[seqspace.Seq]sim.Time
-	repairTimer   kernel.Timer
-	rng           *sim.RNG
-
-	// Repair tier (hierarchical recovery extension): head is the repair-
-	// head state machine when this receiver serves a subtree; outAddr
-	// queues repair-plane unicast packets (leaf→head feedback, head→leaf
-	// responses) with explicit destinations.
-	head    *repair.Head
-	outAddr []Addressed
-
-	// Repair-head failover state (leaf mode). headDown is set when the
-	// configured head has been declared dead and the leaf has degraded
-	// to flat mode; headWaitSince is when the oldest still-unanswered
-	// head-bound request went out (zero = nothing outstanding) — the
-	// head-silence clock.
-	headDown      bool
-	headWaitSince sim.Time
 	// rebased records the JoinInProgress anchor point (mid-stream join).
 	rebased   bool
 	rebasedTo seqspace.Seq
-	// drainStart is when a departing head began waiting for its subtree
-	// to drain (deferred LEAVE); bounded by the head's LeaveDrainTimeout.
-	drainStart sim.Time
-	// dead marks sequence numbers the sender refused with NAK_ERR:
-	// released end-to-end, unrecoverable. The NAK manager stops asking;
-	// the hole stays visible as a stream that never advances past it.
-	dead map[seqspace.Seq]bool
+
+	// The roles (see roles.go). leaf and head are nil unless configured.
+	leaf *leaf
+	head *head
+	rec  recovery
+	// timers is every timer NextWake has to consider: the machine's own
+	// three plus whatever the roles brought.
+	timers []*kernel.Timer
 }
 
-// Addressed is one outgoing packet with an explicit unicast destination
-// on the repair plane (leaf↔head traffic, which the flat feedback path —
-// everything unicast to the sender — cannot express).
-type Addressed struct {
-	Pkt *packet.Packet
-	To  packet.NodeID
-}
-
-// ErrNotData is returned by HandlePacket for sender-bound packet types.
+// ErrNotData is returned by HandleFrom for packet types this receiver
+// (in its configured roles) does not take.
 var ErrNotData = errors.New("receiver: packet type is sender-bound")
 
 // New creates a receiver. The update timer starts armed so that a
@@ -322,61 +124,43 @@ var ErrNotData = errors.New("receiver: packet type is sender-bound")
 func New(cfg Config) *Receiver {
 	cfg.sanitize()
 	wndPackets := uint32(cfg.RcvBuf / (cfg.MSS + packet.HeaderSize))
-	if wndPackets == 0 {
-		wndPackets = 1
-	}
 	r := &Receiver{
 		cfg:          cfg,
 		wnd:          window.NewReceiveWindow(wndPackets, cfg.InitialSeq),
 		st:           cfg.Stats,
+		out:          outbox{local: cfg.LocalPort, remote: cfg.RemotePort, subtree: cfg.Head != nil},
 		pending:      make(map[seqspace.Seq]*nakEntry),
+		dead:         make(map[seqspace.Seq]bool),
 		updatePeriod: cfg.InitialUpdatePeriod,
 		rttEstimate:  cfg.AssumedRTT,
+		rec:          newRecovery(cfg),
 	}
-	if cfg.Mode == HRMC && cfg.Head == nil {
-		// A repair head replaces the per-receiver Update Generator with
-		// the aggregate timer inside the head machine.
-		r.updateTimer.Arm(sim.Time(cfg.InitialUpdatePeriod))
-	}
-	if cfg.FECGroupSize > 0 || cfg.LocalRecovery {
-		r.fecCache = make(map[seqspace.Seq]*packet.Packet)
-		r.fecPooled = cfg.RecyclePackets
-	}
+	r.timers = []*kernel.Timer{&r.nakTimer, &r.updateTimer, &r.joinTimer, &r.rec.timer}
 	if cfg.RecyclePackets {
 		r.wnd.SetRecycle(true)
 	}
-	if cfg.Head != nil {
-		hc := *cfg.Head
-		// The head's retained window must outlast the receive window so
-		// an evicted packet is always one the application (and hence the
-		// subtree front, which the aggregate clamps releases to) is past.
-		if hc.WindowPackets < 2*int(wndPackets) {
-			hc.WindowPackets = 2 * int(wndPackets)
-		}
-		r.head = repair.NewHead(0, hc, cfg.RecyclePackets, r.st)
+	switch {
+	case cfg.Head != nil:
+		// A repair head replaces the per-receiver Update Generator with
+		// the aggregate timer inside the head machine.
+		r.head = newHead(cfg, int(wndPackets))
+		r.timers = append(r.timers, r.head.Timer())
+	case cfg.Mode == HRMC:
+		r.updateTimer.Arm(cfg.InitialUpdatePeriod)
 	}
-	if cfg.LocalRecovery {
-		seed := cfg.RecoverySeed
-		if seed == 0 {
-			seed = uint64(cfg.LocalAddr) + 0x10CA1
+	if cfg.RepairHead != 0 {
+		r.leaf = &leaf{
+			head:    cfg.RepairHead,
+			budget:  cfg.HeadNakRetryBudget,
+			silence: cfg.HeadSilenceTimeout,
+			readopt: cfg.ReadoptHead,
 		}
-		r.rng = sim.NewRNG(seed)
-		r.repairPending = make(map[seqspace.Seq]sim.Time)
 	}
 	return r
 }
 
 // Stats returns the receiver's counters.
 func (r *Receiver) Stats() *stats.Receiver { return r.st }
-
-// WindowSize returns the receive window size in packets.
-func (r *Receiver) WindowSize() uint32 { return r.wnd.Size() }
-
-// UpdatePeriod returns the Update Generator's current period.
-func (r *Receiver) UpdatePeriod() sim.Time { return r.updatePeriod }
-
-// RTT returns the receiver's current round-trip estimate.
-func (r *Receiver) RTT() sim.Time { return r.rttEstimate }
 
 // NextExpected returns rcv_nxt.
 func (r *Receiver) NextExpected() seqspace.Seq { return r.wnd.Next() }
@@ -389,164 +173,24 @@ func (r *Receiver) Done() bool { return r.finDelivered && r.leaveAcked }
 // stream.
 func (r *Receiver) FinDelivered() bool { return r.finDelivered }
 
-// Outgoing drains the queued feedback packets, in order. Every packet is
-// destined for the sender's unicast address.
-func (r *Receiver) Outgoing() []*packet.Packet { return r.out.Drain() }
-
-// OutgoingMulticast drains packets destined for the whole group
-// (multicast NAKs and repairs under the local-recovery extension, and a
-// head's repairs into its subtree).
-func (r *Receiver) OutgoingMulticast() []*packet.Packet { return r.outMC.Drain() }
-
-// OutgoingAddressed drains repair-plane unicast packets, each with its
-// explicit destination (leaf→head feedback, head→leaf responses).
-func (r *Receiver) OutgoingAddressed() []Addressed {
-	out := r.outAddr
-	r.outAddr = nil
-	return out
-}
-
-// HasOutgoing reports whether feedback is queued.
-func (r *Receiver) HasOutgoing() bool {
-	return r.out.Len() > 0 || r.outMC.Len() > 0 || len(r.outAddr) > 0
-}
-
-// reportedNext is the next-expected sequence number this receiver
-// reports upstream. A repair head speaks for its subtree: every packet
-// that updates the sender's membership state carries the aggregate
-// minimum, never the head's own frontier — otherwise the sender could
-// release data a downstream member still needs.
-func (r *Receiver) reportedNext() seqspace.Seq {
-	if r.head != nil {
-		return r.head.ClampNext(r.wnd.Next())
-	}
-	return r.wnd.Next()
-}
-
-// leafHead returns the repair head this receiver currently addresses:
-// the configured head in leaf mode, or zero once the leaf has failed
-// over to flat mode (or was never a leaf).
-func (r *Receiver) leafHead() packet.NodeID {
-	if r.headDown {
-		return 0
-	}
-	return r.cfg.RepairHead
-}
-
-// noteHeadWait starts the head-silence clock when a response-expecting
-// packet goes to the head and nothing is already outstanding. Zero
-// means "no request outstanding", so a request at exactly t=0 is
-// recorded one tick late rather than not at all.
-func (r *Receiver) noteHeadWait(now sim.Time) {
-	if r.leafHead() != 0 && r.headWaitSince == 0 {
-		if now == 0 {
-			now = 1
-		}
-		r.headWaitSince = now
-	}
-}
-
-// onHeadTraffic feeds the head-liveness tracker: any packet from the
-// configured head proves it alive.
-func (r *Receiver) onHeadTraffic(now sim.Time) {
-	if r.headDown {
-		if r.cfg.ReadoptHead {
-			r.readoptHead(now)
-		}
-		return
-	}
-	r.headWaitSince = 0
-}
-
-// emitNak routes a retransmission request: to the repair head as a
-// HEAD_NAK in leaf mode (unless the entry was re-homed by a decline —
-// direct), multicast under local recovery (so peers can repair and
-// suppress), unicast to the sender otherwise.
-func (r *Receiver) emitNak(now sim.Time, p *packet.Packet, direct bool) {
-	if h := r.leafHead(); h != 0 && !direct {
-		p.Type = packet.TypeHeadNak
-		r.emitTo(p, h)
-		r.noteHeadWait(now)
-		return
-	}
-	if r.cfg.LocalRecovery {
-		p.SrcPort = r.cfg.LocalPort
-		p.DstPort = r.cfg.RemotePort
-		r.outMC.Push(p)
-		return
-	}
-	r.emit(p)
-}
-
-func (r *Receiver) emit(p *packet.Packet) {
-	if h := r.leafHead(); h != 0 {
-		// Leaf mode: membership feedback belongs to the repair head, not
-		// the sender. CONTROL (rate requests) and everything else stays
-		// end-to-end.
-		switch p.Type {
-		case packet.TypeJoin, packet.TypeUpdate, packet.TypeLeave:
-			r.emitTo(p, h)
-			return
-		}
-	}
-	p.SrcPort = r.cfg.LocalPort
-	p.DstPort = r.cfg.RemotePort
-	r.out.Push(p)
-}
-
-// emitTo queues a repair-plane unicast packet. Both ends of the repair
-// plane listen on the group's receiver port, so DstPort is LocalPort —
-// not the sender's port.
-func (r *Receiver) emitTo(p *packet.Packet, to packet.NodeID) {
-	p.SrcPort = r.cfg.LocalPort
-	p.DstPort = r.cfg.LocalPort
-	r.outAddr = append(r.outAddr, Addressed{Pkt: p, To: to})
-}
-
-// HandlePacket processes one packet from the sender. It corresponds to
-// hrmc_master_rcv on the receive path.
+// HandlePacket is HandleFrom for callers that know neither the source
+// address nor care whether the packet was retained.
 func (r *Receiver) HandlePacket(now sim.Time, p *packet.Packet) error {
-	_, err := r.HandleEnvelope(now, p)
+	_, err := r.HandleFrom(now, 0, p)
 	return err
 }
 
-// HandleEnvelope is HandlePacket for pool-owned packets: it
-// additionally reports whether the machine retained p (stored it in
-// the receive window, to be released when the application consumes
-// it). When retained is false the caller still owns p and should
-// release it (packet.Put); when true, ownership transferred to the
-// machine. Callers that know the source address use HandleFrom instead
-// so a repair head can attribute member feedback.
-func (r *Receiver) HandleEnvelope(now sim.Time, p *packet.Packet) (retained bool, err error) {
-	return r.HandleFrom(now, 0, p)
-}
-
-// HandleFrom is HandleEnvelope with the source's unicast address, which
-// a repair head needs to attribute downstream feedback (JOIN, UPDATE,
-// LEAVE, HEAD_NAK). from may be zero when unknown; member feedback is
-// then rejected.
+// HandleFrom processes one packet (hrmc_master_rcv on the receive path).
+// from is the source's unicast address, which a repair head needs to
+// attribute downstream feedback and a leaf to recognise its head; it may
+// be zero when unknown. retained reports whether the machine stored p in
+// the receive window, to be released when the application consumes it:
+// when false the caller still owns a pool-owned p and should release it.
 func (r *Receiver) HandleFrom(now sim.Time, from packet.NodeID, p *packet.Packet) (retained bool, err error) {
-	if r.cfg.RepairHead != 0 && from != 0 && from == r.cfg.RepairHead {
-		r.onHeadTraffic(now)
+	if r.fromHead(now, from, p) {
+		return false, nil
 	}
-	// An unconfigured RemotePort is learned from the sender's source
-	// port, the way a connected socket learns its peer — only from
-	// sender-originated types, so a peer's multicast NAK (local
-	// recovery) can never hijack the feedback address. In leaf mode the
-	// JOIN/LEAVE responses come from the repair head, not the sender,
-	// so they are excluded there (until a failover re-homes the
-	// handshake to the sender).
-	if r.cfg.RemotePort == 0 && p.SrcPort != 0 {
-		switch p.Type {
-		case packet.TypeData, packet.TypeKeepalive, packet.TypeProbe,
-			packet.TypeFec, packet.TypeNakErr:
-			r.cfg.RemotePort = p.SrcPort
-		case packet.TypeJoinResponse, packet.TypeLeaveResponse:
-			if r.leafHead() == 0 {
-				r.cfg.RemotePort = p.SrcPort
-			}
-		}
-	}
+	r.learnRemote(p)
 	switch p.Type {
 	case packet.TypeData:
 		retained = r.onData(now, p)
@@ -555,7 +199,7 @@ func (r *Receiver) HandleFrom(now sim.Time, from packet.NodeID, p *packet.Packet
 	case packet.TypeProbe:
 		r.onProbe(now, p)
 	case packet.TypeJoinResponse:
-		r.onJoinResponse(now, from)
+		r.onJoinResponse(now)
 	case packet.TypeLeaveResponse:
 		// Only a LEAVE this receiver actually has in flight can be acked;
 		// responses to the auxiliary LEAVEs a re-adoption sends (retiring
@@ -563,369 +207,41 @@ func (r *Receiver) HandleFrom(now sim.Time, from packet.NodeID, p *packet.Packet
 		if r.leaveSent {
 			r.leaveAcked = true
 		}
-	case packet.TypeNak:
-		if !r.cfg.LocalRecovery {
-			return false, ErrNotData
-		}
-		r.onPeerNak(now, p)
-	case packet.TypeFec:
-		// Recovery copies the parity payload (fec.Recover builds a fresh
-		// rebuilt packet), so the parity packet itself is never retained.
-		r.onFec(now, p)
 	case packet.TypeNakErr:
 		r.onNakErr(now, p)
-	case packet.TypeHeadDecline:
-		r.onHeadDecline(now, from, p)
-	case packet.TypeJoin:
-		if r.head == nil || from == 0 {
-			return false, ErrNotData
-		}
-		r.onMemberJoin(now, from, p)
-	case packet.TypeUpdate:
-		if r.head == nil || from == 0 {
-			return false, ErrNotData
-		}
-		r.head.Update(now, from, seqspace.Seq(p.Seq))
-	case packet.TypeLeave:
-		if r.head == nil || from == 0 {
-			return false, ErrNotData
-		}
-		r.onMemberLeave(now, from, p)
-	case packet.TypeHeadNak:
-		if r.head == nil || from == 0 {
-			return false, ErrNotData
-		}
-		r.onHeadNak(now, from, p)
 	default:
-		return false, ErrNotData
+		err = r.roleInput(now, from, p)
 	}
-	return retained, nil
-}
-
-// onMemberJoin registers a downstream member (head mode) and answers
-// with the same JOIN_RESPONSE handshake the sender gives heads, so the
-// leaf's JOIN retry loop and RTT estimate work unchanged.
-func (r *Receiver) onMemberJoin(now sim.Time, from packet.NodeID, p *packet.Packet) {
-	r.head.Join(now, from, seqspace.Seq(p.Seq))
-	r.emitTo(&packet.Packet{Header: packet.Header{
-		Type: packet.TypeJoinResponse,
-		Seq:  p.Seq,
-	}}, from)
-}
-
-// onMemberLeave removes a downstream member (head mode) and confirms
-// with LEAVE_RESPONSE.
-func (r *Receiver) onMemberLeave(now sim.Time, from packet.NodeID, p *packet.Packet) {
-	r.head.Update(now, from, seqspace.Seq(p.Seq))
-	r.head.Leave(from)
-	r.emitTo(&packet.Packet{Header: packet.Header{
-		Type: packet.TypeLeaveResponse,
-		Seq:  p.Seq,
-	}}, from)
-	r.maybeLeave(now)
-}
-
-// onHeadNak services a downstream retransmission request (head mode):
-// each requested sequence number is answered from the head's retained
-// window (or the receive window) with a multicast repair into the
-// subtree, suppressed if the same number was served within the
-// suppression interval, or escalated to the sender as an ordinary NAK
-// when the head does not hold the data either.
-func (r *Receiver) onHeadNak(now sim.Time, from packet.NodeID, p *packet.Packet) {
-	r.st.HeadNaksReceived++
-	// The requester's rcv_nxt rides in RateAdv, like a NAK's.
-	r.head.Update(now, from, seqspace.Seq(p.RateAdv))
-	first := seqspace.Seq(p.Seq)
-	to := first + seqspace.Seq(p.Length)
-	if p.Length == 0 {
-		to = first + 1
-	}
-	var escFrom seqspace.Seq
-	var escCount uint32
-	flushEsc := func() {
-		if escCount == 0 {
-			return
-		}
-		trace.Emit(r.cfg.Trace, now, trace.HeadNakEscalated, uint32(escFrom), int64(escCount))
-		r.emit(&packet.Packet{Header: packet.Header{
-			Type:   packet.TypeNak,
-			Seq:    uint32(escFrom),
-			Length: escCount,
-			// An escalated NAK's timing is multi-hop (leaf -> head ->
-			// sender): mark it re-asked so it never feeds the RTT estimate.
-			Tries:   1,
-			RateAdv: uint32(r.reportedNext()),
-		}})
-		escCount = 0
-	}
-	var decFrom seqspace.Seq
-	var decCount uint32
-	flushDec := func() {
-		if decCount == 0 {
-			return
-		}
-		r.sendDecline(now, decFrom, decCount)
-		decCount = 0
-	}
-	for seq := first; seqspace.Before(seq, to); seq++ {
-		if r.head.Handled(now, seq) {
-			r.st.HeadNaksSuppressed++
-			continue
-		}
-		var payload []byte
-		var flags uint8
-		if src, ok := r.head.Retained(seq); ok {
-			// The FIN flag must survive the repair: a leaf whose lost
-			// packet was the stream end can only finish if the rebuilt
-			// copy still ends the stream.
-			payload, flags = src.Payload, src.Flags&packet.FlagFIN
-		} else if wp, ok := r.wnd.PayloadAt(seq); ok {
-			payload = wp
-		} else if r.head.Declined(now, seq) {
-			// The sender already refused this range: re-escalating cannot
-			// help, so answer with an explicit decline (coalesced).
-			flushEsc()
-			if decCount == 0 {
-				decFrom = seq
-			}
-			decCount++
-			continue
-		} else {
-			// Not held here: escalate (coalescing consecutive numbers).
-			r.st.HeadNaksEscalated++
-			flushDec()
-			if escCount == 0 {
-				escFrom = seq
-			}
-			escCount++
-			continue
-		}
-		flushEsc()
-		flushDec()
-		r.st.HeadNaksAnswered++
-		trace.Emit(r.cfg.Trace, now, trace.HeadRepairSent, uint32(seq), int64(len(payload)))
-		pl := make([]byte, len(payload))
-		copy(pl, payload)
-		rep := &packet.Packet{
-			Header: packet.Header{
-				Type:    packet.TypeData,
-				Seq:     uint32(seq),
-				Length:  uint32(len(pl)),
-				RateAdv: r.advRate,
-				Tries:   1, // a repair is by definition a retransmission
-				Flags:   flags,
-			},
-			Payload: pl,
-		}
-		rep.SrcPort = r.cfg.LocalPort
-		rep.DstPort = r.cfg.LocalPort
-		r.outMC.Push(rep)
-	}
-	flushEsc()
-	flushDec()
-	r.feedbackInPer = true
-}
-
-// onNakErr processes an authoritative sender refusal: the requested
-// range is below the send window and no longer retransmittable.
-func (r *Receiver) onNakErr(now sim.Time, p *packet.Packet) {
-	r.st.NakErrsHeard++
-	first := seqspace.Seq(p.Seq)
-	to := first + seqspace.Seq(p.Length)
-	if p.Length == 0 {
-		to = first + 1
-	}
-	if r.head != nil {
-		// Head mode, escalate-or-decline: the subtree member that asked
-		// must hear an explicit refusal, never silence — record the
-		// range and multicast a HEAD_DECLINE so leaves re-home their
-		// recovery end-to-end.
-		for seq := first; seqspace.Before(seq, to); seq++ {
-			r.head.Decline(now, seq)
-		}
-		r.sendDecline(now, first, seqspace.Count(first, to))
-		return
-	}
-	// Flat (or failed-over leaf): the data is gone for good and retrying
-	// cannot help. The NAK manager stops asking; the hole stays visible
-	// to the application as a stream that never advances past it.
-	for seq := first; seqspace.Before(seq, to); seq++ {
-		if _, ok := r.pending[seq]; !ok {
-			continue
-		}
-		if r.dead == nil {
-			r.dead = make(map[seqspace.Seq]bool)
-		}
-		if !r.dead[seq] {
-			r.dead[seq] = true
-			r.st.UnrecoverableHoles++
-		}
-		delete(r.pending, seq)
-	}
-	r.armNakTimer(now)
-}
-
-// sendDecline multicasts a HEAD_DECLINE into the subtree (head mode):
-// an explicit refusal for [first, first+count), which the sender has
-// released and the head cannot serve.
-func (r *Receiver) sendDecline(now sim.Time, first seqspace.Seq, count uint32) {
-	if count == 0 {
-		count = 1
-	}
-	r.st.HeadDeclinesSent++
-	trace.Emit(r.cfg.Trace, now, trace.HeadDeclineSent, uint32(first), int64(count))
-	d := &packet.Packet{Header: packet.Header{
-		Type:   packet.TypeHeadDecline,
-		Seq:    uint32(first),
-		Length: count,
-	}}
-	d.SrcPort = r.cfg.LocalPort
-	d.DstPort = r.cfg.LocalPort
-	r.outMC.Push(d)
-}
-
-// onHeadDecline processes the head's explicit refusal (leaf mode): the
-// covered gaps re-home to end-to-end recovery — further NAKs for them
-// go straight to the sender.
-func (r *Receiver) onHeadDecline(now sim.Time, from packet.NodeID, p *packet.Packet) {
-	if r.leafHead() == 0 || from == 0 || from != r.cfg.RepairHead {
-		return
-	}
-	r.st.HeadDeclinesHeard++
-	first := seqspace.Seq(p.Seq)
-	to := first + seqspace.Seq(p.Length)
-	if p.Length == 0 {
-		to = first + 1
-	}
-	changed := false
-	for seq := first; seqspace.Before(seq, to); seq++ {
-		if e, ok := r.pending[seq]; ok && !e.direct {
-			e.direct = true
-			e.tries = 0
-			e.deferUntil = 0
-			changed = true
-		}
-	}
-	if changed {
-		r.sendDueNaks(now)
-		r.armNakTimer(now)
-	}
-}
-
-// failover degrades a leaf to flat mode: the configured repair head is
-// declared dead, so membership and recovery re-home to the sender.
-func (r *Receiver) failover(now sim.Time) {
-	if r.leafHead() == 0 {
-		return
-	}
-	r.headDown = true
-	r.headWaitSince = 0
-	r.st.HeadFailovers++
-	trace.Emit(r.cfg.Trace, now, trace.HeadFailover, uint32(r.wnd.Next()), int64(r.cfg.RepairHead))
-	if r.joined && !r.finDelivered {
-		// Fresh JOIN handshake with the sender. Karn's rule: a sample
-		// would mix head and sender round trips, so it is discarded.
-		r.joinAcked = false
-		r.joinAmbiguous = true
-		r.sendJoin(now)
-	}
-	// Pending recovery restarts cleanly against the sender.
-	for _, e := range r.pending {
-		e.tries = 0
-		e.deferUntil = 0
-	}
-	if len(r.pending) > 0 {
-		r.sendDueNaks(now)
-		r.armNakTimer(now)
-	}
-	if r.leaveSent && !r.leaveAcked {
-		// The LEAVE went to the dead head; close membership with the
-		// sender directly.
-		r.emit(&packet.Packet{Header: packet.Header{
-			Type: packet.TypeLeave,
-			Seq:  uint32(r.wnd.Next()),
-		}})
-	}
-}
-
-// readoptHead re-attaches a failed-over leaf to its configured head —
-// called when head traffic reappears and ReadoptHead is on.
-func (r *Receiver) readoptHead(now sim.Time) {
-	r.headDown = false
-	r.headWaitSince = 0
-	r.st.HeadReadoptions++
-	trace.Emit(r.cfg.Trace, now, trace.HeadReadopted, uint32(r.wnd.Next()), int64(r.cfg.RepairHead))
-	for _, e := range r.pending {
-		e.direct = false
-	}
-	if r.joined && !r.finDelivered {
-		// Hand membership back to the head ...
-		r.joinAcked = false
-		r.joinAmbiguous = true
-		r.sendJoin(now)
-		// ... and retire the direct sender membership so the sender
-		// returns to O(heads) state. Deliberately not routed through
-		// emit (which now reroutes LEAVEs to the head) and without
-		// touching this leaf's own LEAVE handshake state.
-		lv := &packet.Packet{Header: packet.Header{
-			Type: packet.TypeLeave,
-			Seq:  uint32(r.wnd.Next()),
-		}}
-		lv.SrcPort = r.cfg.LocalPort
-		lv.DstPort = r.cfg.RemotePort
-		r.out.Push(lv)
-	}
+	return retained, err
 }
 
 // anchor fixes the JoinInProgress rebase point: the receive window is
 // moved to seq so a mid-stream joiner delivers from there instead of
-// NAKing the whole history.
-func (r *Receiver) anchor(seq seqspace.Seq) {
+// NAKing the whole history. It reports whether this call did the
+// anchoring — the first thing heard from the sender.
+func (r *Receiver) anchor(seq seqspace.Seq) bool {
 	if r.rebased || !r.cfg.JoinInProgress {
-		return
+		return false
 	}
 	if !r.wnd.Rebase(seq) {
 		// Data already anchored the window; record where it stands.
-		r.rebasedTo, r.rebased = r.wnd.Base(), true
-		return
+		seq = r.wnd.Base()
 	}
 	r.rebasedTo, r.rebased = seq, true
-}
-
-// anchorAndJoin anchors at seq and starts the JOIN handshake — the path
-// taken when the first thing a mid-stream joiner hears is a KEEPALIVE
-// or PROBE rather than data.
-func (r *Receiver) anchorAndJoin(now sim.Time, seq seqspace.Seq) {
-	r.anchor(seq)
-	if !r.joined {
-		r.joined = true
-		r.joinTime = now
-		r.sendJoin(now)
-	}
+	return true
 }
 
 // onData reports whether p was stored in the receive window (retained).
 func (r *Receiver) onData(now sim.Time, p *packet.Packet) bool {
 	r.advRate = p.RateAdv
-	firstData := !r.joined
-	if !r.seenAnyData {
-		// Mid-stream joiner: deliver from the first packet seen.
-		r.anchor(seqspace.Seq(p.Seq))
-	}
+	r.anchor(seqspace.Seq(p.Seq)) // mid-stream joiner: deliver from the first packet seen
 	r.seenAnyData = true
-	if r.repairPending != nil {
-		// Seeing the data (from anyone) cancels our scheduled repair.
-		delete(r.repairPending, seqspace.Seq(p.Seq))
-	}
+	r.dataHeard(seqspace.Seq(p.Seq))
 	res := r.wnd.Insert(p)
-	if firstData {
-		// "send a JOIN message to the sender in response to the first
-		// data packet that it receives" — carrying rcv_nxt after the
-		// packet has been processed.
-		r.joined = true
-		r.joinTime = now
-		r.sendJoin(now)
-	}
+	// "send a JOIN message to the sender in response to the first data
+	// packet that it receives" — carrying rcv_nxt after the packet has
+	// been processed.
+	r.join(now)
 	switch res {
 	case window.Duplicate:
 		r.st.Duplicates++
@@ -935,49 +251,48 @@ func (r *Receiver) onData(now sim.Time, p *packet.Packet) bool {
 		return false
 	}
 	r.st.DataReceived++
-	if r.head != nil {
-		// Head role: keep the packet available for downstream repairs
-		// past application consumption (a reference when pool-owned, a
-		// plain alias otherwise).
-		r.head.Retain(p)
-	}
-	if r.fecCache != nil {
-		seq := seqspace.Seq(p.Seq)
-		if old, ok := r.fecCache[seq]; ok && r.fecPooled {
-			packet.Put(old)
-		}
-		if r.fecPooled {
-			packet.Retain(p)
-		}
-		r.fecCache[seq] = p
-		r.pruneFecCache()
-	}
-	r.syncNakList(now)
-	if p.FIN() {
-		// The FIN itself may still be out of order; delivery tracking
-		// happens in Read.
-		_ = p
-	}
+	r.dataAccepted(p)
+	r.nakScan(now, onChange)
 	r.maybeRateRequest(now)
 	return true
 }
 
-// syncNakList reconciles the pending NAK list with the window's missing
-// set: gaps gain entries (NAKed immediately on first detection), filled
-// holes lose them.
-func (r *Receiver) syncNakList(now sim.Time) {
-	missing := r.wnd.Missing(nil)
-	present := make(map[seqspace.Seq]bool, len(r.pending))
+// scanMode says why the NAK Manager is looking at the window.
+type scanMode uint8
+
+const (
+	// onChange: the window or the pending list changed. NAKs go out only
+	// if a gap appeared that was not there before.
+	onChange scanMode = iota
+	// onTimer: a retry deadline passed, or a role made entries due again.
+	// Everything due is NAKed.
+	onTimer
+	// onProbe is onChange, after which the first gap is re-asked at once,
+	// bypassing suppression — the sender is blocked on this information.
+	onProbe
+)
+
+// nakScan is the NAK Manager: it reconciles the pending list with the
+// window's missing set (gaps gain entries, filled holes lose them), sends
+// the NAKs the mode calls for — coalescing consecutive sequence numbers
+// into one packet — and arms the timer for the earliest retry.
+func (r *Receiver) nakScan(now sim.Time, mode scanMode) {
+	r.gaps = r.wnd.Missing(r.gaps[:0])
+	if len(r.gaps) == 0 && len(r.pending) == 0 {
+		r.nakTimer.Disarm()
+		return
+	}
+	r.scan++
 	newGap := false
-	for _, g := range missing {
+	for _, g := range r.gaps {
 		for s := g.From; seqspace.Before(s, g.To); s++ {
 			if r.dead[s] {
 				// Authoritatively refused (NAK_ERR): never re-request.
 				continue
 			}
-			present[s] = true
-			if _, ok := r.pending[s]; !ok {
-				e := &nakEntry{detected: now}
+			e := r.pending[s]
+			if e == nil {
+				e = &nakEntry{detected: now}
 				if r.cfg.FECGroupSize > 0 {
 					// Give parity a chance before the first NAK. One
 					// retry interval bounds the parity's trailing
@@ -996,156 +311,168 @@ func (r *Receiver) syncNakList(now sim.Time) {
 				}
 				newGap = true
 			}
+			e.scan = r.scan
 		}
 	}
+
+	exhausted := false
+	if newGap || mode == onTimer {
+		for _, g := range r.gaps {
+			var run window.Gap // the NAK being coalesced
+			var runDirect, runRetry bool
+			flush := func() {
+				if run.To == run.From {
+					return
+				}
+				trace.Emit(r.cfg.Trace, now, trace.NakSent, uint32(run.From), int64(run.Count()))
+				r.sendNak(now, run, runRetry, runDirect)
+				run.From, runRetry = run.To, false
+			}
+			for s := g.From; seqspace.Before(s, g.To); s++ {
+				e := r.pending[s]
+				if e == nil || now < r.dueAt(now, e) {
+					flush()
+					continue
+				}
+				if e.tries == 0 && e.deferUntil != 0 {
+					// The FEC defer window expired with the gap still
+					// open: parity did not repair it, so this NAK is the
+					// selective fallback to retransmission.
+					r.st.FecFallbackNaks++
+				}
+				retry := r.ask(now, e)
+				_, spent, _ := r.headPolicy(e)
+				exhausted = exhausted || spent
+				if e.direct != runDirect {
+					// Head-bound and direct entries cannot share one NAK.
+					flush()
+				}
+				if run.To == run.From {
+					run.From, runDirect = s, e.direct
+				}
+				run.To, runRetry = s+1, runRetry || retry
+			}
+			flush()
+		}
+	}
+	if mode == onProbe && len(r.gaps) > 0 {
+		g := r.gaps[0]
+		retry := false
+		for s := g.From; seqspace.Before(s, g.To); s++ {
+			if e := r.pending[s]; e != nil {
+				retry = r.ask(now, e) || retry
+			}
+		}
+		r.sendNak(now, g, retry, false)
+	}
+
+	next := never
 	for s, e := range r.pending {
-		if !present[s] {
+		if e.scan != r.scan {
 			// The gap is gone — filled by retransmission, parity
 			// recovery, or a rebase past it. Aux carries the time it
 			// stayed open, the recovery-latency a NAK round trip or a
 			// parity arrival cost us.
 			trace.Emit(r.cfg.Trace, now, trace.GapFilled, uint32(s), int64(now-e.detected))
 			delete(r.pending, s)
+			continue
 		}
+		next = min(next, r.dueAt(now, e))
 	}
-	if newGap {
-		r.sendDueNaks(now)
-	}
-	r.armNakTimer(now)
-}
-
-// sendDueNaks transmits NAKs for pending entries whose suppression
-// window has expired, coalescing consecutive sequence numbers into one
-// NAK packet.
-func (r *Receiver) sendDueNaks(now sim.Time) {
-	gaps := r.wnd.Missing(nil)
-	sent := false
-	exhausted := false
-	for _, g := range gaps {
-		var from seqspace.Seq
-		var count uint32
-		var runDirect, runRetry bool
-		flushRun := func() {
-			if count == 0 {
-				return
-			}
-			sent = true
-			// Tries marks a re-asked NAK: the sender must not take an RTT
-			// sample from it, since the elapsed time includes our backoff.
-			var tries uint8
-			if runRetry {
-				tries = 1
-			}
-			trace.Emit(r.cfg.Trace, now, trace.NakSent, uint32(from), int64(count))
-			r.emitNak(now, &packet.Packet{Header: packet.Header{
-				Type:    packet.TypeNak,
-				Seq:     uint32(from),
-				Length:  count,
-				Tries:   tries,
-				RateAdv: uint32(r.reportedNext()),
-			}}, runDirect)
-			count = 0
-			runRetry = false
-		}
-		for s := g.From; seqspace.Before(s, g.To); s++ {
-			e := r.pending[s]
-			if e == nil {
-				flushRun()
-				continue
-			}
-			due := e.tries == 0 || now-e.lastSent >= r.retryInterval(e)
-			if now < e.deferUntil {
-				due = false
-			}
-			if !due {
-				flushRun()
-				continue
-			}
-			retry := e.tries != 0
-			if retry {
-				r.st.NakRetries++
-			} else {
-				r.st.NaksSent++
-				if e.deferUntil != 0 {
-					// The FEC defer window expired with the gap still
-					// open: parity did not repair it, so this NAK is the
-					// selective fallback to retransmission.
-					r.st.FecFallbackNaks++
-				}
-			}
-			e.lastSent = now
-			e.tries++
-			if r.leafHead() != 0 && !e.direct &&
-				r.cfg.HeadNakRetryBudget > 0 && e.tries > r.cfg.HeadNakRetryBudget {
-				exhausted = true
-			}
-			if count > 0 && e.direct != runDirect {
-				// Head-bound and direct entries cannot share one NAK.
-				flushRun()
-			}
-			if count == 0 {
-				from, runDirect = s, e.direct
-			}
-			if retry {
-				runRetry = true
-			}
-			count++
-		}
-		flushRun()
-	}
-	if sent {
-		r.feedbackInPer = true
-	}
+	armEarliest(&r.nakTimer, next, now)
 	if exhausted {
 		// The head absorbed a full retry budget without a sign of life.
 		r.failover(now)
 	}
 }
 
-// retryInterval computes the backoff before a pending NAK is resent:
-// linear in flat mode (the local NAK-suppression window), exponential
-// toward a repair head so a dead head is detected within the retry
-// budget without flooding it first.
-func (r *Receiver) retryInterval(e *nakEntry) sim.Time {
-	if r.leafHead() != 0 && !e.direct {
-		shift := e.tries - 1
-		if shift < 0 {
-			shift = 0
-		}
-		if shift > 6 {
-			shift = 6
-		}
-		return r.cfg.NakRetryInterval << uint(shift)
+// ask records one more request for e's packet and reports whether it is
+// a re-ask.
+func (r *Receiver) ask(now sim.Time, e *nakEntry) (retry bool) {
+	retry = e.tries != 0
+	if retry {
+		r.st.NakRetries++
+	} else {
+		r.st.NaksSent++
 	}
-	return r.cfg.NakRetryInterval * sim.Time(e.tries+1)
+	e.lastSent = now
+	e.tries++
+	return retry
 }
 
-// armNakTimer schedules the NAK Manager for the earliest pending retry.
-func (r *Receiver) armNakTimer(now sim.Time) {
-	if len(r.pending) == 0 {
-		r.nakTimer.Disarm()
+// sendNak requests retransmission of g. Tries marks a re-asked NAK: the
+// sender must not take an RTT sample from it, since the elapsed time
+// includes our backoff (or, for a head's escalation, a second hop).
+// direct bypasses whoever else repairs for this receiver and asks the
+// sender itself.
+func (r *Receiver) sendNak(now sim.Time, g window.Gap, reask, direct bool) {
+	h := packet.Header{
+		Type:    packet.TypeNak,
+		Seq:     uint32(g.From),
+		Length:  g.Count(),
+		RateAdv: uint32(r.reportedNext()),
+	}
+	if reask {
+		h.Tries = 1
+	}
+	d := upstream
+	if direct {
+		d = toSender
+	}
+	r.send(now, &packet.Packet{Header: h}, d, 0)
+	r.feedbackInPer = true
+}
+
+// dueAt is the earliest time e's packet may be asked for (again): at
+// once for a fresh gap, else after the local NAK-suppression window —
+// linear in the try count, unless a role asks on other terms — and never
+// inside the FEC defer.
+func (r *Receiver) dueAt(now sim.Time, e *nakEntry) sim.Time {
+	at := now
+	if e.tries != 0 {
+		wait, _, ok := r.headPolicy(e)
+		if !ok {
+			wait = r.cfg.NakRetryInterval * sim.Time(e.tries+1)
+		}
+		at = e.lastSent + wait
+	}
+	if at < e.deferUntil {
+		at = e.deferUntil
+	}
+	return at
+}
+
+// never is the earliest of no deadlines at all.
+const never = sim.Time(math.MaxInt64)
+
+// armEarliest arms t for at — the min over some deadlines, starting from
+// never — but not before now, or disarms it when there were none.
+func armEarliest(t *kernel.Timer, at, now sim.Time) {
+	if at == never {
+		t.Disarm()
 		return
 	}
-	var earliest sim.Time
-	first := true
-	for _, e := range r.pending {
-		var at sim.Time
-		if e.tries == 0 {
-			at = now
-		} else {
-			at = e.lastSent + r.retryInterval(e)
-		}
-		if at < e.deferUntil {
-			at = e.deferUntil
-		}
-		if first || at < earliest {
-			earliest, first = at, false
-		}
+	t.Arm(max(at, now))
+}
+
+// onNakErr processes an authoritative sender refusal: the requested
+// range is below the send window and no longer retransmittable.
+func (r *Receiver) onNakErr(now sim.Time, p *packet.Packet) {
+	r.st.NakErrsHeard++
+	g := window.GapOf(p)
+	if r.relayRefusal(now, g) {
+		return
 	}
-	if earliest < now {
-		earliest = now
+	// The data is gone for good and retrying cannot help.
+	for s := g.From; seqspace.Before(s, g.To); s++ {
+		if _, ok := r.pending[s]; !ok {
+			continue
+		}
+		r.dead[s] = true
+		r.st.UnrecoverableHoles++
+		delete(r.pending, s)
 	}
-	r.nakTimer.Arm(earliest)
+	r.nakScan(now, onChange)
 }
 
 // maybeRateRequest applies the three flow-control rules of Section 2 on
@@ -1155,8 +482,6 @@ func (r *Receiver) maybeRateRequest(now sim.Time) {
 		r.st.MaxFillPermille = pm
 	}
 	switch r.wnd.Region() {
-	case window.Safe:
-		return
 	case window.Warning:
 		// Rule 2: request a lower rate if the data sendable at the
 		// advertised rate over the next WARNBUF round trips exceeds the
@@ -1174,13 +499,7 @@ func (r *Receiver) maybeRateRequest(now sim.Time) {
 		}
 		r.lastControl = now
 		r.st.RateRequests++
-		trace.Emit(r.cfg.Trace, now, trace.RegionWarning, uint32(r.wnd.Next()), int64(r.wnd.Fill()))
-		r.emit(&packet.Packet{Header: packet.Header{
-			Type:    packet.TypeControl,
-			Seq:     uint32(r.reportedNext()),
-			RateAdv: r.advRate / 2,
-		}})
-		r.feedbackInPer = true
+		r.sendControl(now, trace.RegionWarning, 0)
 	case window.Critical:
 		// Rule 3: urgent request, stops the sender for two round trips
 		// regardless of the advertised rate. One per two round trips.
@@ -1189,215 +508,34 @@ func (r *Receiver) maybeRateRequest(now sim.Time) {
 		}
 		r.lastUrgent = now
 		r.st.UrgentRequests++
-		trace.Emit(r.cfg.Trace, now, trace.RegionCritical, uint32(r.wnd.Next()), int64(r.wnd.Fill()))
-		r.emit(&packet.Packet{Header: packet.Header{
-			Type:    packet.TypeControl,
-			Seq:     uint32(r.reportedNext()),
-			RateAdv: r.advRate / 2,
-			Flags:   packet.FlagURG,
-		}})
-		r.feedbackInPer = true
+		r.sendControl(now, trace.RegionCritical, packet.FlagURG)
 	}
 }
 
-// pruneFecCache bounds the recovery cache to a few FEC groups behind
-// the reassembly frontier, dropping the cache's pool reference with
-// each evicted entry.
-func (r *Receiver) pruneFecCache() {
-	limit := 4 * r.cfg.FECGroupSize
-	if len(r.fecCache) <= 2*limit {
-		return
-	}
-	for seq, p := range r.fecCache {
-		if int(seqspace.Diff(r.wnd.Next(), seq)) > limit {
-			if r.fecPooled {
-				packet.Put(p)
-			}
-			delete(r.fecCache, seq)
-		}
-	}
-}
-
-// releaseFecCache drops every cached group member, returning the
-// cache's pool references. Called at end of stream and on teardown;
-// the map stays usable (straggler data after FIN may repopulate it, so
-// teardown drains again).
-func (r *Receiver) releaseFecCache() {
-	for seq, p := range r.fecCache {
-		if r.fecPooled {
-			packet.Put(p)
-		}
-		delete(r.fecCache, seq)
-	}
-}
-
-// fecLookup resolves payloads (and header flags, which parity also
-// covers) for recovery from the window first, then the recovery cache.
-func (r *Receiver) fecLookup(seq seqspace.Seq) ([]byte, uint8, bool) {
-	if p, ok := r.wnd.PacketAt(seq); ok {
-		return p.Payload, p.Flags, true
-	}
-	if p, ok := r.fecCache[seq]; ok {
-		return p.Payload, p.Flags, true
-	}
-	return nil, 0, false
-}
-
-// onPeerNak processes another receiver's multicast NAK (local-recovery
-// extension): requests covering our own pending gaps suppress our NAKs
-// (SRM-style), and requests for data we hold schedule a randomized
-// multicast repair, cancelled if someone else repairs first.
-func (r *Receiver) onPeerNak(now sim.Time, p *packet.Packet) {
-	r.st.PeerNaksHeard++
-	from := seqspace.Seq(p.Seq)
-	to := from + seqspace.Seq(p.Length)
-	if p.Length == 0 {
-		to = from + 1
-	}
-	for seq := from; seqspace.Before(seq, to); seq++ {
-		if e, ok := r.pending[seq]; ok {
-			// A peer already asked: count it as our own ask.
-			e.lastSent = now
-			if e.tries == 0 {
-				e.tries = 1
-			}
-			continue
-		}
-		if _, scheduled := r.repairPending[seq]; scheduled {
-			continue
-		}
-		if _, _, have := r.fecLookup(seq); have {
-			delay := kernel.Jiffy + sim.Time(r.rng.Intn(int(2*kernel.Jiffy)))
-			r.repairPending[seq] = now + delay
-		}
-	}
-	r.armNakTimer(now)
-	r.armRepairTimer(now)
-}
-
-// armRepairTimer schedules the earliest pending repair.
-func (r *Receiver) armRepairTimer(now sim.Time) {
-	if len(r.repairPending) == 0 {
-		r.repairTimer.Disarm()
-		return
-	}
-	var earliest sim.Time
-	first := true
-	for _, at := range r.repairPending {
-		if first || at < earliest {
-			earliest, first = at, false
-		}
-	}
-	if earliest < now {
-		earliest = now
-	}
-	r.repairTimer.Arm(earliest)
-}
-
-// fireRepairs multicasts due repairs.
-func (r *Receiver) fireRepairs(now sim.Time) {
-	for seq, at := range r.repairPending {
-		if at > now {
-			continue
-		}
-		delete(r.repairPending, seq)
-		payload, flags, ok := r.fecLookup(seq)
-		if !ok {
-			continue
-		}
-		r.st.RepairsSent++
-		pl := make([]byte, len(payload))
-		copy(pl, payload)
-		rep := &packet.Packet{
-			Header: packet.Header{
-				Type:    packet.TypeData,
-				Seq:     uint32(seq),
-				Length:  uint32(len(pl)),
-				RateAdv: r.advRate,
-				Tries:   1, // a repair is by definition a retransmission
-				// The FIN flag must survive a peer repair just as it
-				// survives a head repair: without it the repaired
-				// receiver delivers every byte but never sees
-				// end-of-stream.
-				Flags: flags & packet.FlagFIN,
-			},
-			Payload: pl,
-		}
-		rep.SrcPort = r.cfg.LocalPort
-		rep.DstPort = r.cfg.RemotePort
-		r.outMC.Push(rep)
-	}
-	r.armRepairTimer(now)
-}
-
-// onFec attempts single-erasure recovery from an FEC parity packet
-// (extension): when exactly one packet of the covered group is missing
-// and the rest are still buffered, the loss is repaired locally with no
-// NAK round trip.
-func (r *Receiver) onFec(now sim.Time, p *packet.Packet) {
-	r.st.FecParityHeard++
-	rebuilt, ok := r.fdec.Recover(p, r.fecLookup)
-	if !ok {
-		// Nothing to rebuild: the group is complete (the common case —
-		// parity spent on a loss that never happened), more than one
-		// member is gone, or the parity is unusable.
-		r.st.FecParityWasted++
-		// A failed reconstruction is still information: the group's
-		// parity has arrived and could not repair its gaps, so local
-		// repair is off the table for every deferred entry it covers.
-		// Expire their defers now — keeping them waiting only adds the
-		// full defer window to the retransmission round trip. The
-		// stamp stays nonzero so the fallback counter still sees them.
-		if p.Type == packet.TypeFec && len(r.pending) > 0 {
-			base := seqspace.Seq(p.Seq)
-			expedited := false
-			for i := 0; i < int(p.Length) && i < fec.MaxGroup; i++ {
-				if e, ok := r.pending[base+seqspace.Seq(i)]; ok && e.deferUntil > now {
-					e.deferUntil = now
-					expedited = true
-				}
-			}
-			if expedited {
-				r.sendDueNaks(now)
-				r.armNakTimer(now)
-			}
-		}
-		return
-	}
-	// Only rebuild data that is actually missing and fits the window.
-	seq := seqspace.Seq(rebuilt.Seq)
-	if seqspace.Before(seq, r.wnd.Next()) {
-		r.st.FecParityWasted++
-		packet.Put(rebuilt)
-		return
-	}
-	r.st.FecRecovered++
-	trace.Emit(r.cfg.Trace, now, trace.FecRecovered, rebuilt.Seq, int64(len(rebuilt.Payload)))
-	rebuilt.RateAdv = r.advRate
-	if !r.onData(now, rebuilt) {
-		// The window refused it (raced a retransmission into Duplicate,
-		// or out of window): drop our pool reference, exactly as the
-		// session drops unretained receive packets.
-		packet.Put(rebuilt)
-	}
-	// Local repair must not look like loss feedback: the rebuilt packet
-	// filled its own gap, so the counters above tell the story.
+// sendControl asks the sender for half the advertised rate. Rate control
+// stays end-to-end whatever roles are held.
+func (r *Receiver) sendControl(now sim.Time, region trace.Kind, flags uint8) {
+	trace.Emit(r.cfg.Trace, now, region, uint32(r.wnd.Next()), int64(r.wnd.Fill()))
+	r.send(now, &packet.Packet{Header: packet.Header{
+		Type:    packet.TypeControl,
+		Seq:     uint32(r.reportedNext()),
+		RateAdv: r.advRate / 2,
+		Flags:   flags,
+	}}, upstream, 0)
+	r.feedbackInPer = true
 }
 
 func (r *Receiver) onKeepalive(now sim.Time, p *packet.Packet) {
 	r.st.KeepalivesHeard++
 	r.advRate = p.RateAdv
-	if r.cfg.JoinInProgress && !r.rebased && !r.seenAnyData {
-		// A mid-stream joiner must not NAK history it will never
-		// deliver: anchor one past the keepalive's last-transmitted
-		// sequence number and join from there.
-		r.anchorAndJoin(now, seqspace.Seq(p.Seq)+1)
+	if r.anchor(seqspace.Seq(p.Seq) + 1) {
+		r.join(now)
 		return
 	}
 	// The keepalive carries the last sequence number transmitted; if we
 	// have not received through it, the tail of a burst was lost.
 	r.wnd.ExtendHighest(seqspace.Seq(p.Seq))
-	r.syncNakList(now)
+	r.nakScan(now, onChange)
 }
 
 func (r *Receiver) onProbe(now sim.Time, p *packet.Packet) {
@@ -1407,103 +545,64 @@ func (r *Receiver) onProbe(now sim.Time, p *packet.Packet) {
 	r.st.ProbesReceived++
 	r.probesInPer++
 	probeSeq := seqspace.Seq(p.Seq)
-	if r.cfg.JoinInProgress && !r.rebased && !r.seenAnyData {
-		// Mid-stream joiner: the probed data predates us. Anchor past it
-		// and answer so the sender's release check stops waiting on a
-		// stale membership entry.
-		r.anchorAndJoin(now, probeSeq+1)
-		if r.head != nil {
-			r.sendAggUpdate(now)
-		} else {
-			r.sendUpdate(now)
-		}
+	if r.anchor(probeSeq + 1) {
+		// The probed data predates us: answer so the sender's release
+		// check stops waiting on a stale membership entry.
+		r.join(now)
+		r.report(now, true)
 		return
 	}
-	if r.head != nil {
-		// Head mode: the probe asks about the subtree, and the aggregate
-		// is the answer. When the head itself lacks the probed data it
-		// also NAKs immediately (the sender is blocked on it); when only
-		// members lag, the AGG_UPDATE tells the sender how far the
-		// subtree actually is, and member HEAD_NAKs drive the repairs.
-		if seqspace.After(r.reportedNext(), probeSeq) {
-			trace.Emit(r.cfg.Trace, now, trace.ProbeAnswered, p.Seq, 1)
-		}
-		if !seqspace.After(r.wnd.Next(), probeSeq) {
-			r.wnd.ExtendHighest(probeSeq)
-			r.syncNakList(now)
-			r.forceNak(now)
-		}
-		r.sendAggUpdate(now)
-		return
-	}
-	if seqspace.After(r.wnd.Next(), probeSeq) {
-		// All data up to and including the probed sequence number has
-		// been received: answer with an immediate UPDATE.
+	if seqspace.After(r.reportedNext(), probeSeq) {
 		trace.Emit(r.cfg.Trace, now, trace.ProbeAnswered, p.Seq, 1)
-		r.sendUpdate(now)
-		return
 	}
-	// Otherwise the probed data is missing: make the gap visible and NAK
-	// immediately.
-	r.wnd.ExtendHighest(probeSeq)
-	r.syncNakList(now)
-	r.forceNak(now)
+	// All data up to and including the probed sequence number received
+	// earns an immediate UPDATE; otherwise the probed data is missing:
+	// make the gap visible and NAK immediately.
+	have := seqspace.After(r.wnd.Next(), probeSeq)
+	if !have {
+		r.wnd.ExtendHighest(probeSeq)
+		r.nakScan(now, onProbe)
+	}
+	r.report(now, have)
 }
 
-// forceNak retransmits a NAK for the first pending gap immediately,
-// bypassing suppression — the sender is blocked on this information.
-func (r *Receiver) forceNak(now sim.Time) {
-	gaps := r.wnd.Missing(nil)
-	if len(gaps) == 0 {
+// join starts the JOIN handshake on the first thing heard from the
+// sender.
+func (r *Receiver) join(now sim.Time) {
+	if r.joined {
 		return
 	}
-	g := gaps[0]
-	var tries uint8
-	for s := g.From; seqspace.Before(s, g.To); s++ {
-		if e := r.pending[s]; e != nil {
-			if e.tries > 0 {
-				r.st.NakRetries++
-				tries = 1 // re-ask: not an RTT sample for the sender
-			} else {
-				r.st.NaksSent++
-			}
-			e.lastSent = now
-			e.tries++
-		}
-	}
-	r.emitNak(now, &packet.Packet{Header: packet.Header{
-		Type:    packet.TypeNak,
-		Seq:     uint32(g.From),
-		Length:  g.Count(),
-		Tries:   tries,
-		RateAdv: uint32(r.reportedNext()),
-	}}, false)
-	r.feedbackInPer = true
-	r.armNakTimer(now)
+	r.joined = true
+	r.joinTime = now
+	r.sendJoin(now)
 }
 
-// sendJoin emits a JOIN and arms the retry timer. In leaf mode emit
-// routes it to the repair head; a head joins the sender directly.
+// rejoin repeats the JOIN — a retry, or a handshake re-homed to another
+// party. Karn's rule: either way the exchange no longer times one round
+// trip, so its RTT sample is discarded.
+func (r *Receiver) rejoin(now sim.Time) {
+	r.joinAcked = false
+	r.joinAmbiguous = true
+	r.sendJoin(now)
+}
+
+// sendJoin emits a JOIN and arms the retry timer.
 func (r *Receiver) sendJoin(now sim.Time) {
-	r.emit(&packet.Packet{Header: packet.Header{
-		Type: packet.TypeJoin,
-		Seq:  uint32(r.reportedNext()),
-	}})
-	r.noteHeadWait(now)
+	r.sendState(now, packet.TypeJoin, upstream)
 	r.joinTimer.Arm(now + joinRetryInterval)
+}
+
+// sendState emits a JOIN, UPDATE or LEAVE: the membership packets, which
+// carry nothing but the reported next-expected sequence number.
+func (r *Receiver) sendState(now sim.Time, ty packet.Type, d dest) {
+	r.send(now, &packet.Packet{Header: packet.Header{Type: ty, Seq: uint32(r.reportedNext())}}, d, 0)
 }
 
 // joinRetryInterval paces JOIN retransmissions while no JOIN_RESPONSE
 // has arrived.
 const joinRetryInterval = 50 * kernel.Jiffy
 
-func (r *Receiver) onJoinResponse(now sim.Time, from packet.NodeID) {
-	if r.headDown && from != 0 && from == r.cfg.RepairHead {
-		// A stale ack from the failed head must not complete the JOIN
-		// handshake we re-homed to the sender. (With re-adoption on,
-		// onHeadTraffic already re-attached before we got here.)
-		return
-	}
+func (r *Receiver) onJoinResponse(now sim.Time) {
 	if r.joinAcked || !r.joined {
 		return
 	}
@@ -1513,105 +612,30 @@ func (r *Receiver) onJoinResponse(now sim.Time, from packet.NodeID) {
 	// exchange yields an RTT sample. The jiffy clock cannot resolve
 	// sub-tick round trips, so the estimate floors at two jiffies.
 	if d := now - r.joinTime; d > 0 && !r.joinAmbiguous {
-		if d < 2*kernel.Jiffy {
-			d = 2 * kernel.Jiffy
-		}
-		r.rttEstimate = d
+		r.rttEstimate = max(d, 2*kernel.Jiffy)
 	}
 }
 
 func (r *Receiver) sendUpdate(now sim.Time) {
 	r.st.UpdatesSent++
 	trace.Emit(r.cfg.Trace, now, trace.UpdateSent, uint32(r.wnd.Next()), 0)
-	r.emit(&packet.Packet{Header: packet.Header{
-		Type: packet.TypeUpdate,
-		Seq:  uint32(r.reportedNext()),
-	}})
-	_ = now
-}
-
-// sendAggUpdate emits one aggregated UPDATE to the sender (head mode):
-// the minimum next-expected sequence number over the head and its
-// subtree, and the downstream member count.
-func (r *Receiver) sendAggUpdate(now sim.Time) {
-	min, members := r.head.Aggregate(r.wnd.Next())
-	r.st.AggUpdatesSent++
-	trace.Emit(r.cfg.Trace, now, trace.AggUpdateSent, uint32(min), int64(members))
-	r.emit(&packet.Packet{Header: packet.Header{
-		Type:   packet.TypeAggUpdate,
-		Seq:    uint32(min),
-		Length: uint32(members),
-	}})
-}
-
-// maybeLeave sends the head's deferred LEAVE: a head that has delivered
-// the whole stream holds its LEAVE until every downstream member is
-// past the stream end (or evicted by the member timeout) — leaving
-// earlier would drop the subtree minimum from the sender's release
-// check while members still need repairs.
-func (r *Receiver) maybeLeave(now sim.Time) {
-	if r.head == nil || !r.finDelivered || r.leaveSent {
-		return
-	}
-	if !r.head.Drained(r.wnd.Next()) {
-		if r.drainStart == 0 {
-			r.drainStart = now
-			return
-		}
-		if now-r.drainStart < r.head.LeaveDrainTimeout() {
-			return
-		}
-		// Drain bound hit: one dead or wedged member must not hold the
-		// head's departure (and the sender's state for it) indefinitely.
-		r.st.HeadDrainTimeouts++
-		trace.Emit(r.cfg.Trace, now, trace.HeadDrainTimeout,
-			uint32(r.wnd.Next()), int64(r.head.Members()))
-	}
-	r.leaveSent = true
-	r.emit(&packet.Packet{Header: packet.Header{
-		Type: packet.TypeLeave,
-		Seq:  uint32(r.reportedNext()),
-	}})
+	r.sendState(now, packet.TypeUpdate, upstream)
 }
 
 // Advance fires any due timers: the NAK Manager and the Update
 // Generator. Drivers call it at their tick granularity or at NextWake.
 func (r *Receiver) Advance(now sim.Time) {
-	if r.leafHead() != 0 && r.headWaitSince != 0 && r.cfg.HeadSilenceTimeout > 0 {
-		if (!r.joined || r.joinAcked) && len(r.pending) == 0 &&
-			!(r.leaveSent && !r.leaveAcked) {
-			// Nothing outstanding anymore: the request was answered
-			// indirectly (e.g. the sender's multicast retransmission
-			// filled the gap), so the silence clock resets.
-			r.headWaitSince = 0
-		} else if now-r.headWaitSince >= r.cfg.HeadSilenceTimeout {
-			r.failover(now)
-		}
-	}
+	r.watchHead(now)
 	if r.nakTimer.Fire(now) {
-		r.sendDueNaks(now)
-		r.armNakTimer(now)
+		r.nakScan(now, onTimer)
 	}
 	if r.updateTimer.Fire(now) {
 		r.onUpdateTimer(now)
 	}
-	if r.joinTimer.Fire(now) {
-		if !r.joinAcked && !r.finDelivered {
-			r.joinAmbiguous = true
-			r.sendJoin(now)
-		}
+	if r.joinTimer.Fire(now) && !r.joinAcked && !r.finDelivered {
+		r.rejoin(now)
 	}
-	if r.repairTimer.Fire(now) {
-		r.fireRepairs(now)
-	}
-	if r.head != nil && r.head.Tick(now) {
-		// The aggregate period elapsed: one AGG_UPDATE speaks for the
-		// whole subtree (and the eviction sweep ran inside Tick).
-		if !r.leaveSent {
-			r.sendAggUpdate(now)
-		}
-		r.maybeLeave(now)
-	}
+	r.advanceRoles(now)
 }
 
 // onUpdateTimer is the Update Generator of Figure 9: send a periodic
@@ -1627,15 +651,9 @@ func (r *Receiver) onUpdateTimer(now sim.Time) {
 		}
 	}
 	if r.probesInPer > 0 {
-		r.updatePeriod -= kernel.Jiffy
-		if r.updatePeriod < r.cfg.MinUpdatePeriod {
-			r.updatePeriod = r.cfg.MinUpdatePeriod
-		}
+		r.updatePeriod = max(r.updatePeriod-kernel.Jiffy, r.cfg.MinUpdatePeriod)
 	} else {
-		r.updatePeriod += kernel.Jiffy
-		if r.updatePeriod > r.cfg.MaxUpdatePeriod {
-			r.updatePeriod = r.cfg.MaxUpdatePeriod
-		}
+		r.updatePeriod = min(r.updatePeriod+kernel.Jiffy, r.cfg.MaxUpdatePeriod)
 	}
 	r.probesInPer = 0
 	r.feedbackInPer = false
@@ -1645,12 +663,7 @@ func (r *Receiver) onUpdateTimer(now sim.Time) {
 }
 
 // NextWake returns the earliest time Advance needs to run.
-func (r *Receiver) NextWake() (sim.Time, bool) {
-	if r.head != nil {
-		return kernel.Earliest(&r.nakTimer, &r.updateTimer, &r.joinTimer, &r.repairTimer, r.head.Timer())
-	}
-	return kernel.Earliest(&r.nakTimer, &r.updateTimer, &r.joinTimer, &r.repairTimer)
-}
+func (r *Receiver) NextWake() (sim.Time, bool) { return kernel.Earliest(r.timers...) }
 
 // Read delivers in-order stream bytes to the application. At end of
 // stream it returns io.EOF (after the final bytes) and queues the LEAVE
@@ -1665,16 +678,7 @@ func (r *Receiver) Read(now sim.Time, buf []byte) (int, error) {
 		r.finDelivered = true
 		trace.Emit(r.cfg.Trace, now, trace.StreamComplete, uint32(r.wnd.Next()), r.st.BytesDelivered)
 		r.updateTimer.Disarm()
-		// The stream is complete: no gap can need parity repair any
-		// more, so the recovery cache's pool references go back.
-		r.releaseFecCache()
-		if r.head != nil {
-			// A head reports the subtree state and defers its LEAVE
-			// until every member is past the stream end — it must keep
-			// answering HEAD_NAKs until then.
-			r.sendAggUpdate(now)
-			r.maybeLeave(now)
-		} else if !r.leaveSent {
+		if !r.endOfStream(now) && !r.leaveSent {
 			r.leaveSent = true
 			// A final UPDATE tells the sender everything was received,
 			// then LEAVE closes the membership. The RMC baseline has no
@@ -1682,11 +686,7 @@ func (r *Receiver) Read(now sim.Time, buf []byte) (int, error) {
 			if r.cfg.Mode == HRMC {
 				r.sendUpdate(now)
 			}
-			r.emit(&packet.Packet{Header: packet.Header{
-				Type: packet.TypeLeave,
-				Seq:  uint32(r.wnd.Next()),
-			}})
-			r.noteHeadWait(now)
+			r.sendState(now, packet.TypeLeave, upstream)
 		}
 		if n == 0 {
 			return 0, io.EOF
@@ -1703,24 +703,10 @@ func (r *Receiver) Buffered() int { return r.wnd.Buffered() }
 // machine must not be used afterwards.
 func (r *Receiver) ReleaseBuffers() {
 	r.wnd.ReleaseAll()
-	r.releaseFecCache()
-	if r.head != nil {
-		r.head.ReleaseAll()
-	}
+	r.releaseRoles()
 }
-
-// Head exposes the repair-head machine (nil unless configured) for
-// inspection in tests and the control plane.
-func (r *Receiver) Head() *repair.Head { return r.head }
-
-// HeadDown reports whether a leaf has declared its repair head dead and
-// failed over to flat mode.
-func (r *Receiver) HeadDown() bool { return r.headDown }
 
 // RebasedAt returns the JoinInProgress anchor point and whether the
 // receiver anchored mid-stream. Drivers use it to translate delivered
 // bytes back to stream offsets.
 func (r *Receiver) RebasedAt() (seqspace.Seq, bool) { return r.rebasedTo, r.rebased }
-
-// Window exposes the receive window for inspection in tests and stats.
-func (r *Receiver) Window() *window.ReceiveWindow { return r.wnd }

@@ -76,8 +76,8 @@ func TestJoinResponseMeasuresRTT(t *testing.T) {
 	r.HandlePacket(100*sim.Millisecond, data(0, "a"))
 	r.Outgoing()
 	r.HandlePacket(130*sim.Millisecond, &packet.Packet{Header: packet.Header{Type: packet.TypeJoinResponse}})
-	if r.RTT() != 30*sim.Millisecond {
-		t.Errorf("RTT after JOIN exchange = %v, want 30ms", r.RTT())
+	if r.rttEstimate != 30*sim.Millisecond {
+		t.Errorf("RTT after JOIN exchange = %v, want 30ms", r.rttEstimate)
 	}
 }
 
@@ -287,10 +287,10 @@ func TestDynamicUpdatePeriod(t *testing.T) {
 	// interleave with the update timer below.
 	r.HandlePacket(0, &packet.Packet{Header: packet.Header{Type: packet.TypeJoinResponse}})
 	r.Outgoing()
-	p0 := r.UpdatePeriod()
+	p0 := r.updatePeriod
 	// No probes in the period: period grows by one jiffy.
 	r.Advance(p0)
-	if got := r.UpdatePeriod(); got != p0+kernel.Jiffy {
+	if got := r.updatePeriod; got != p0+kernel.Jiffy {
 		t.Errorf("period after quiet interval = %v, want %v", got, p0+kernel.Jiffy)
 	}
 	// A probe arrives: period shrinks by one jiffy at the next firing.
@@ -299,7 +299,7 @@ func TestDynamicUpdatePeriod(t *testing.T) {
 	}})
 	wake, _ := r.NextWake()
 	r.Advance(wake)
-	if got := r.UpdatePeriod(); got != p0 {
+	if got := r.updatePeriod; got != p0 {
 		t.Errorf("period after probe = %v, want %v", got, p0)
 	}
 	r.Outgoing()
@@ -324,7 +324,7 @@ func TestUpdatePeriodBounds(t *testing.T) {
 		r.Advance(now)
 		r.Outgoing()
 	}
-	if got := r.UpdatePeriod(); got != 4*kernel.Jiffy {
+	if got := r.updatePeriod; got != 4*kernel.Jiffy {
 		t.Errorf("period = %v, want the 4-jiffy max", got)
 	}
 	// Probes every period push it back to the min and no further.
@@ -335,7 +335,7 @@ func TestUpdatePeriodBounds(t *testing.T) {
 		r.Advance(now)
 		r.Outgoing()
 	}
-	if got := r.UpdatePeriod(); got != 2*kernel.Jiffy {
+	if got := r.updatePeriod; got != 2*kernel.Jiffy {
 		t.Errorf("period = %v, want the 2-jiffy min", got)
 	}
 }
@@ -496,11 +496,11 @@ func TestSenderBoundTypesRejected(t *testing.T) {
 func TestWindowSizeFromRcvBuf(t *testing.T) {
 	r := New(Config{RcvBuf: 64 << 10, MSS: 1400})
 	want := uint32((64 << 10) / (1400 + packet.HeaderSize))
-	if r.WindowSize() != want {
-		t.Errorf("window size = %d, want %d", r.WindowSize(), want)
+	if r.wnd.Size() != want {
+		t.Errorf("window size = %d, want %d", r.wnd.Size(), want)
 	}
 	tiny := New(Config{RcvBuf: 10, MSS: 1400})
-	if tiny.WindowSize() != 1 {
+	if tiny.wnd.Size() != 1 {
 		t.Error("tiny buffer must still hold one packet")
 	}
 }

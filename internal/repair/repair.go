@@ -116,7 +116,6 @@ func (c *Config) sanitize() {
 
 // Member is one downstream receiver the head answers for.
 type Member struct {
-	Addr packet.NodeID
 	// NextExpected is the member's reported next-expected sequence
 	// number (its rcv_nxt). Every repair-plane packet carries one, so
 	// unlike the sender's membership table there is no unknown state.
@@ -148,13 +147,13 @@ type Head struct {
 
 	// answered records, per sequence number, when the head last served
 	// or escalated a repair — the NAK-suppression state.
-	answered map[seqspace.Seq]sim.Time
+	answered stamps
 
 	// declined records sequence numbers the sender refused (NAK_ERR): the
 	// data is released end-to-end and re-escalating cannot help, so the
 	// head answers further HEAD_NAKs for them with HEAD_DECLINE. Entries
 	// expire after DefaultDeclineTTL.
-	declined map[seqspace.Seq]sim.Time
+	declined stamps
 
 	// timer paces AGG_UPDATEs and member eviction.
 	timer kernel.Timer
@@ -171,8 +170,8 @@ func NewHead(now sim.Time, cfg Config, pooled bool, st *stats.Receiver) *Head {
 		pooled:   pooled,
 		members:  make(map[packet.NodeID]*Member),
 		win:      make(map[seqspace.Seq]*packet.Packet),
-		answered: make(map[seqspace.Seq]sim.Time),
-		declined: make(map[seqspace.Seq]sim.Time),
+		answered: stamps{make(map[seqspace.Seq]sim.Time), cfg.SuppressionInterval, 4 * cfg.WindowPackets},
+		declined: stamps{make(map[seqspace.Seq]sim.Time), DefaultDeclineTTL, 4 * cfg.WindowPackets},
 	}
 	st.RepairHead = 1
 	h.timer.ArmIn(now, cfg.AggregatePeriod)
@@ -182,31 +181,18 @@ func NewHead(now sim.Time, cfg Config, pooled bool, st *stats.Receiver) *Head {
 // Members returns the current downstream member count.
 func (h *Head) Members() int { return len(h.members) }
 
-// Join registers a downstream member reporting nextExpected, returning
-// whether it was new. Re-joins just refresh the existing entry.
-func (h *Head) Join(now sim.Time, from packet.NodeID, nextExpected seqspace.Seq) bool {
-	if m, ok := h.members[from]; ok {
-		m.NextExpected = nextExpected
-		m.LastHeard = now
-		return false
-	}
-	h.members[from] = &Member{Addr: from, NextExpected: nextExpected, LastHeard: now}
-	h.st.RepairMembers = int64(len(h.members))
-	return true
-}
-
-// Update records a member's reported next-expected sequence number.
-// Unknown members are added implicitly — a leaf whose JOIN raced the
-// head's startup must not be lost.
+// Update records a member's reported next-expected sequence number,
+// from its JOIN or any later feedback. Unknown members are added — a
+// leaf whose JOIN raced the head's startup must not be lost. Unlike the
+// sender's monotonic Update, regressions are accepted: they only make
+// the aggregate more conservative, which is the safe direction.
 func (h *Head) Update(now sim.Time, from packet.NodeID, nextExpected seqspace.Seq) {
 	m, ok := h.members[from]
 	if !ok {
-		h.Join(now, from, nextExpected)
-		return
+		m = &Member{}
+		h.members[from] = m
+		h.st.RepairMembers = int64(len(h.members))
 	}
-	// Unlike the sender's monotonic Update, regressions are accepted:
-	// they only make the aggregate more conservative, which is the safe
-	// direction.
 	m.NextExpected = nextExpected
 	m.LastHeard = now
 }
@@ -237,22 +223,25 @@ func (h *Head) Retain(p *packet.Packet) {
 	}
 	h.win[seq] = p
 	for len(h.win) > h.cfg.WindowPackets {
-		h.evictLowest()
-	}
-}
-
-func (h *Head) evictLowest() {
-	for {
-		if p, ok := h.win[h.low]; ok {
-			delete(h.win, h.low)
-			if h.pooled {
-				packet.Put(p)
-			}
+		// Evict the lowest retained number; low may lag behind holes.
+		for !h.drop(h.low) {
 			h.low++
-			return
 		}
 		h.low++
 	}
+}
+
+// drop removes seq from the retained window, returning the head's pool
+// reference, and reports whether it was there.
+func (h *Head) drop(seq seqspace.Seq) bool {
+	p, ok := h.win[seq]
+	if ok {
+		delete(h.win, seq)
+		if h.pooled {
+			packet.Put(p)
+		}
+	}
+	return ok
 }
 
 // Retained returns the stored packet for seq, if the head still holds
@@ -263,62 +252,59 @@ func (h *Head) Retained(seq seqspace.Seq) (*packet.Packet, bool) {
 	return p, ok
 }
 
-// Handled implements NAK suppression: it reports whether seq was
-// already answered or escalated within the suppression interval, and
-// otherwise records now as the time it is being handled. One call per
-// requested sequence number, before serving the repair.
-func (h *Head) Handled(now sim.Time, seq seqspace.Seq) bool {
-	if t, ok := h.answered[seq]; ok && now-t < h.cfg.SuppressionInterval {
-		return true
-	}
-	h.answered[seq] = now
-	if len(h.answered) > 4*h.cfg.WindowPackets {
-		h.pruneAnswered(now)
-	}
-	return false
+// stamps remembers, per sequence number, when something last happened
+// to it, for ttl. Expired entries are swept once the map outgrows limit.
+type stamps struct {
+	at    map[seqspace.Seq]sim.Time
+	ttl   sim.Time
+	limit int
 }
 
-func (h *Head) pruneAnswered(now sim.Time) {
-	for seq, t := range h.answered {
-		if now-t >= h.cfg.SuppressionInterval {
-			delete(h.answered, seq)
-		}
-	}
+func (s *stamps) fresh(now sim.Time, seq seqspace.Seq) bool {
+	t, ok := s.at[seq]
+	return ok && now-t < s.ttl
 }
 
-// Decline records that the sender refused seq with a NAK_ERR: the range
-// is released and un-servable, so the head answers further HEAD_NAKs
-// for it with an explicit HEAD_DECLINE instead of re-escalating.
-func (h *Head) Decline(now sim.Time, seq seqspace.Seq) {
-	h.declined[seq] = now
-	if len(h.declined) > 4*h.cfg.WindowPackets {
-		for s, t := range h.declined {
-			if now-t >= DefaultDeclineTTL {
-				delete(h.declined, s)
+func (s *stamps) mark(now sim.Time, seq seqspace.Seq) {
+	s.at[seq] = now
+	if len(s.at) > s.limit {
+		for q, t := range s.at {
+			if now-t >= s.ttl {
+				delete(s.at, q)
 			}
 		}
 	}
 }
 
-// Declined reports whether seq carries an unexpired decline.
-func (h *Head) Declined(now sim.Time, seq seqspace.Seq) bool {
-	t, ok := h.declined[seq]
-	if !ok {
-		return false
+// Handled implements NAK suppression: it reports whether seq was
+// already answered or escalated within the suppression interval, and
+// otherwise records now as the time it is being handled. One call per
+// requested sequence number, before serving the repair.
+func (h *Head) Handled(now sim.Time, seq seqspace.Seq) bool {
+	if h.answered.fresh(now, seq) {
+		return true
 	}
-	if now-t >= DefaultDeclineTTL {
-		delete(h.declined, seq)
-		return false
-	}
-	return true
+	h.answered.mark(now, seq)
+	return false
 }
+
+// Decline records that the sender refused seq with a NAK_ERR: the range
+// is released and un-servable, so the head answers further HEAD_NAKs
+// for it with an explicit HEAD_DECLINE instead of re-escalating.
+func (h *Head) Decline(now sim.Time, seq seqspace.Seq) { h.declined.mark(now, seq) }
+
+// Declined reports whether seq carries an unexpired decline.
+func (h *Head) Declined(now sim.Time, seq seqspace.Seq) bool { return h.declined.fresh(now, seq) }
 
 // LeaveDrainTimeout returns the configured deferred-LEAVE drain bound.
 func (h *Head) LeaveDrainTimeout() sim.Time { return h.cfg.LeaveDrainTimeout }
 
 // Aggregate returns the minimum next-expected sequence number across
 // the head's own frontier and all downstream members, plus the member
-// count — the AGG_UPDATE contents.
+// count — the AGG_UPDATE contents. The minimum is also what every other
+// head-to-sender feedback packet must report instead of the head's own
+// rcv_nxt, so the sender never releases data a downstream member still
+// needs.
 func (h *Head) Aggregate(own seqspace.Seq) (min seqspace.Seq, members int) {
 	min = own
 	for _, m := range h.members {
@@ -329,27 +315,6 @@ func (h *Head) Aggregate(own seqspace.Seq) (min seqspace.Seq, members int) {
 	return min, len(h.members)
 }
 
-// ClampNext returns the subtree minimum given the head's own frontier —
-// the value every head-to-sender feedback packet must report instead of
-// the head's own rcv_nxt, so the sender never releases data a
-// downstream member still needs.
-func (h *Head) ClampNext(own seqspace.Seq) seqspace.Seq {
-	min, _ := h.Aggregate(own)
-	return min
-}
-
-// Drained reports whether every downstream member is at or past end —
-// the condition for the head to forward its own LEAVE after delivering
-// the stream end.
-func (h *Head) Drained(end seqspace.Seq) bool {
-	for _, m := range h.members {
-		if seqspace.Before(m.NextExpected, end) {
-			return false
-		}
-	}
-	return true
-}
-
 // Tick drives the head's timer. It returns true when the aggregate
 // period elapsed — the embedding receiver then emits an AGG_UPDATE.
 // Expired members are evicted on the same cadence.
@@ -357,12 +322,6 @@ func (h *Head) Tick(now sim.Time) bool {
 	if !h.timer.Fire(now) {
 		return false
 	}
-	h.evictExpired(now)
-	h.timer.ArmIn(now, h.cfg.AggregatePeriod)
-	return true
-}
-
-func (h *Head) evictExpired(now sim.Time) {
 	for addr, m := range h.members {
 		if now-m.LastHeard >= h.cfg.MemberTimeout {
 			delete(h.members, addr)
@@ -370,10 +329,9 @@ func (h *Head) evictExpired(now sim.Time) {
 		}
 	}
 	h.st.RepairMembers = int64(len(h.members))
+	h.timer.ArmIn(now, h.cfg.AggregatePeriod)
+	return true
 }
-
-// NextWake returns when Tick next needs to run.
-func (h *Head) NextWake() (sim.Time, bool) { return h.timer.Deadline() }
 
 // Timer exposes the head's timer so the embedding receiver can fold it
 // into its own NextWake calculation.
@@ -382,10 +340,7 @@ func (h *Head) Timer() *kernel.Timer { return &h.timer }
 // ReleaseAll drops the retained window, returning pool-owned packets.
 // For teardown; the head must not be used afterwards.
 func (h *Head) ReleaseAll() {
-	for seq, p := range h.win {
-		if h.pooled {
-			packet.Put(p)
-		}
-		delete(h.win, seq)
+	for seq := range h.win {
+		h.drop(seq)
 	}
 }

@@ -19,12 +19,8 @@ func TestMembershipJoinUpdateLeave(t *testing.T) {
 	if st.RepairHead != 1 {
 		t.Fatalf("RepairHead gauge = %d, want 1", st.RepairHead)
 	}
-	if !h.Join(10, 7, 100) {
-		t.Fatal("first Join was not reported as new")
-	}
-	if h.Join(20, 7, 105) {
-		t.Fatal("re-Join was reported as new")
-	}
+	h.Update(10, 7, 100)
+	h.Update(20, 7, 105) // a re-JOIN refreshes the entry
 	if h.Members() != 1 || st.RepairMembers != 1 {
 		t.Fatalf("members = %d (gauge %d), want 1", h.Members(), st.RepairMembers)
 	}
@@ -48,25 +44,26 @@ func TestMembershipJoinUpdateLeave(t *testing.T) {
 	}
 }
 
-func TestAggregateClampAndDrained(t *testing.T) {
+func TestAggregateClamp(t *testing.T) {
 	h, _ := newHead(false, Config{})
 	if min, n := h.Aggregate(42); min != 42 || n != 0 {
 		t.Fatalf("empty aggregate = (%d, %d), want (42, 0)", min, n)
 	}
-	h.Join(0, 1, 10)
-	h.Join(0, 2, 30)
+	h.Update(0, 1, 10)
+	h.Update(0, 2, 30)
 	if min, n := h.Aggregate(20); min != 10 || n != 2 {
 		t.Fatalf("aggregate = (%d, %d), want (10, 2)", min, n)
 	}
-	if got := h.ClampNext(5); got != 5 {
-		t.Fatalf("ClampNext(5) = %d, want the head's own lower frontier", got)
+	if got, _ := h.Aggregate(5); got != 5 {
+		t.Fatalf("Aggregate(5) = %d, want the head's own lower frontier", got)
 	}
-	if h.Drained(30) {
-		t.Fatal("Drained(30) with a member at 10")
+	// The subtree is drained to 30 once the aggregate reaches it.
+	if min, _ := h.Aggregate(30); min == 30 {
+		t.Fatal("aggregate at 30 with a member at 10")
 	}
 	h.Update(0, 1, 30)
-	if !h.Drained(30) {
-		t.Fatal("not Drained(30) with every member at 30")
+	if min, _ := h.Aggregate(30); min != 30 {
+		t.Fatal("aggregate short of 30 with every member at 30")
 	}
 }
 
@@ -139,8 +136,8 @@ func TestHandledSuppression(t *testing.T) {
 func TestTickEvictsSilentMembers(t *testing.T) {
 	cfg := Config{AggregatePeriod: 100, MemberTimeout: 1000}
 	h, st := newHead(false, cfg)
-	h.Join(0, 1, 10)
-	h.Join(0, 2, 10)
+	h.Update(0, 1, 10)
+	h.Update(0, 2, 10)
 	if h.Tick(50) {
 		t.Fatal("Tick fired before the aggregate period")
 	}

@@ -157,3 +157,45 @@ func TestProbeBeforeReleaseMemberDeparts(t *testing.T) {
 		t.Fatalf("Write after release = %d, want 1000", n)
 	}
 }
+
+// TestLostJoinStillReleases is the regression test for the stranded
+// sender: with ExpectedReceivers set, a receiver whose only JOIN was lost
+// and whose stream ended before the JOIN retry stops retrying, so the
+// sender hears its final UPDATE and its LEAVE from an address it never
+// admitted. That feedback is an implicit join: it must count toward the
+// expected population, or the release check waits for a receiver that
+// has already come and gone and Close never completes.
+func TestLostJoinStillReleases(t *testing.T) {
+	s := newS(t, func(c *Config) {
+		c.ExpectedReceivers = 1
+		c.MinBufRTTs = 1
+		c.InitialRTT = sim.Millisecond
+	})
+	s.Write(0, make([]byte, 12*1000))
+	s.Close(0) // 12 DATA and the FIN: 13 packets, seq 0..12
+	now := sim.Time(0)
+	for sent := 0; sent < 13; {
+		now += kernel.Jiffy
+		s.Tick(now)
+		sent += len(dataOuts(s.Outgoing()))
+	}
+	// The JOIN never arrived. The receiver delivered everything, said so,
+	// and left.
+	const stranger = packet.NodeID(7)
+	s.HandlePacket(now, stranger, fb(packet.TypeUpdate, 13))
+	s.HandlePacket(now, stranger, fb(packet.TypeLeave, 13))
+	if s.Stats().JoinsReceived != 0 {
+		t.Fatal("test bug: a JOIN reached the sender")
+	}
+	if s.MaxJoined() != 1 {
+		t.Errorf("MaxJoined = %d: the stranger's feedback did not count as a join", s.MaxJoined())
+	}
+	for end := now + 5*sim.Second; now < end && !s.Done(); {
+		now += kernel.Jiffy
+		s.Tick(now)
+		s.Outgoing()
+	}
+	if !s.Done() {
+		t.Fatalf("sender stranded: %d release stalls, window %d bytes", s.Stats().ReleaseStalls, s.WindowBytes())
+	}
+}

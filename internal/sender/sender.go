@@ -453,32 +453,53 @@ func (s *Sender) HandlePacket(now sim.Time, from packet.NodeID, p *packet.Packet
 	case packet.TypeJoin:
 		s.onJoin(now, from, p)
 	case packet.TypeLeave:
+		s.implicitJoin(now, from, p)
 		s.onLeave(now, from, p)
 	case packet.TypeNak:
 		s.onNak(now, from, p)
 	case packet.TypeControl:
 		s.onControl(now, from, p)
 	case packet.TypeUpdate:
+		s.implicitJoin(now, from, p)
 		s.onUpdate(now, from, p)
 	case packet.TypeAggUpdate:
 		s.onAggUpdate(now, from, p)
 	}
 }
 
+// admit returns from's membership entry, creating it — and counting it
+// toward the population ExpectedReceivers waits for — if the address is
+// not a member yet.
+func (s *Sender) admit(now sim.Time, from packet.NodeID, p *packet.Packet) (m *membership.Member, added bool) {
+	m, added = s.members.Add(from, now)
+	if added {
+		trace.Emit(s.cfg.Trace, now, trace.MemberJoined, p.Seq, int64(s.members.Len()))
+		s.maxJoined = max(s.maxJoined, s.members.Len())
+	}
+	return m, added
+}
+
+// implicitJoin admits the source of an UPDATE or LEAVE that is neither a
+// member nor tombstoned: its JOIN was lost. A receiver stops retrying the
+// JOIN once its stream has ended, so without this a short stream can end
+// with the sender still waiting for a receiver that has already finished
+// and said so. NAK and CONTROL do not qualify: a leaf attached to a
+// repair head sends those to the sender too (declined ranges, rate
+// requests), and it is the head's member, not the sender's.
+func (s *Sender) implicitJoin(now sim.Time, from packet.NodeID, p *packet.Packet) {
+	if _, gone := s.departed[from]; !gone {
+		s.admit(now, from, p)
+	}
+}
+
 func (s *Sender) onJoin(now sim.Time, from packet.NodeID, p *packet.Packet) {
 	s.st.JoinsReceived++
-	m, added := s.members.Add(from, now)
+	m, added := s.admit(now, from, p)
 	// An explicit JOIN — even from a known address — marks a (re)start:
 	// the machine behind the address is new, and packets transmitted
 	// before this moment are pre-history for RTT sampling purposes.
 	m.JoinedAt = now
 	s.members.Update(from, seqspace.Seq(p.Seq), now)
-	if added {
-		trace.Emit(s.cfg.Trace, now, trace.MemberJoined, p.Seq, int64(s.members.Len()))
-	}
-	if added && s.members.Len() > s.maxJoined {
-		s.maxJoined = s.members.Len()
-	}
 	// A direct JOIN from a former leaf of an evicted head re-homes one
 	// orphan. The gauge is an approximation — the sender cannot tell a
 	// re-homing orphan from a genuinely new receiver — but it decays to
@@ -526,10 +547,7 @@ func (s *Sender) onNak(now sim.Time, from packet.NodeID, p *packet.Packet) {
 	// rate-advertisement field (see the receiver package).
 	s.sampleProbeRTT(now, from)
 	s.members.Update(from, seqspace.Seq(p.RateAdv), now)
-	gap := window.Gap{From: seqspace.Seq(p.Seq), To: seqspace.Seq(p.Seq) + seqspace.Seq(p.Length)}
-	if p.Length == 0 {
-		gap.To = gap.From + 1
-	}
+	gap := window.GapOf(p)
 	// Per the paper, the worst-receiver RTT estimate "continues
 	// updating ... based on incoming NAKs and rate-reduce requests":
 	// the NAKed packet's first (sole) transmission to NAK arrival is a
@@ -644,13 +662,7 @@ func (s *Sender) onUpdate(now sim.Time, from packet.NodeID, p *packet.Packet) {
 func (s *Sender) onAggUpdate(now sim.Time, from packet.NodeID, p *packet.Packet) {
 	s.st.AggUpdatesReceived++
 	s.sampleProbeRTT(now, from)
-	m, added := s.members.Add(from, now)
-	if added {
-		trace.Emit(s.cfg.Trace, now, trace.MemberJoined, p.Seq, int64(s.members.Len()))
-		if s.members.Len() > s.maxJoined {
-			s.maxJoined = s.members.Len()
-		}
-	}
+	m, _ := s.admit(now, from, p)
 	wasHead := m.Head
 	s.members.UpdateAggregate(from, seqspace.Seq(p.Seq), int(p.Length), now)
 	// A head announcing itself (first AGG_UPDATE after a restart, or a

@@ -45,9 +45,9 @@ import (
 	"repro/internal/transport"
 )
 
-// DefaultTickInterval is the shared transmit/timer tick, one kernel
-// jiffy.
-const DefaultTickInterval = 10 * time.Millisecond
+// tickInterval is the shared wall-clock transmit/timer tick driving
+// every flow: one kernel jiffy, the quantum the machines are written to.
+const tickInterval = 10 * time.Millisecond
 
 // Errors returned by session operations.
 var (
@@ -62,9 +62,6 @@ var (
 
 // Config parametrizes a Session.
 type Config struct {
-	// TickInterval is the shared wall-clock tick driving every flow;
-	// zero selects DefaultTickInterval.
-	TickInterval time.Duration
 	// Budget, when positive, caps the aggregate send rate across all
 	// sender flows in bytes/second. Every tick the demand-aware
 	// fair-share governor water-fills it among the flows still sending,
@@ -146,9 +143,6 @@ type outItem struct {
 
 // New creates a session and starts its shared tick loop.
 func New(cfg Config) *Session {
-	if cfg.TickInterval <= 0 {
-		cfg.TickInterval = DefaultTickInterval
-	}
 	np := cfg.SendPollers
 	if np <= 0 {
 		np = 1
@@ -181,7 +175,7 @@ func (s *Session) now() sim.Time { return sim.Time(time.Since(s.start)) }
 // runTicks is the single tick loop shared by every flow.
 func (s *Session) runTicks() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.TickInterval)
+	t := time.NewTicker(tickInterval)
 	defer t.Stop()
 	for {
 		select {

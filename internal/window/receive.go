@@ -242,6 +242,17 @@ type Gap struct {
 // Count returns the number of missing packets in the gap.
 func (g Gap) Count() uint32 { return seqspace.Count(g.From, g.To) }
 
+// GapOf decodes the range a NAK-family packet (NAK, HEAD_NAK, NAK_ERR,
+// HEAD_DECLINE) names: Length packets starting at Seq, where a zero
+// Length still names one packet.
+func GapOf(p *packet.Packet) Gap {
+	n := p.Length
+	if n == 0 {
+		n = 1
+	}
+	return Gap{From: seqspace.Seq(p.Seq), To: seqspace.Seq(p.Seq) + seqspace.Seq(n)}
+}
+
 // Buffered returns the number of in-order packets awaiting reads.
 func (w *ReceiveWindow) Buffered() int { return len(w.ready) - w.readyHead }
 
@@ -297,20 +308,10 @@ func (w *ReceiveWindow) PeekFIN() bool {
 // queue.
 func (w *ReceiveWindow) OOOCount() int { return len(w.ooo) }
 
-// PayloadAt returns the stored payload for seq, covering both the
-// in-order queue awaiting application reads and the out-of-order queue.
-// Consumed (below Base) and absent sequence numbers report false. Used
-// by the FEC and local-recovery extensions.
-func (w *ReceiveWindow) PayloadAt(seq seqspace.Seq) ([]byte, bool) {
-	if p, ok := w.PacketAt(seq); ok {
-		return p.Payload, true
-	}
-	return nil, false
-}
-
-// PacketAt returns the stored packet for seq (both queues), for callers
-// that need header fields — FEC parity covers the flags byte alongside
-// the payload.
+// PacketAt returns the stored packet for seq, covering both the in-order
+// queue awaiting application reads and the out-of-order queue. Consumed
+// (below Base) and absent sequence numbers report false. Used by the
+// repair-head, FEC and local-recovery extensions.
 func (w *ReceiveWindow) PacketAt(seq seqspace.Seq) (*packet.Packet, bool) {
 	if seqspace.Before(seq, w.base) {
 		return nil, false

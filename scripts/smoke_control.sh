@@ -28,7 +28,6 @@ go build -o "$TMP/hrmcd" ./cmd/hrmcd
 
 cat >"$TMP/config.json" <<EOF
 {
-  "tick_ms": 10,
   "stats_every_sec": 0,
   "loopback": true,
   "listen": "unix:$SOCK",
