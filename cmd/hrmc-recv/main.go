@@ -11,7 +11,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/session"
 	"repro/internal/udpmcast"
 )
@@ -61,11 +60,16 @@ func main() {
 	if *fecK > 0 {
 		spec.Fec = session.FecConfig{Enabled: true, K: *fecK}
 	}
-	rcv := core.NewReceiver(tr, spec.ReceiverConfig())
+	sess := session.New(session.Config{})
+	rcv, err := sess.OpenReceiverFlow(tr, spec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hrmc-recv: %v\n", err)
+		os.Exit(1)
+	}
 	fmt.Fprintf(os.Stderr, "hrmc-recv: joined %s, waiting for data\n", *group)
 	start := time.Now()
 	n, err := io.Copy(dst, rcv)
-	rcv.Close()
+	_ = sess.Close() // ships the final UPDATE+LEAVE and closes the transport
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hrmc-recv: %v\n", err)
 		os.Exit(1)

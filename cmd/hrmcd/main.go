@@ -73,17 +73,13 @@ type Config struct {
 	// group transport: that many socket pairs (and receive-poller pairs)
 	// host every admitted group, chosen per group by hash, so serving
 	// 1,000 groups costs O(shards) fds and goroutines instead of
-	// O(groups). Requires DataPort; 0 keeps the classic
-	// one-socket-per-flow dialer.
+	// O(groups), and the session runs one send poller per shard so TX
+	// parallelism matches. Requires DataPort; 0 keeps the classic
+	// one-socket-per-flow dialer and a single send poller.
 	Shards int `json:"shards,omitempty"`
 	// DataPort is the UDP data port shared by every group in sharded
 	// mode. Group addresses must be bare IPs or ip:DataPort.
 	DataPort int `json:"data_port,omitempty"`
-	// SendPollers is how many session send pollers drain staged
-	// outgoing traffic, with transports spread across them round-robin.
-	// 0 defaults to Shards in sharded mode (TX parallelism matching the
-	// shard count) and 1 otherwise.
-	SendPollers int `json:"send_pollers,omitempty"`
 	// Groups lists the flows admitted at startup. In classic
 	// (non-sharded) mode each distinct group needs its own UDP port:
 	// Linux delivers multicast for same-port sockets in one SO_REUSEPORT
@@ -141,17 +137,24 @@ func main() {
 	if *listen != "" {
 		cfg.Listen = *listen
 	}
-	if *retention > 0 {
-		cfg.RetentionSec = int(retention.Seconds())
-	}
 	if len(cfg.Groups) == 0 && cfg.Listen == "" {
 		fmt.Fprintln(os.Stderr, "hrmcd: nothing to do: no groups configured and no -listen address (try -example)")
 		os.Exit(2)
 	}
-	if err := run(cfg); err != nil {
+	if err := run(cfg, cfg.retention(*retention)); err != nil {
 		fmt.Fprintf(os.Stderr, "hrmcd: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// retention resolves how long terminal flows stay listed: the
+// -retention flag verbatim when given (sub-second values included),
+// else the config's whole seconds.
+func (c *Config) retention(flag time.Duration) time.Duration {
+	if flag > 0 {
+		return flag
+	}
+	return time.Duration(c.RetentionSec) * time.Second
 }
 
 func loadConfig(path string) (*Config, error) {
@@ -240,7 +243,7 @@ func newDialer(cfg *Config) (control.Dialer, func(), error) {
 	return d, closeAll, nil
 }
 
-func run(cfg *Config) error {
+func run(cfg *Config, retention time.Duration) error {
 	if gso, gro := udpmcast.ProbeOffload(); gso || gro {
 		fmt.Printf("hrmcd: UDP offload: gso=%v gro=%v\n", gso, gro)
 	}
@@ -249,22 +252,18 @@ func run(cfg *Config) error {
 		return err
 	}
 	defer closeShards()
-	pollers := cfg.SendPollers
-	if pollers <= 0 && cfg.Shards > 0 {
-		pollers = cfg.Shards
-	}
 	if cfg.Shards > 0 {
-		fmt.Printf("hrmcd: sharded transport: %d shard socket pairs on data port %d, %d send pollers\n",
-			cfg.Shards, cfg.DataPort, pollers)
+		fmt.Printf("hrmcd: sharded transport: %[1]d shard socket pairs on data port %[2]d, %[1]d send pollers\n",
+			cfg.Shards, cfg.DataPort)
 	}
 	sess := session.New(session.Config{
 		Budget:      cfg.BudgetMbps * 1e6 / 8,
-		SendPollers: pollers,
+		SendPollers: cfg.Shards,
 	})
 	mgr := control.NewManager(control.ManagerConfig{
 		Session:   sess,
 		Dialer:    dialer,
-		Retention: time.Duration(cfg.RetentionSec) * time.Second,
+		Retention: retention,
 		Logf: func(format string, args ...any) {
 			fmt.Printf("hrmcd: "+format+"\n", args...)
 		},

@@ -8,12 +8,14 @@ import (
 	"repro/internal/receiver"
 	"repro/internal/sender"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // buildFecTransfer wires an FEC-enabled sender and n FEC-enabled
 // receivers in group g. fecK == 0 degenerates to buildTransfer's HRMC
-// shape, which keeps apples-to-apples comparisons honest.
-func buildFecTransfer(seed uint64, lineRate float64, n int, g Group, size int64, buf int, fecK int) *Network {
+// shape, which keeps apples-to-apples comparisons honest. sink, when
+// non-nil, receives every receiver's trace events.
+func buildFecTransfer(seed uint64, lineRate float64, n int, g Group, size int64, buf int, fecK int, sink trace.Sink) *Network {
 	cfg := DefaultConfig(lineRate, seed)
 	net := New(cfg)
 	rcfg := rate.DefaultConfig()
@@ -31,6 +33,7 @@ func buildFecTransfer(seed uint64, lineRate float64, n int, g Group, size int64,
 			RcvBuf:       buf,
 			Mode:         receiver.HRMC,
 			FECGroupSize: fecK,
+			Trace:        sink,
 		})
 		net.AddReceiver(r, g, app.MemorySink{})
 	}
@@ -44,7 +47,7 @@ func buildFecTransfer(seed uint64, lineRate float64, n int, g Group, size int64,
 func TestFecRepairsMostLossesLocally(t *testing.T) {
 	const size = 2 << 20
 	g := Group{Name: "fec-wan", Delay: 20 * sim.Millisecond, Loss: 0.02}
-	net := buildFecTransfer(4, Rate10Mbps, 1, g, size, 256<<10, 8)
+	net := buildFecTransfer(4, Rate10Mbps, 1, g, size, 256<<10, 8, nil)
 	res := net.Run(600 * sim.Second)
 	if !res.Completed {
 		t.Fatal("FEC transfer did not complete under 2% loss")
@@ -90,7 +93,7 @@ func TestFecLossSweepCutsNaks(t *testing.T) {
 		g := Group{Name: "sweep", Delay: 20 * sim.Millisecond, Loss: loss}
 		base := buildTransfer(13, Rate10Mbps, 1, g, 256<<10, 128<<10, sender.HRMC)
 		bres := base.Run(600 * sim.Second)
-		fec := buildFecTransfer(13, Rate10Mbps, 1, g, 256<<10, 128<<10, 8)
+		fec := buildFecTransfer(13, Rate10Mbps, 1, g, 256<<10, 128<<10, 8, nil)
 		fres := fec.Run(600 * sim.Second)
 		if !bres.Completed || !fres.Completed {
 			t.Fatalf("loss=%.3f: baseline completed=%v fec completed=%v", loss, bres.Completed, fres.Completed)
@@ -109,6 +112,50 @@ func TestFecLossSweepCutsNaks(t *testing.T) {
 		}
 		if loss >= 0.02 && bn > 0 && fn >= bn {
 			t.Errorf("loss=%.3f: FEC did not cut NAKs (%d vs %d)", loss, fn, bn)
+		}
+	}
+}
+
+// gapLatency sums gap-filled trace events: each carries the time from
+// gap detection to repair (parity rebuild or retransmission arrival).
+type gapLatency struct {
+	total sim.Time
+	n     int64
+}
+
+func (s *gapLatency) Emit(e trace.Event) {
+	if e.Kind == trace.GapFilled {
+		s.total += sim.Time(e.Value)
+		s.n++
+	}
+}
+
+// The FEC-versus-NAK recovery crossover (FEBER's argument, PAPERS.md):
+// at 1% loss on a 20 ms WAN path a parity rebuild costs the rest of the
+// group's serialization while a NAK costs an RTT plus timer grain, so
+// mean gap-recovery latency must be at least 2x lower with K=8 parity;
+// at 5% double-loss groups fall back to NAKs and erode the win, so
+// parity must merely not be slower. Fixed seeds: the ratios are exact.
+func TestFecCrossoverRecoveryLatency(t *testing.T) {
+	meanMs := func(loss float64, fecK int) float64 {
+		var sink gapLatency
+		g := Group{Name: "crossover", Delay: 20 * sim.Millisecond, Loss: loss}
+		for seed := uint64(17); seed < 20; seed++ {
+			net := buildFecTransfer(seed, Rate10Mbps, 1, g, 1<<20, 256<<10, fecK, &sink)
+			if res := net.Run(600 * sim.Second); !res.Completed {
+				t.Fatalf("loss=%.2f fec=%d seed=%d: transfer did not complete", loss, fecK, seed)
+			}
+		}
+		if sink.n == 0 {
+			t.Fatalf("loss=%.2f fec=%d: no gaps filled; test is vacuous", loss, fecK)
+		}
+		return float64(sink.total) / float64(sink.n) / float64(sim.Millisecond)
+	}
+	for _, c := range []struct{ loss, want float64 }{{0.01, 2}, {0.05, 1}} {
+		nak, fec := meanMs(c.loss, 0), meanMs(c.loss, 8)
+		t.Logf("loss=%.2f: NAK %.1f ms, FEC %.1f ms, ratio %.2fx (want >= %.0fx)", c.loss, nak, fec, nak/fec, c.want)
+		if nak < c.want*fec {
+			t.Errorf("loss=%.2f: FEC recovery only %.2fx faster than NAK, want >= %.0fx", c.loss, nak/fec, c.want)
 		}
 	}
 }

@@ -137,29 +137,12 @@ func TestSessionGoroutinesScaleWithTransports(t *testing.T) {
 	defer sess.Abort()
 	sndEp, rcvEp := hub.Endpoint(), hub.Endpoint()
 
-	type pair struct {
-		sf *SenderFlow
-		rf *ReceiverFlow
-	}
-	open := func(g int) pair {
-		sp, rp := groupPorts(g)
-		rf, err := sess.OpenReceiver(rcvEp, receiver.Config{
-			LocalPort: rp, RemotePort: sp, RcvBuf: 32 << 10,
-		})
-		if err != nil {
-			t.Fatalf("OpenReceiver g%d: %v", g, err)
-		}
-		sf, err := sess.OpenSender(sndEp, sender.Config{
-			LocalPort: sp, RemotePort: rp, SndBuf: 32 << 10,
-			ExpectedReceivers: 1, Rate: fastRate(),
-		})
-		if err != nil {
-			t.Fatalf("OpenSender g%d: %v", g, err)
-		}
-		return pair{sf, rf}
+	open := func(g int) flowPair {
+		return openPair(t, sess, sndEp, rcvEp, g,
+			sender.Config{SndBuf: 32 << 10, Rate: fastRate()}, receiver.Config{RcvBuf: 32 << 10})
 	}
 
-	pairs := make([]pair, 0, flows)
+	pairs := make([]flowPair, 0, flows)
 	pairs = append(pairs, open(0))
 	time.Sleep(20 * time.Millisecond) // both recv loops running
 	base := runtime.NumGoroutine()
@@ -178,30 +161,9 @@ func TestSessionGoroutinesScaleWithTransports(t *testing.T) {
 
 	// The count must hold with every flow live, not just idle: run a
 	// small transfer on each and re-sample after they finish.
-	var wg sync.WaitGroup
-	for g, p := range pairs {
-		data := make([]byte, size)
-		app.FillPattern(data, int64(g)<<20)
-		wg.Add(1)
-		go func(g int, rf *ReceiverFlow) {
-			defer wg.Done()
-			got, err := io.ReadAll(rf)
-			if err != nil || !bytes.Equal(got, data) {
-				t.Errorf("group %d delivery: err=%v equal=%v", g, err, bytes.Equal(got, data))
-			}
-		}(g, p.rf)
-		wg.Add(1)
-		go func(g int, sf *SenderFlow) {
-			defer wg.Done()
-			if _, err := sf.Write(data); err != nil {
-				t.Errorf("group %d write: %v", g, err)
-			}
-			if err := sf.Close(); err != nil {
-				t.Errorf("group %d close: %v", g, err)
-			}
-		}(g, p.sf)
-	}
-	wg.Wait()
+	pattern := make([]byte, size+flows)
+	app.FillPattern(pattern, 0)
+	transferAll(t, pairs, pattern, size)
 	time.Sleep(20 * time.Millisecond)
 	if grown := runtime.NumGoroutine() - base; grown > 3 {
 		t.Errorf("after %d concurrent transfers goroutines grew by %d (base %d); want O(transports + const)",

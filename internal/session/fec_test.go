@@ -1,9 +1,6 @@
 package session
 
 import (
-	"bytes"
-	"io"
-	"sync"
 	"testing"
 
 	"repro/internal/app"
@@ -29,58 +26,24 @@ func TestSessionFecDatapathPoolBalance(t *testing.T) {
 	hub := transport.NewHub(transport.WithLoss(0.02, 11))
 	sess := New(Config{})
 
-	var wg sync.WaitGroup
-	var sfs []*SenderFlow
-	var rfs []*ReceiverFlow
-	for g := 0; g < groups; g++ {
-		sp, rp := groupPorts(g)
-		data := make([]byte, size)
-		app.FillPattern(data, int64(g)<<20)
-		rf, err := sess.OpenReceiver(hub.Endpoint(), receiver.Config{
-			LocalPort: rp, RemotePort: sp, RcvBuf: 64 << 10,
-		}, WithFec(FecConfig{Enabled: true, K: 8}))
-		if err != nil {
-			t.Fatalf("OpenReceiver g%d: %v", g, err)
-		}
-		sf, err := sess.OpenSender(hub.Endpoint(), sender.Config{
-			LocalPort: sp, RemotePort: rp, SndBuf: 64 << 10,
-			ExpectedReceivers: 1, Rate: fastRate(),
-		}, WithFec(FecConfig{Enabled: true, K: 8}))
-		if err != nil {
-			t.Fatalf("OpenSender g%d: %v", g, err)
-		}
-		sfs, rfs = append(sfs, sf), append(rfs, rf)
-		wg.Add(1)
-		go func(g int, rf *ReceiverFlow) {
-			defer wg.Done()
-			got, err := io.ReadAll(rf)
-			if err != nil || !bytes.Equal(got, data) {
-				t.Errorf("group %d delivery: err=%v equal=%v", g, err, bytes.Equal(got, data))
-			}
-		}(g, rf)
-		wg.Add(1)
-		go func(g int, sf *SenderFlow) {
-			defer wg.Done()
-			if _, err := sf.Write(data); err != nil {
-				t.Errorf("group %d write: %v", g, err)
-			}
-			if err := sf.Close(); err != nil {
-				t.Errorf("group %d close: %v", g, err)
-			}
-		}(g, sf)
+	pairs := make([]flowPair, groups)
+	for g := range pairs {
+		pairs[g] = openPair(t, sess, hub.Endpoint(), hub.Endpoint(), g,
+			sender.Config{SndBuf: 64 << 10, Rate: fastRate()}, receiver.Config{RcvBuf: 64 << 10},
+			WithFec(FecConfig{Enabled: true, K: 8}))
 	}
-	wg.Wait()
+	pattern := make([]byte, size+groups)
+	app.FillPattern(pattern, 0)
+	transferAll(t, pairs, pattern, size)
 	if err := sess.Close(); err != nil {
 		t.Errorf("session close: %v", err)
 	}
 
 	// Stats are read only now, after Close stopped the tick loop.
 	var recovered, parity int64
-	for _, sf := range sfs {
-		parity += sf.Stats().FecParitySent
-	}
-	for _, rf := range rfs {
-		recovered += rf.Stats().FecRecovered
+	for _, p := range pairs {
+		parity += p.sf.Stats().FecParitySent
+		recovered += p.rf.Stats().FecRecovered
 	}
 	if parity == 0 {
 		t.Error("no parity sent — FEC flow option did not reach the senders")

@@ -5,7 +5,7 @@
 //
 // One Session owns:
 //
-//   - a single wall-clock tick loop (default one kernel jiffy, 10 ms)
+//   - a single wall-clock tick loop (one kernel jiffy, 10 ms)
 //     driving every flow's transmit and timer machinery;
 //   - one batched receive loop per transport, with a port-based
 //     demultiplexer that drains

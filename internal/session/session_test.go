@@ -27,6 +27,70 @@ func fastRate() rate.Config {
 	return rate.Config{MinRate: 1e6, MaxRate: 64e6, MSS: 1400}
 }
 
+// flowPair is one sender flow and the receiver flow it feeds.
+type flowPair struct {
+	sf *SenderFlow
+	rf *ReceiverFlow
+}
+
+// openPair opens flow g's receiver on rtr and the sender feeding it on
+// str, filling the ports and the one expected receiver into rc and sc.
+func openPair(t *testing.T, sess *Session, str, rtr transport.Transport, g int, sc sender.Config, rc receiver.Config, opts ...FlowOption) flowPair {
+	t.Helper()
+	sc.LocalPort, sc.RemotePort = groupPorts(g)
+	rc.LocalPort, rc.RemotePort = sc.RemotePort, sc.LocalPort
+	sc.ExpectedReceivers = 1
+	rf, err := sess.OpenReceiver(rtr, rc, opts...)
+	if err != nil {
+		t.Fatalf("OpenReceiver g%d: %v", g, err)
+	}
+	sf, err := sess.OpenSender(str, sc, opts...)
+	if err != nil {
+		t.Fatalf("OpenSender g%d: %v", g, err)
+	}
+	return flowPair{sf, rf}
+}
+
+// transferAll moves size bytes over every pair at once and checks each
+// receiver got its own stream bit-exact. Flow g sends
+// pattern[g:g+size], so no two flows carry the same bytes.
+func transferAll(t *testing.T, pairs []flowPair, pattern []byte, size int) {
+	var wg sync.WaitGroup
+	for g, p := range pairs {
+		data := pattern[g : g+size]
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, 32<<10)
+			total := 0
+			for {
+				n, err := p.rf.Read(buf)
+				if !bytes.Equal(buf[:n], data[total:total+n]) || (err != nil && err != io.EOF) {
+					t.Errorf("flow %d: corrupt bytes or read error %v after offset %d", g, err, total)
+					return
+				}
+				total += n
+				if err == io.EOF {
+					break
+				}
+			}
+			if total != size {
+				t.Errorf("flow %d: delivered %d bytes, want %d", g, total, size)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if _, err := p.sf.Write(data); err != nil {
+				t.Errorf("flow %d write: %v", g, err)
+			}
+			if err := p.sf.Close(); err != nil {
+				t.Errorf("flow %d close: %v", g, err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestSessionMultiplexStress runs 12 concurrent flows — 4 groups of one
 // sender and two receivers — through one lossy in-memory hub, all
 // driven by one session tick loop, and asserts bit-exact delivery on

@@ -1,0 +1,152 @@
+package session
+
+import (
+	"fmt"
+	"runtime"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/app"
+	"repro/internal/rate"
+	"repro/internal/receiver"
+	"repro/internal/sender"
+	"repro/internal/trace"
+	"repro/internal/transport"
+)
+
+// gapTimes collects the open-to-repair time of every filled gap.
+type gapTimes struct {
+	mu sync.Mutex
+	d  []time.Duration
+}
+
+func (s *gapTimes) Emit(e trace.Event) {
+	if e.Kind == trace.GapFilled {
+		s.mu.Lock()
+		s.d = append(s.d, time.Duration(e.Value))
+		s.mu.Unlock()
+	}
+}
+
+// The FEC-versus-NAK crossover on the live datapath (session tick loop,
+// send poller, pooled buffers) over in-memory hubs dropping 1% of
+// deliveries, 12 flows paced at 2-8 MB/s so timing is the protocol's and
+// not CPU contention: the median gap must close at least 2x sooner with
+// K=8 parity than by selective NAK, over at least 100 gaps per arm, and
+// the parity pipeline (XOR on send, group cache and rebuild on receive)
+// may allocate at most 1.2x what the NAK arm does.
+func TestFecCrossoverLiveHub(t *testing.T) {
+	if testing.Short() {
+		t.Skip("several seconds of lossy transfers")
+	}
+	const flows, size = 12, 2 << 20
+	pattern := make([]byte, size+flows)
+	app.FillPattern(pattern, 0)
+	// arm returns the sorted gap-recovery times and the objects allocated.
+	arm := func(perFlow int, opts ...FlowOption) ([]time.Duration, uint64) {
+		var sink gapTimes
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sess := New(Config{})
+		pairs := make([]flowPair, flows)
+		for g := range pairs {
+			// A hub per flow: its own loss stream, no cross-flow fan-out.
+			hub := transport.NewHub(transport.WithLoss(0.01, int64(29+g)))
+			pairs[g] = openPair(t, sess, hub.Endpoint(), hub.Endpoint(), g, sender.Config{
+				SndBuf: 256 << 10, MinBufRTTs: 1, Rate: rate.Config{MinRate: 2e6, MaxRate: 8e6, MSS: 1400},
+			}, receiver.Config{RcvBuf: 256 << 10, Trace: &sink}, opts...)
+		}
+		transferAll(t, pairs, pattern, perFlow)
+		if err := sess.Close(); err != nil {
+			t.Errorf("session close: %v", err)
+		}
+		runtime.ReadMemStats(&after)
+		sort.Slice(sink.d, func(i, j int) bool { return sink.d[i] < sink.d[j] })
+		return sink.d, after.Mallocs - before.Mallocs
+	}
+	arm(size / 8) // fill the packet pools so neither arm pays for it
+	nak, nakMallocs := arm(size)
+	fec, fecMallocs := arm(size, WithFec(FecConfig{Enabled: true, K: 8}))
+	if len(nak) < 100 || len(fec) < 100 {
+		t.Fatalf("%d NAK-arm and %d FEC-arm gaps filled, want >= 100 each for a stable median", len(nak), len(fec))
+	}
+	nakP50, fecP50 := nak[len(nak)/2], fec[len(fec)/2]
+	t.Logf("gap recovery at 1%% loss: NAK p50 %v over %d gaps, FEC p50 %v p90 %v over %d gaps (want NAK p50 >= 2x FEC p50); objects allocated: NAK %d, FEC %d, %.2fx (want <= 1.2x)",
+		nakP50, len(nak), fecP50, fec[len(fec)*9/10], len(fec), nakMallocs, fecMallocs, float64(fecMallocs)/float64(nakMallocs))
+	if nakP50 < 2*fecP50 {
+		t.Errorf("FEC median recovery %v is not 2x faster than NAK's %v", fecP50, nakP50)
+	}
+	// Under the race detector sync.Pool drops a quarter of all Puts, so
+	// there the count measures the detector, not the parity pipeline.
+	if !raceEnabled && float64(fecMallocs) > 1.2*float64(nakMallocs) {
+		t.Errorf("FEC arm allocated %d objects, more than 1.2x the NAK arm's %d", fecMallocs, nakMallocs)
+	}
+}
+
+// perFlowCost admits n group flows (one sender and one receiver each,
+// 32 KiB) over 8+8 shared hub shard endpoints — the in-memory stand-in
+// for hrmcd's shard sockets — runs every transfer to completion, and
+// returns the wall time per flow, the fastest of three runs.
+func perFlowCost(t *testing.T, n int) time.Duration {
+	const shards, size = 8, 32 << 10
+	pattern := make([]byte, size+n)
+	app.FillPattern(pattern, 0)
+	var best time.Duration
+	for run := 0; run < 3; run++ {
+		runtime.GC() // the last run's garbage is not this run's cost
+		start := time.Now()
+		hub := transport.NewHub()
+		sess := New(Config{})
+		var snd, rcv [shards]transport.GroupTransport
+		for s := range snd {
+			snd[s] = hub.Endpoint().(transport.GroupTransport)
+			rcv[s] = hub.Endpoint().(transport.GroupTransport)
+		}
+		pairs := make([]flowPair, n)
+		for g := range pairs {
+			addr := fmt.Sprintf("239.50.%d.%d", 1+g/254, 1+g%254)
+			gid, err := snd[g%shards].Register(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rcv[g%shards].Join(addr); err != nil {
+				t.Fatal(err)
+			}
+			pairs[g] = openPair(t, sess, snd[g%shards], rcv[g%shards], g, sender.Config{
+				SndBuf: 128 << 10, Rate: rate.Config{MinRate: 32e6, MaxRate: 1e9, MSS: 1400},
+			}, receiver.Config{RcvBuf: 128 << 10}, WithGroup(gid))
+		}
+		transferAll(t, pairs, pattern, size)
+		if err := sess.Close(); err != nil {
+			t.Errorf("session close: %v", err)
+		}
+		if d := time.Since(start) / time.Duration(n); run == 0 || d < best {
+			best = d
+		}
+	}
+	return best
+}
+
+// Per-flow cost must stay flat as flows multiply on shared transports:
+// a demux or tick with an O(flows) per-packet term fails this. The cost
+// of one flow among 1,000 may be at most 1.5x the cost of a lone flow,
+// and among 256 at most 2x.
+func TestPerFlowCostFlat(t *testing.T) {
+	one := perFlowCost(t, 1)
+	for _, c := range []struct {
+		flows int
+		bound float64
+	}{{256, 2}, {1000, 1.5}} {
+		cost := perFlowCost(t, c.flows)
+		t.Logf("%d flows: %v per flow, %.2fx the lone flow's %v (want <= %.1fx)",
+			c.flows, cost, float64(cost)/float64(one), one, c.bound)
+		// The race detector slows the CPU-bound many-flow arm far more
+		// than the latency-bound lone flow, so there the ratio is logged,
+		// not gated.
+		if !raceEnabled && float64(cost) > c.bound*float64(one) {
+			t.Errorf("%d flows cost %v each, more than %.1fx the lone flow's %v", c.flows, cost, c.bound, one)
+		}
+	}
+}

@@ -60,19 +60,14 @@ type FlowSpec struct {
 	Group transport.GroupID
 }
 
-// SenderConfig builds the sender machine configuration the spec
-// describes, complete enough for internal/core callers; session flows
-// opened through OpenSenderFlow re-derive FEC from Options (WithFec),
-// which resolves to the same group size.
-func (sp FlowSpec) SenderConfig() sender.Config {
+// senderConfig builds the sender machine configuration the spec
+// describes; FEC rides in options (WithFec).
+func (sp FlowSpec) senderConfig() sender.Config {
 	cfg := sender.Config{
 		LocalPort:         sp.LocalPort,
 		RemotePort:        sp.PeerPort,
 		SndBuf:            sp.Buf,
 		ExpectedReceivers: sp.Receivers,
-	}
-	if sp.Fec.Enabled {
-		cfg.FECGroupSize = sp.Fec.GroupSize()
 	}
 	if sp.MinRateBps > 0 || sp.MaxRateBps > 0 {
 		rc := rate.DefaultConfig()
@@ -87,19 +82,14 @@ func (sp FlowSpec) SenderConfig() sender.Config {
 	return cfg
 }
 
-// ReceiverConfig builds the receiver machine configuration the spec
-// describes, complete enough for internal/core callers; session flows
-// opened through OpenReceiverFlow re-derive FEC from Options (WithFec),
-// which resolves to the same group size.
-func (sp FlowSpec) ReceiverConfig() receiver.Config {
+// receiverConfig builds the receiver machine configuration the spec
+// describes; FEC rides in options (WithFec).
+func (sp FlowSpec) receiverConfig() receiver.Config {
 	cfg := receiver.Config{
 		LocalPort:      sp.LocalPort,
 		RemotePort:     sp.PeerPort,
 		RcvBuf:         sp.Buf,
 		JoinInProgress: sp.JoinInProgress,
-	}
-	if sp.Fec.Enabled {
-		cfg.FECGroupSize = sp.Fec.GroupSize()
 	}
 	if sp.Head {
 		cfg.Head = &repair.Config{}
@@ -110,8 +100,8 @@ func (sp FlowSpec) ReceiverConfig() receiver.Config {
 	return cfg
 }
 
-// Options builds the flow options the spec describes.
-func (sp FlowSpec) Options() []FlowOption {
+// options builds the flow options the spec describes.
+func (sp FlowSpec) options() []FlowOption {
 	var opts []FlowOption
 	if sp.Label != "" {
 		opts = append(opts, WithLabel(sp.Label))
@@ -133,7 +123,7 @@ func (s *Session) OpenSenderFlow(tr transport.Transport, sp FlowSpec) (*SenderFl
 	if sp.Kind != KindSender {
 		return nil, fmt.Errorf("session: OpenSenderFlow on a %v spec", sp.Kind)
 	}
-	return s.OpenSender(tr, sp.SenderConfig(), sp.Options()...)
+	return s.OpenSender(tr, sp.senderConfig(), sp.options()...)
 }
 
 // OpenReceiverFlow opens the receiving flow sp describes over tr.
@@ -141,5 +131,5 @@ func (s *Session) OpenReceiverFlow(tr transport.Transport, sp FlowSpec) (*Receiv
 	if sp.Kind != KindReceiver {
 		return nil, fmt.Errorf("session: OpenReceiverFlow on a %v spec", sp.Kind)
 	}
-	return s.OpenReceiver(tr, sp.ReceiverConfig(), sp.Options()...)
+	return s.OpenReceiver(tr, sp.receiverConfig(), sp.options()...)
 }

@@ -213,7 +213,8 @@ func TestGsoWriterLiveLoopback(t *testing.T) {
 
 // TestOffloadBitExactLoopback runs the same multicast batch transfer
 // with offload on and off and demands identical decoded streams — the
-// wire format must not change, only the syscall economics.
+// wire format must not change, only the syscall economics, which the
+// offload-on leg also checks.
 func TestOffloadBitExactLoopback(t *testing.T) {
 	if !multicastAvailable(t) {
 		t.Skip("no same-host multicast in this environment")
@@ -244,8 +245,18 @@ func TestOffloadBitExactLoopback(t *testing.T) {
 				Multicast: true,
 			})
 		}
+		before := transport.IOStats()
 		if err := st.SendBatch(env); err != nil {
 			t.Fatalf("SendBatch(offload=%v): %v", on, err)
+		}
+		// The syscall economics offload exists for: with GSO the batch
+		// must leave in supersegments, at least 8 datagrams per syscall.
+		if gso, _ := ProbeOffload(); on && gso {
+			after := transport.IOStats()
+			dgrams, calls := after.SentDatagrams-before.SentDatagrams, after.SendSyscalls-before.SendSyscalls
+			if dgrams < 8*calls {
+				t.Errorf("offload on: %d datagrams in %d send syscalls, want >= 8 per syscall", dgrams, calls)
+			}
 		}
 
 		// Watchdog: close the receiver rather than hang if datagrams are
