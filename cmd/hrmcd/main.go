@@ -1,7 +1,7 @@
 // Command hrmcd is the multi-group H-RMC daemon: one process serving
 // many concurrent reliable-multicast transfers — senders and receivers
 // across independent groups — over a single internal/session driver
-// (one 10 ms tick loop, one receive loop per UDP socket, an optional
+// (one deadline-driven driver, one receive loop per UDP socket, an optional
 // aggregate bandwidth budget shared fairly among the sending flows).
 //
 // Flows are admitted through the internal/control plane. The JSON

@@ -1,6 +1,6 @@
 // Multigroup: three concurrent multicast groups — each a sender and
 // two receivers — multiplexed over ONE internal/session driver: a
-// single 10 ms tick loop, one receive loop per endpoint, and a shared
+// single deadline heap, one receive loop per endpoint, and a shared
 // 16 Mbps bandwidth budget split fairly (group A gets a double weight)
 // by the session's governor.
 //

@@ -5,7 +5,7 @@
 //
 // Since the session layer landed there is exactly one wall-clock
 // driver implementation: internal/session hosts N concurrent flows
-// over one tick loop and one receive loop per transport, and each core
+// over one driver and one receive loop per transport, and each core
 // Sender/Receiver is a thin wrapper around a private one-flow Session.
 // Programs multiplexing many groups should use internal/session
 // directly. The same sans-I/O machines also run, unchanged, under the

@@ -127,6 +127,8 @@ type Hierarchy struct {
 	crashedUnfinished int
 
 	faults *faultState
+	seams
+
 	// mss and initialSeq are the sender's stream geometry, kept to
 	// translate a restarted node's rebase anchor into a byte offset.
 	mss        int
@@ -310,13 +312,17 @@ func (h *Hierarchy) tick() {
 		h.closed = true
 		h.snd.Close(now)
 	}
-	h.snd.Tick(now)
+	if h.due(now, h.snd.NextWake) {
+		h.snd.Tick(now)
+	}
 	h.flushSender(now)
 	for _, nd := range h.nodes {
 		if nd.crashed {
 			continue
 		}
-		nd.M.Advance(now)
+		if h.due(now, nd.M.NextWake) {
+			nd.M.Advance(now)
+		}
 		h.drainReads(nd, now)
 		h.flushNode(nd, now)
 	}
@@ -360,6 +366,7 @@ func (h *Hierarchy) feedWindow(now sim.Time) {
 // model applied; unicast goes to its node with the path delay.
 func (h *Hierarchy) flushSender(now sim.Time) {
 	for _, o := range h.snd.Outgoing() {
+		h.emit(0, o.Pkt, o.Dest.Multicast, o.Dest.Node)
 		if o.Dest.Multicast {
 			// One clone shared by every receiver: nothing in this model
 			// recycles packets (no pool ownership), windows only read the
@@ -416,6 +423,7 @@ func (h *Hierarchy) flushNode(nd *hNode, now sim.Time) {
 		delayUp += h.cfg.LeafDelay
 	}
 	for _, p := range nd.M.Outgoing() {
+		h.emit(nd.id, p, false, 0)
 		pkt := p
 		from := nd.id
 		h.Engine.At(now+delayUp, func() {
@@ -433,6 +441,7 @@ func (h *Hierarchy) flushNode(nd *hNode, now sim.Time) {
 		// only its own subtree — that scoping is the whole point of the
 		// tier. A failed-over leaf's multicast (a HEAD_DECLINE relayed
 		// before failover) also stays within its subtree.
+		h.emit(nd.id, p, true, 0)
 		pkt := p
 		tree := nd.tree
 		self := nd
@@ -445,6 +454,7 @@ func (h *Hierarchy) flushNode(nd *hNode, now sim.Time) {
 		})
 	}
 	for _, a := range nd.M.OutgoingAddressed() {
+		h.emit(nd.id, a.Pkt, false, a.To)
 		idx := int(a.To) - 1
 		if idx < 0 || idx >= len(h.nodes) {
 			continue

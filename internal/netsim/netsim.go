@@ -111,9 +111,40 @@ type Network struct {
 
 	faults *faultState
 
+	seams
+
 	// Drop counters.
 	NICDrops    int64
 	RouterDrops int64
+}
+
+// newHook, when a test sets it, sees every Network New creates —
+// including the ones internal/experiments builds for the figures.
+var newHook func(*Network)
+
+// seams are the test hooks of both drivers (see wake_test.go).
+// wakeDriven runs a machine's Tick or Advance only on the jiffies at or
+// past its NextWake, the way a deadline-driven driver would; emitted
+// sees every packet a machine hands the network, before the network
+// model decides its fate.
+type seams struct {
+	wakeDriven bool
+	emitted    func(from packet.NodeID, p *packet.Packet, multicast bool, to packet.NodeID)
+}
+
+// due reports whether a machine is to be run on this jiffy.
+func (s *seams) due(now sim.Time, nextWake func() (sim.Time, bool)) bool {
+	if !s.wakeDriven {
+		return true
+	}
+	at, ok := nextWake()
+	return ok && at <= now
+}
+
+func (s *seams) emit(from packet.NodeID, p *packet.Packet, multicast bool, to packet.NodeID) {
+	if s.emitted != nil {
+		s.emitted(from, p, multicast, to)
+	}
 }
 
 type groupRouter struct {
@@ -139,6 +170,9 @@ func New(cfg Config) *Network {
 		n.faults = newFaultState(cfg.Faults, n.rng.Stream(99))
 		n.faults.onCrash = n.onCrash
 		n.faults.onRestart = n.onRestart
+	}
+	if newHook != nil {
+		newHook(n)
 	}
 	return n
 }
@@ -336,7 +370,9 @@ func (n *Network) scheduleSenderTick(at sim.Time) {
 			s.closed = true
 			s.M.Close(now)
 		}
-		s.M.Tick(now)
+		if n.due(now, s.M.NextWake) {
+			s.M.Tick(now)
+		}
 		n.flushSender(now)
 		if !n.done() {
 			n.scheduleSenderTick(now + jiffy)
@@ -388,7 +424,9 @@ func (n *Network) scheduleReceiverTick(r *ReceiverHost, at sim.Time) {
 			}
 			return
 		}
-		r.M.Advance(now)
+		if n.due(now, r.M.NextWake) {
+			r.M.Advance(now)
+		}
 		n.drainReads(r, now)
 		n.flushReceiver(r, now)
 		if !r.M.Done() && !n.done() {
@@ -439,6 +477,7 @@ func (n *Network) drainReads(r *ReceiverHost, now sim.Time) {
 // CPU and NIC models into the network.
 func (n *Network) flushSender(now sim.Time) {
 	for _, o := range n.snd.M.Outgoing() {
+		n.emit(0, o.Pkt, o.Dest.Multicast, o.Dest.Node)
 		cpuDone := n.snd.cpu(now, len(o.Pkt.Payload))
 		exit, dropped := n.snd.nic(cpuDone, o.Pkt.WireSize())
 		if dropped {
@@ -512,6 +551,7 @@ func (n *Network) deliverToReceiver(exit sim.Time, from packet.NodeID, r *Receiv
 // group including the sender.
 func (n *Network) flushReceiver(r *ReceiverHost, now sim.Time) {
 	for _, p := range r.M.OutgoingMulticast() {
+		n.emit(r.id, p, true, 0)
 		cpuDone := r.cpu(now, len(p.Payload))
 		exit, dropped := r.nic(cpuDone, p.WireSize())
 		if dropped {
@@ -556,6 +596,7 @@ func (n *Network) flushReceiver(r *ReceiverHost, now sim.Time) {
 	// feedback and head→leaf responses travel receiver-to-receiver —
 	// origin tail, then the destination's tail inside deliverToReceiver.
 	for _, a := range r.M.OutgoingAddressed() {
+		n.emit(r.id, a.Pkt, false, a.To)
 		cpuDone := r.cpu(now, len(a.Pkt.Payload))
 		exit, dropped := r.nic(cpuDone, a.Pkt.WireSize())
 		if dropped {
@@ -573,6 +614,7 @@ func (n *Network) flushReceiver(r *ReceiverHost, now sim.Time) {
 		n.deliverToReceiver(exit+r.Group.Delay, r.id, n.rcvs[idx], a.Pkt)
 	}
 	for _, p := range r.M.Outgoing() {
+		n.emit(r.id, p, false, 0)
 		cpuDone := r.cpu(now, len(p.Payload))
 		exit, dropped := r.nic(cpuDone, p.WireSize())
 		if dropped {

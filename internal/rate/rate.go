@@ -6,11 +6,17 @@
 // urgent rate request, after which transmission restarts from the minimum
 // rate in slow start.
 //
-// The controller doubles as the transmitter's token bucket: the per-jiffy
-// transmit timer asks for an allowance and spends it as packets go out.
+// The controller doubles as the transmitter's token bucket: the transmit
+// timer asks for an allowance and spends it as packets go out, and a
+// deadline-driven driver asks when the bucket will fund the next burst.
 package rate
 
-import "repro/internal/sim"
+import (
+	"math"
+
+	"repro/internal/kernel"
+	"repro/internal/sim"
+)
 
 // Phase is the congestion-control phase.
 type Phase int
@@ -46,11 +52,17 @@ type Config struct {
 	MaxRate float64
 	// MSS is the segment payload size, used for the linear increase.
 	MSS int
+	// Quantum is the finest interval the driver can wake the transmitter
+	// at. Zero means kernel.Jiffy, the paper's per-jiffy transmit timer
+	// (and the simulator's clock); a live driver that sleeps to exact
+	// deadlines stamps its own. The bucket's depth and the pacing beat
+	// follow it (see Beat).
+	Quantum sim.Time
 }
 
 // DefaultConfig mirrors the kernel implementation: the minimum rate is
-// one segment per jiffy — a 10 ms-tick transmitter cannot pace slower
-// without skipping ticks — and the ceiling is 1 Gb/s (effectively
+// one segment per jiffy — the paper's per-jiffy transmitter cannot pace
+// slower without skipping ticks — and the ceiling is 1 Gb/s (effectively
 // uncapped; the network limits throughput).
 func DefaultConfig() Config {
 	return Config{MinRate: 140e3, MaxRate: 125e6, MSS: 1400}
@@ -65,6 +77,9 @@ func (c *Config) sanitize() {
 	}
 	if c.MaxRate < c.MinRate {
 		c.MaxRate = c.MinRate
+	}
+	if c.Quantum <= 0 || c.Quantum > kernel.Jiffy {
+		c.Quantum = kernel.Jiffy
 	}
 }
 
@@ -162,8 +177,8 @@ func (c *Controller) SetCeiling(max float64) {
 
 // MaybeGrow applies at most one growth step per round trip: doubling in
 // slow start until ssthresh, then a linear MSS-per-RTT increase. The
-// transmitter calls this from its per-jiffy tick while it has data to
-// send; growth during idle periods is suppressed by that discipline.
+// transmitter calls this from the ticks that send data; growth during
+// idle periods is suppressed by that discipline.
 func (c *Controller) MaybeGrow(now sim.Time, rtt sim.Time) {
 	c.maybeResume(now)
 	if c.phase == Stopped {
@@ -207,6 +222,7 @@ func (c *Controller) OnCongestion(now sim.Time, rtt sim.Time, suggested float64)
 		return
 	}
 	c.lastCut = now
+	c.settle(now)
 	target := c.rate / 2
 	if suggested > 0 && suggested < target {
 		target = suggested
@@ -234,6 +250,7 @@ func (c *Controller) OnUrgent(now sim.Time, rtt sim.Time) {
 		}
 		return
 	}
+	c.settle(now)
 	c.phase = Stopped
 	c.stopped = until
 	c.ssthresh = c.rate / 2
@@ -244,10 +261,48 @@ func (c *Controller) OnUrgent(now sim.Time, rtt sim.Time) {
 	c.lastCut = now
 }
 
+// gsoSegment is one UDP GSO supersegment, the most the transport ships
+// in one send.
+const gsoSegment = 64 << 10
+
+// depth is the bucket's capacity at rate r: two quanta of the rate, but
+// at least one GSO supersegment — a driver that can wake every
+// millisecond still hands the transport full batches — and at most the
+// paper's two jiffies of rate. It never drops below two packets (header
+// included), or low rates would deadlock. With Quantum = Jiffy this is
+// exactly two jiffies of rate.
+func (c *Controller) depth(r float64) float64 {
+	d := r * (2 * c.cfg.Quantum).Seconds()
+	d = math.Min(math.Max(d, gsoSegment), r*(2*kernel.Jiffy).Seconds())
+	return math.Max(d, float64(2*c.cfg.MSS))
+}
+
+// Beat is the period at which the bucket funds one burst at the current
+// rate — half its depth over the rate — kept between the quantum and a
+// jiffy: 1 ms for a 32 MB/s flow under a 1 ms quantum, a jiffy for a
+// 3 MB/s one. It is to this flow what the jiffy was to the per-jiffy
+// transmitter, and with Quantum = Jiffy it is the jiffy.
+func (c *Controller) Beat() sim.Time {
+	b := sim.FromSeconds(c.depth(c.rate) / 2 / c.rate)
+	return min(max(b, c.cfg.Quantum), kernel.Jiffy)
+}
+
+// FundedAt returns when the bucket will hold the next burst: one beat of
+// rate or the whole backlog, whichever is less, and never less than
+// first, the wire size of the next packet. A time at or before the
+// caller's clock means it already does. Meaningless while stopped.
+func (c *Controller) FundedAt(backlog, first int) sim.Time {
+	want := math.Max(float64(first), math.Min(float64(backlog), c.rate*c.Beat().Seconds()))
+	if !c.refillInit || c.tokens >= want {
+		return c.lastRefill
+	}
+	return c.lastRefill + sim.Time(math.Round((want-c.tokens)/c.rate*float64(sim.Second)))
+}
+
 // Allowance refills the token bucket to now and returns the bytes that
-// may be transmitted immediately. The bucket is capped at two jiffies of
-// the current rate (and never below one MSS while running) so the sender
-// can use a full tick's budget but cannot accumulate an unbounded burst.
+// may be transmitted immediately. The bucket is capped at its depth so
+// the sender can use a full beat's budget but cannot accumulate an
+// unbounded burst.
 func (c *Controller) Allowance(now sim.Time) int {
 	c.maybeResume(now)
 	r := c.Rate(now)
@@ -262,16 +317,21 @@ func (c *Controller) Allowance(now sim.Time) int {
 		return 0
 	}
 	c.tokens += r * dt.Seconds()
-	// The burst cap must admit at least one full packet (header
-	// included) or low rates would deadlock, hence the 2×MSS floor.
-	burst := r * (20 * sim.Millisecond).Seconds()
-	if burst < float64(2*c.cfg.MSS) {
-		burst = float64(2 * c.cfg.MSS)
-	}
-	if c.tokens > burst {
+	if burst := c.depth(r); c.tokens > burst {
 		c.tokens = burst
 	}
 	return int(c.tokens)
+}
+
+// settle refills the bucket as the last per-quantum tick before now
+// would have. A driver that wakes the transmitter only at its deadlines
+// skips the idle ticks in between, whose one effect is this refill; the
+// events that empty the bucket settle it first, so what is left
+// afterwards does not depend on which ticks were skipped.
+func (c *Controller) settle(now sim.Time) {
+	if k := (now - c.lastRefill - 1) / c.cfg.Quantum; c.refillInit && k > 0 {
+		c.Allowance(c.lastRefill + k*c.cfg.Quantum)
+	}
 }
 
 // Spend consumes n bytes of allowance.

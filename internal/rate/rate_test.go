@@ -327,3 +327,56 @@ func TestSetCeilingClampsAndFloors(t *testing.T) {
 		t.Errorf("Ceiling() after sub-min set = %v, want MinRate 1000", got)
 	}
 }
+
+// The bucket follows the driver's quantum and the flow's own rate: depth
+// is two quanta of rate, at least one 64 KiB supersegment and at most
+// two jiffies of rate; a beat funds half of it. The zero quantum is the
+// jiffy, the paper's transmitter.
+func TestBucketFollowsQuantum(t *testing.T) {
+	for _, c := range []struct {
+		quantum   sim.Time
+		rate      float64
+		depth     int
+		beat      sim.Time
+		perSecond int // pacing wakes a backlogged flow needs
+	}{
+		{0, 32e6, 640000, 10 * sim.Millisecond, 100},
+		{0, 3e6, 60000, 10 * sim.Millisecond, 100},
+		{sim.Millisecond, 1e9, 2000000, sim.Millisecond, 1000},
+		{sim.Millisecond, 32e6, 64 << 10, 1024 * sim.Microsecond, 976}, // a supersegment every 2 ms of rate
+		{sim.Millisecond, 3e6, 60000, 10 * sim.Millisecond, 100},       // ~21 packets once a jiffy
+		{sim.Millisecond, 16e3, 2840, 10 * sim.Millisecond, 11},        // two packets: never less
+	} {
+		rc := New(Config{MinRate: c.rate, MaxRate: c.rate, MSS: 1420, Quantum: c.quantum})
+		rc.Allowance(0)
+		if got := rc.Allowance(sim.Second); got != c.depth {
+			t.Errorf("quantum %v, %.0f B/s: depth %d, want %d", c.quantum, c.rate, got, c.depth)
+		}
+		if got := rc.Beat(); got != c.beat {
+			t.Errorf("quantum %v, %.0f B/s: beat %v, want %v", c.quantum, c.rate, got, c.beat)
+		}
+		// Drain the bucket, then send whenever FundedAt says a burst is
+		// funded: each wake must find at least a packet's worth, and a
+		// second of them must carry a second of rate, to within a packet.
+		now := sim.Second
+		rc.Spend(rc.Allowance(now))
+		sent, wakes := 0, 0
+		for {
+			at := rc.FundedAt(1<<30, 1420)
+			if at > 2*sim.Second {
+				break
+			}
+			now = max(now, at)
+			a := rc.Allowance(now)
+			if a < 1420 {
+				t.Fatalf("quantum %v, %.0f B/s: woken at %v with %d bytes funded", c.quantum, c.rate, now, a)
+			}
+			rc.Spend(a)
+			sent += a
+			wakes++
+		}
+		if wakes != c.perSecond || float64(sent) < 0.99*c.rate-1420 || float64(sent) > c.rate {
+			t.Errorf("quantum %v, %.0f B/s: %d wakes carried %d bytes in a second, want %d wakes", c.quantum, c.rate, wakes, sent, c.perSecond)
+		}
+	}
+}

@@ -56,6 +56,13 @@ type Config struct {
 	// WarnBuf is the number of round-trip times of sending the warning
 	// rule looks ahead; the paper sets 4.
 	WarnBuf int
+	// Quantum is the finest interval the driver can wake the machine at.
+	// Zero means kernel.Jiffy, the clock of the paper's kernel and of the
+	// simulator. What exists because of timer resolution follows it — the
+	// floor under the round-trip estimate (two quanta: a clock cannot
+	// resolve round trips shorter than its own tick) and the spacing of
+	// rate requests (one) — the protocol's periods do not.
+	Quantum sim.Time
 
 	// LocalRecovery enables the local-recovery extension (Section 7,
 	// item 3): NAKs are multicast to the whole group with SRM-style
@@ -142,9 +149,10 @@ func (c *Config) sanitize() {
 	if c.NakRetryInterval <= 0 {
 		c.NakRetryInterval = 4 * kernel.Jiffy
 	}
-	if c.AssumedRTT < 2*kernel.Jiffy {
-		c.AssumedRTT = 2 * kernel.Jiffy // jiffy-clock measurement floor
+	if c.Quantum <= 0 || c.Quantum > kernel.Jiffy {
+		c.Quantum = kernel.Jiffy
 	}
+	c.AssumedRTT = max(c.AssumedRTT, 2*c.Quantum) // the clock's measurement floor
 	if c.WarnBuf <= 0 {
 		c.WarnBuf = 4
 	}

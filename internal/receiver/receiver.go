@@ -93,6 +93,7 @@ type Receiver struct {
 	joinAmbiguous bool // JOIN was retransmitted: RTT sample is unusable
 	joinAcked     bool
 	rttEstimate   sim.Time
+	lastAdvance   sim.Time
 	lastControl   sim.Time // throttle for warning rate requests
 	lastUrgent    sim.Time // throttle for urgent rate requests
 	seenAnyData   bool
@@ -493,8 +494,8 @@ func (r *Receiver) maybeRateRequest(now sim.Time) {
 			return
 		}
 		// Rate requests are deliberately not suppressed (Section 5.2);
-		// only the kernel's timer granularity bounds them.
-		if now-r.lastControl < kernel.Jiffy && r.lastControl != 0 {
+		// only the driver's timer granularity bounds them.
+		if now-r.lastControl < r.cfg.Quantum && r.lastControl != 0 {
 			return
 		}
 		r.lastControl = now
@@ -609,10 +610,10 @@ func (r *Receiver) onJoinResponse(now sim.Time) {
 	r.joinAcked = true
 	r.joinTimer.Disarm()
 	// Karn's rule: only an unambiguous (never-retransmitted) JOIN
-	// exchange yields an RTT sample. The jiffy clock cannot resolve
-	// sub-tick round trips, so the estimate floors at two jiffies.
+	// exchange yields an RTT sample. The driver's clock cannot resolve
+	// round trips below its quantum, so the estimate floors at two.
 	if d := now - r.joinTime; d > 0 && !r.joinAmbiguous {
-		r.rttEstimate = max(d, 2*kernel.Jiffy)
+		r.rttEstimate = max(d, 2*r.cfg.Quantum)
 	}
 }
 
@@ -623,8 +624,10 @@ func (r *Receiver) sendUpdate(now sim.Time) {
 }
 
 // Advance fires any due timers: the NAK Manager and the Update
-// Generator. Drivers call it at their tick granularity or at NextWake.
+// Generator. Drivers call it every jiffy or at NextWake; the packets
+// that come out are the same.
 func (r *Receiver) Advance(now sim.Time) {
+	r.lastAdvance = now
 	r.watchHead(now)
 	if r.nakTimer.Fire(now) {
 		r.nakScan(now, onTimer)
@@ -662,8 +665,19 @@ func (r *Receiver) onUpdateTimer(now sim.Time) {
 	}
 }
 
-// NextWake returns the earliest time Advance needs to run.
-func (r *Receiver) NextWake() (sim.Time, bool) { return kernel.Earliest(r.timers...) }
+// NextWake returns the earliest time Advance has something to do: the
+// soonest timer — or, while a leaf's silence clock against its repair
+// head runs, the next jiffy: any packet can answer the request the clock
+// is running for, and only Advance looks (watchHead).
+func (r *Receiver) NextWake() (sim.Time, bool) {
+	at, ok := kernel.Earliest(r.timers...)
+	if l := r.leaf; l.attached() && l.waitSince != 0 && l.silence > 0 {
+		if t := r.lastAdvance + kernel.Jiffy; !ok || t < at {
+			return t, true
+		}
+	}
+	return at, ok
+}
 
 // Read delivers in-order stream bytes to the application. At end of
 // stream it returns io.EOF (after the final bytes) and queues the LEAVE

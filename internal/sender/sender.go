@@ -1,13 +1,15 @@
 // Package sender implements the H-RMC sender of Figure 8 as a sans-I/O
 // state machine: the Application Interface (fragmentation into the send
-// window), the per-jiffy Transmitter, the Feedback Processor, the
+// window), the Transmitter, the Feedback Processor, the
 // Retransmitter, the Keepalive Controller, and probe_members — the
 // buffer-release safety check that distinguishes H-RMC from the pure
 // NAK-based RMC baseline.
 //
 // The machine is driven from outside: the owner writes stream data with
 // Write, feeds arriving feedback with HandlePacket, runs the transmit
-// tick with Tick, and drains queued outgoing packets with Outgoing.
+// tick with Tick — every jiffy like the paper's transmit_timer, or only
+// when NextWake says something is due — and drains queued outgoing
+// packets with Outgoing. Both ways of ticking emit the same packets.
 package sender
 
 import (
@@ -71,6 +73,10 @@ type Config struct {
 	MinBufRTTs int
 	// Rate configures the rate-based flow-control component.
 	Rate rate.Config
+	// Quantum is the finest interval the driver can wake the machine at;
+	// it reaches the machine as Rate.Quantum (which see) unless that is
+	// set. Zero means kernel.Jiffy.
+	Quantum sim.Time
 	// InitialRTT seeds the worst-receiver round-trip estimator.
 	InitialRTT sim.Time
 	// KeepaliveMax caps the exponential keepalive backoff; the paper
@@ -146,6 +152,9 @@ func (c *Config) sanitize() {
 		def := rate.DefaultConfig()
 		def.MSS = c.MSS
 		c.Rate = def
+	}
+	if c.Rate.Quantum == 0 {
+		c.Rate.Quantum = c.Quantum
 	}
 	if c.KeepaliveMax <= 0 {
 		c.KeepaliveMax = 2 * sim.Second
@@ -236,8 +245,10 @@ type Sender struct {
 	// exactly once, at the moment its MINBUF deadline first passes,
 	// independent of whether H-RMC then stalls the release.
 	judged    seqspace.Seq
-	stalled   bool // window release is currently blocked on receiver info
-	primed    bool // first transmit tick has granted its jiffy budget
+	stalled   bool                 // window release is currently blocked on receiver info
+	primed    bool                 // first transmit tick has granted its one-beat budget
+	lastTick  sim.Time             // when Tick last ran: NextWake's "now"
+	lacking   []*membership.Member // Lacking scratch
 	maxJoined int
 	// cutEpoch is snd_nxt at the last NAK-driven rate cut: NAKs for
 	// data sent before the cut describe the same loss event and do not
@@ -292,15 +303,11 @@ func New(cfg Config) *Sender {
 func (s *Sender) Stats() *stats.Sender { return s.st }
 
 // pacingRTT is the round-trip time used for timer-granular decisions
-// (growth pacing, cut pacing, hold times). A 10 ms-jiffy kernel cannot
-// act on sub-tick round trips, so the estimate is floored at two
-// jiffies.
+// (growth pacing, cut pacing, hold times). A transmitter that acts once
+// per beat cannot act on round trips shorter than that, so the estimate
+// is floored at two beats — two jiffies under the paper's 10 ms timer.
 func (s *Sender) pacingRTT() sim.Time {
-	rtt := s.est.RTT()
-	if rtt < 2*kernel.Jiffy {
-		rtt = 2 * kernel.Jiffy
-	}
-	return rtt
+	return max(s.est.RTT(), 2*s.rc.Beat())
 }
 
 // RTT returns the current worst-receiver round-trip estimate.
@@ -312,14 +319,14 @@ func (s *Sender) Rate(now sim.Time) float64 { return s.rc.Rate(now) }
 // MaxRate returns the current flow-control ceiling in bytes/second.
 func (s *Sender) MaxRate() float64 { return s.rc.Ceiling() }
 
-// MinRate returns the rate-control floor in bytes/second — the
-// one-packet-per-jiffy pacing minimum the flow cannot go below.
+// MinRate returns the rate-control floor in bytes/second, the pacing
+// minimum the flow cannot go below.
 func (s *Sender) MinRate() float64 { return s.rc.MinRate() }
 
 // SetMaxRate adjusts the flow-control ceiling at runtime. The session
-// layer's fair-share governor calls this every tick to keep the
-// aggregate rate of all flows sharing a line under a global budget; the
-// driver must serialize it with the other machine entry points.
+// layer's fair-share governor calls this to keep the aggregate rate of
+// all flows sharing a line under a global budget; the driver must
+// serialize it with the other machine entry points.
 func (s *Sender) SetMaxRate(bytesPerSec float64) { s.rc.SetCeiling(bytesPerSec) }
 
 // Members returns the current receiver count.
@@ -714,17 +721,19 @@ func (s *Sender) sampleProbeRTT(now sim.Time, from packet.NodeID) {
 	m.ProbeTries = 2 // consume the sample; further feedback is ambiguous
 }
 
-// Tick is the Transmitter (transmit_timer): it runs every jiffy. It
-// retransmits requested data first, transmits new data within the rate
-// allowance, attempts window release (probing under H-RMC), and drives
-// the Keepalive Controller.
+// Tick is the Transmitter (transmit_timer). It retransmits requested
+// data first, transmits new data within the rate allowance, attempts
+// window release (probing under H-RMC), and drives the Keepalive
+// Controller. A tick before NextWake changes nothing a later one would
+// not, so a driver may run it every jiffy or only when due.
 func (s *Sender) Tick(now sim.Time) {
+	s.lastTick = now
 	s.tryQueueFIN()
 	if !s.primed {
 		// The transmit timer's first tick grants the budget of one full
-		// jiffy, as if the timer had been running.
+		// beat, as if the timer had been running.
 		s.primed = true
-		s.rc.Allowance(now - kernel.Jiffy)
+		s.rc.Allowance(now - s.rc.Beat())
 	}
 	allowance := s.rc.Allowance(now)
 	sentAny := false
@@ -754,10 +763,10 @@ func (s *Sender) Tick(now sim.Time) {
 	// FEC idle flush: a parity group left half-open across a pipeline
 	// pause (window stall, rate gate, stream tail) would leave its sent
 	// prefix unprotected past the receivers' NAK-defer window; close it
-	// early with a short-group parity instead. One jiffy of silence is
-	// the signal — at line rate groups complete well inside a jiffy, so
-	// this only fires when transmission genuinely paused.
-	if s.fenc != nil && s.fenc.Pending() > 0 && now-s.fecLastAdd >= kernel.Jiffy {
+	// early with a short-group parity instead. One beat of silence is
+	// the signal — the next burst is due within a beat, so this only
+	// fires when transmission genuinely paused.
+	if s.fenc != nil && s.fenc.Pending() > 0 && now-s.fecLastAdd >= s.rc.Beat() {
 		if parity := s.fenc.Flush(); parity != nil {
 			s.st.FecParitySent++
 			trace.Emit(s.cfg.Trace, now, trace.FecParitySent, parity.Seq, int64(parity.Length))
@@ -774,20 +783,24 @@ func (s *Sender) Tick(now sim.Time) {
 		s.lastSendActivity = now
 		s.kaBackoff = 0
 		s.kaTimer.Disarm()
-	} else if s.needsKeepalive(now) {
+	} else if s.needsKeepalive() {
 		s.runKeepalive(now)
 	}
 
-	// Flow-control gauges for observers (session snapshots, control
-	// plane): the rate actually being paced and its current ceiling,
-	// plus the repair-tier shape of the membership table.
+	s.sweepSilentHeads(now)
+	s.sweepTombstones(now)
+}
+
+// RefreshGauges brings the gauges among the counters up to now, for an
+// observer about to read them (session snapshots, the control plane):
+// the rate actually being paced and its current ceiling, plus the
+// repair-tier shape of the membership table. No tick does this, so that
+// a flow with nothing due — idle, or urgently stopped — still reads true.
+func (s *Sender) RefreshGauges(now sim.Time) {
 	s.st.RateBps = int64(s.rc.Rate(now))
 	s.st.CeilingBps = int64(s.rc.Ceiling())
 	s.st.RepairHeads = int64(s.members.Heads())
 	s.st.DownstreamMembers = int64(s.members.Downstream())
-
-	s.sweepSilentHeads(now)
-	s.sweepTombstones(now)
 }
 
 // sweepSilentHeads evicts repair heads that have gone completely silent
@@ -927,7 +940,16 @@ func (s *Sender) transmit(now sim.Time, seq seqspace.Seq, e *window.SendEntry, i
 // it is released only when every member is known to hold it, otherwise
 // the lacking members are probed and the window stalls.
 func (s *Sender) tryRelease(now sim.Time) {
+	was := s.stalled
 	s.stalled = false
+	// stall marks the window blocked; the counter scores episodes, not
+	// how often a driver looks at one.
+	stall := func() {
+		s.stalled = true
+		if !was {
+			s.st.ReleaseStalls++
+		}
+	}
 	// Like the kernel, buffer space is reclaimed lazily: only when the
 	// window lacks room for another packet, or when the stream is
 	// closed and draining. With large kernel buffers packets therefore
@@ -950,8 +972,7 @@ func (s *Sender) tryRelease(now sim.Time) {
 		// re-JOIN (their entries then gate the release the normal way).
 		if s.headFenceTill != 0 && seqspace.AtOrAfter(seq, s.headFence) {
 			if now < s.headFenceTill {
-				s.stalled = true
-				s.st.ReleaseStalls++
+				stall()
 				return
 			}
 			s.headFenceTill = 0
@@ -997,13 +1018,11 @@ func (s *Sender) tryRelease(now sim.Time) {
 			}
 			if s.cfg.Mode == HRMC {
 				if !joined {
-					s.st.ReleaseStalls++
-					s.stalled = true
+					stall()
 					return
 				}
 				if !complete {
-					s.st.ReleaseStalls++
-					s.stalled = true
+					stall()
 					trace.Emit(s.cfg.Trace, now, trace.ReleaseStall, uint32(seq), 0)
 					s.probeLacking(now, seq)
 					return
@@ -1065,30 +1084,14 @@ func (s *Sender) maybeEarlyProbe(now sim.Time, minHold sim.Time) {
 // multicast-probe extension enabled and enough lagging members, a single
 // multicast PROBE is sent instead.
 func (s *Sender) probeLacking(now sim.Time, seq seqspace.Seq) {
-	lacking := s.members.Lacking(seq, nil)
-	if len(lacking) == 0 {
+	s.lacking = s.members.Lacking(seq, s.lacking[:0])
+	if len(s.lacking) == 0 {
 		return
 	}
-	due := lacking[:0]
-	for _, m := range lacking {
-		if m.ProbeOutstanding && seqspace.AtOrBefore(seq, m.ProbeSeq) {
-			// An equivalent probe is in flight: wait at least an RTO
-			// (floored at two jiffies of timer granularity), backed off
-			// exponentially with the per-member retry count.
-			spacing := s.est.RTO()
-			if spacing < 2*kernel.Jiffy {
-				spacing = 2 * kernel.Jiffy
-			}
-			shift := m.ProbeTries - 1
-			if shift > 6 {
-				shift = 6
-			}
-			if shift > 0 {
-				spacing <<= uint(shift)
-			}
-			if now-m.LastProbed < spacing {
-				continue
-			}
+	due := s.lacking[:0]
+	for _, m := range s.lacking {
+		if now < s.probeDue(m, seq) {
+			continue
 		}
 		due = append(due, m)
 	}
@@ -1118,6 +1121,18 @@ func (s *Sender) probeLacking(now sim.Time, seq seqspace.Seq) {
 	}
 }
 
+// probeDue is the earliest time m may be probed for seq: at once, unless
+// an equivalent probe is in flight — then after an RTO (floored at two
+// beats of timer granularity), backed off exponentially with the
+// per-member retry count.
+func (s *Sender) probeDue(m *membership.Member, seq seqspace.Seq) sim.Time {
+	if !m.ProbeOutstanding || seqspace.After(seq, m.ProbeSeq) {
+		return 0
+	}
+	spacing := max(s.est.RTO(), 2*s.rc.Beat())
+	return m.LastProbed + spacing<<uint(min(max(m.ProbeTries-1, 0), 6))
+}
+
 func (s *Sender) markProbed(m *membership.Member, seq seqspace.Seq, now sim.Time) {
 	if m.ProbeOutstanding && m.ProbeSeq == seq {
 		m.ProbeTries++ // Karn: a re-probe makes the sample ambiguous
@@ -1134,7 +1149,7 @@ func (s *Sender) markProbed(m *membership.Member, seq seqspace.Seq, now sim.Time
 // urgent rate request, and ticks when the window cannot be advanced for
 // lack of receiver information. Mere rate pacing (tokens accruing toward
 // the next data packet) is not idleness and must not trigger keepalives.
-func (s *Sender) needsKeepalive(now sim.Time) bool {
+func (s *Sender) needsKeepalive() bool {
 	if s.st.PacketsSent == 0 || s.Done() {
 		return false
 	}
@@ -1182,8 +1197,116 @@ func (s *Sender) runKeepalive(now sim.Time) {
 	s.kaTimer.Arm(now + s.kaBackoff)
 }
 
-// NextWake returns the earliest time beyond the per-jiffy tick that the
-// sender needs attention; drivers that tick every jiffy can ignore it.
+// NextWake returns the earliest time a Tick has something to do, if it
+// ever will without new input: a driver that ticks then, and otherwise
+// only asks again after each Write, Close and HandlePacket, emits the
+// packets one ticking every beat would. A time at or before the
+// driver's clock means now.
 func (s *Sender) NextWake() (sim.Time, bool) {
-	return s.kaTimer.Deadline()
+	if !s.primed || s.pendingFIN && s.wnd.Fits(packet.HeaderSize) {
+		return s.lastTick, true
+	}
+	var at sim.Time
+	ok := false
+	wake := func(t sim.Time) {
+		if !ok || t < at {
+			at, ok = t, true
+		}
+	}
+	// next is the tick a per-beat driver would run next: where "on the
+	// first tick that finds ..." lands.
+	next := s.lastTick + s.rc.Beat()
+	seq, unsent := s.wnd.FirstUnsent()
+	if _, stopped := s.rc.StoppedUntil(); stopped {
+		// Ticks during an urgent stop keep the bucket empty and answer
+		// NAKs with what the retransmit guard leaves; the stop itself
+		// ends on the first tick past it.
+		wake(next)
+	} else if unsent != nil || len(s.retrans) > 0 {
+		wake(s.fundedAt(seq, unsent))
+	}
+	if s.fenc != nil && s.fenc.Pending() > 0 {
+		wake(s.fecLastAdd + s.rc.Beat())
+	}
+	if t, due := s.releaseWake(); due {
+		wake(t)
+	}
+	if s.needsKeepalive() {
+		if t, armed := s.kaTimer.Deadline(); armed {
+			wake(t)
+		} else {
+			wake(next)
+		}
+	}
+	if s.cfg.HeadSilenceTimeout > 0 && s.members.Heads() > 0 {
+		wake(s.lastHeadSweep + s.cfg.HeadSilenceTimeout/4)
+	}
+	if len(s.departed) > 0 {
+		wake(s.lastTombSweep + s.cfg.TombstoneTTL)
+	}
+	return at, ok
+}
+
+// fundedAt is when the bucket funds the next burst of the data waiting
+// for it: requested retransmissions, which any allowance serves and a
+// deferral holds back, and unsent packets.
+func (s *Sender) fundedAt(seq seqspace.Seq, unsent *window.SendEntry) sim.Time {
+	wire := s.cfg.MSS + packet.HeaderSize
+	backlog, first := 0, 0
+	if unsent != nil {
+		first = unsent.Pkt.WireSize()
+		backlog = first + (int(seqspace.Diff(s.wnd.Next(), seq))-1)*wire
+	}
+	var held sim.Time
+	for i, req := range s.retrans {
+		backlog, first = backlog+int(req.gap.Count())*wire, 1
+		if i == 0 || req.notBefore < held {
+			held = req.notBefore
+		}
+	}
+	at := s.rc.FundedAt(backlog, first)
+	if unsent == nil {
+		at = max(at, held)
+	}
+	return at
+}
+
+// releaseWake is when tryRelease next has something to do for the front
+// of the window — release it, score its MINBUF deadline, or probe for
+// it — with the membership picture as it stands.
+func (s *Sender) releaseWake() (sim.Time, bool) {
+	e := s.wnd.Front()
+	if e == nil || !e.Sent() || !s.closed && s.wnd.Free() >= s.cfg.MSS+packet.HeaderSize {
+		return 0, false
+	}
+	seq := s.wnd.Base()
+	if s.headFenceTill != 0 && seqspace.AtOrAfter(seq, s.headFence) {
+		return s.headFenceTill, true
+	}
+	minHold := sim.Time(s.cfg.MinBufRTTs) * s.pacingRTT()
+	deadline := e.LastSent + minHold
+	if s.cfg.Mode != HRMC {
+		return deadline, true
+	}
+	known := s.cfg.ExpectedReceivers > 0 && s.maxJoined >= s.cfg.ExpectedReceivers
+	s.lacking = s.members.Lacking(seq, s.lacking[:0])
+	switch complete := len(s.lacking) == 0; {
+	case complete && known:
+		// Early release, any time after the transmission's own instant.
+		return e.LastSent + 1, true
+	case s.cfg.ExpectedReceivers > 0 && !known:
+		// Waiting for JOINs; only the Figure 3 score is on the clock.
+		return deadline, seq == s.judged
+	case complete:
+		return deadline, true
+	}
+	probe := deadline
+	if s.cfg.EarlyProbeRTTs > 0 {
+		probe -= sim.Time(s.cfg.EarlyProbeRTTs * float64(s.pacingRTT()))
+	}
+	due := s.probeDue(s.lacking[0], seq)
+	for _, m := range s.lacking[1:] {
+		due = min(due, s.probeDue(m, seq))
+	}
+	return max(probe, due), true
 }

@@ -309,6 +309,27 @@ func TestHRMCReleaseGatedOnMemberState(t *testing.T) {
 	}
 }
 
+// ReleaseStalls counts stall episodes, not how often the driver looks at
+// one: a window blocked on one member across many ticks (and release
+// attempts on feedback) is one stall, whatever the driver's cadence.
+func TestReleaseStallsCountEpisodes(t *testing.T) {
+	for _, step := range []sim.Time{kernel.Jiffy, sim.Millisecond} {
+		s := newS(t, func(c *Config) { c.MinBufRTTs = 1; c.InitialRTT = sim.Millisecond })
+		s.Write(0, make([]byte, 1000))
+		s.Close(0)
+		s.Tick(kernel.Jiffy)
+		s.HandlePacket(kernel.Jiffy, 3, fb(packet.TypeJoin, 0))
+		for now := 5 * kernel.Jiffy; now < 15*kernel.Jiffy; now += step {
+			s.Tick(now)
+			s.TryRelease(now)
+			s.Outgoing()
+		}
+		if got := s.Stats().ReleaseStalls; got != 1 {
+			t.Errorf("driver stepping %v: one blocked window counted as %d stalls", step, got)
+		}
+	}
+}
+
 func TestProbeRateLimited(t *testing.T) {
 	s := newS(t, func(c *Config) { c.MinBufRTTs = 1; c.InitialRTT = sim.Millisecond })
 	s.Write(0, make([]byte, 1000))

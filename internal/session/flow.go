@@ -92,7 +92,6 @@ func WithFec(fc FecConfig) FlowOption {
 // *ReceiverFlow.
 type anyFlow interface {
 	base() *flow
-	tick(now sim.Time)
 	// handleBatch feeds one receive batch's worth of packets to the
 	// protocol machine under a single flow-lock acquisition, staging
 	// outgoing traffic once at the end. The flow takes ownership of
@@ -107,7 +106,7 @@ type anyFlow interface {
 }
 
 // flow is the state shared by both flow kinds. The mutex serializes
-// the sans-I/O machine against the tick loop, the receive loop, and
+// the sans-I/O machine against the driver, the receive loop, and
 // the application; cond wakes blocked Write/Read/Close callers.
 type flow struct {
 	sess   *Session
@@ -133,10 +132,27 @@ type flow struct {
 	// enqueueSend copies onto the session's shared send queue; guarded
 	// by mu.
 	itemScratch []outItem
+
+	// The machine's NextWake, its Tick or Advance and the flow's
+	// flushLocked; the flow's entry in the wake heap and what settle last
+	// booked there, so that an entry point that leaves the deadline where
+	// it was takes no session-wide lock (7 % of the CPU per MB on the
+	// 64-flow workload); when the timer last woke the flow, and the
+	// machine's Wakeups counter. All but due guarded by mu.
+	next     func() (sim.Time, bool)
+	run      func(now sim.Time)
+	flush    func()
+	due      deadline
+	booked   sim.Time
+	bookedOK bool
+	lastWake sim.Time
+	wakeups  *int64
+	detached bool
 }
 
 func (f *flow) init(s *Session, kind Kind, tr transport.Transport, port uint16, opts []FlowOption) {
 	f.sess = s
+	f.due = deadline{idx: -1, fire: f.wake}
 	f.tr = tr
 	f.kind = kind
 	f.port = port
@@ -179,6 +195,41 @@ func (f *flow) ship(items []outItem) {
 
 func (f *flow) base() *flow { return f }
 
+// settle is how every machine entry point ends: run the machine if a
+// deadline of its own has come due, ship what it queued, wake blocked
+// callers and book its next deadline with the driver. A failed flow's
+// machine is quiescent — its buffers may be back in the pool — and like
+// a detached one is neither run nor booked. Caller holds f.mu.
+func (f *flow) settle(now sim.Time) {
+	at, ok := sim.Time(0), false
+	if f.err == nil && !f.detached {
+		if at, ok = f.next(); ok && at <= now {
+			f.run(now)
+			at, ok = f.next()
+		}
+	}
+	f.flush()
+	f.cond.Broadcast()
+	// The timer wakes one flow at most once a quantum; whatever lands in
+	// between rides on the entry point that brought it.
+	if at = max(at, f.lastWake+quantum); ok != f.bookedOK || ok && at != f.booked {
+		f.booked, f.bookedOK = at, ok
+		f.sess.book(&f.due, at, ok)
+	}
+}
+
+// wake is the flow's deadline coming due on the driver.
+func (f *flow) wake(now sim.Time) {
+	f.mu.Lock()
+	f.bookedOK = false // the driver popped the entry
+	if f.err == nil {
+		*f.wakeups++
+		f.lastWake = now
+	}
+	f.settle(now)
+	f.mu.Unlock()
+}
+
 // fail records a driver-side error (transport closed, abort) and wakes
 // every waiter.
 func (f *flow) fail(err error) {
@@ -218,60 +269,50 @@ type SenderFlow struct {
 	capCeiling float64
 }
 
-func (f *SenderFlow) tick(now sim.Time) {
-	f.tickSender(now, 0, false, false)
-}
-
 // govHeadroom is the growth room the governor leaves a flow pacing
 // below its ceiling: the ceiling tracks twice the current rate — one
 // slow-start doubling ahead — so ramp-up is never throttled, while the
 // rest of the flow's unused share is donated to still-hungry flows.
 const govHeadroom = 2
 
-// tickSender runs one governor-aware tick under a single lock
-// acquisition: apply the share the governor computed last tick, tick
-// the protocol machine, and sample the demand report for the next
-// allocation. It returns the flow's share request and whether the flow
-// still participates in the budget.
-func (f *SenderFlow) tickSender(now sim.Time, share float64, haveShare, governed bool) (shareReq, bool) {
+// demand samples the flow's share request for the governor and reports
+// whether the flow still participates in the budget. With the governor
+// off it hands a governed flow its own ceiling back.
+func (f *SenderFlow) demand(now sim.Time, governed bool) (shareReq, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.err != nil {
-		// A failed (aborted) flow's machine is quiescent — its buffers
-		// may already be back in the pool.
+	if f.err != nil || f.m.Done() {
 		return shareReq{}, false
 	}
-	switch {
-	case governed && haveShare && share > 0:
-		if f.capCeiling > 0 && share > f.capCeiling {
-			share = f.capCeiling
+	if !governed {
+		if f.governed {
+			f.m.SetMaxRate(f.capCeiling)
+			f.governed = false
 		}
-		f.m.SetMaxRate(share)
-		f.governed = true
-	case !governed && f.governed:
-		f.m.SetMaxRate(f.capCeiling)
-		f.governed = false
-	}
-	f.m.Tick(now)
-	f.flushLocked()
-	f.cond.Broadcast()
-	if !governed || f.err != nil || f.m.Done() {
 		return shareReq{}, false
 	}
 	rate := f.m.Rate(now)
-	ceil := f.m.MaxRate()
 	demand := govHeadroom * rate
-	if rate >= 0.95*ceil {
+	if rate >= 0.95*f.m.MaxRate() {
 		// Pacing at the ceiling: appetite unknown, stay hungry.
 		demand = math.Inf(1)
 	}
-	if min := f.m.MinRate(); demand < min {
-		demand = min
-	}
-	if f.capCeiling > 0 && demand > f.capCeiling {
-		demand = f.capCeiling
+	demand = max(demand, f.m.MinRate())
+	if f.capCeiling > 0 {
+		demand = min(demand, f.capCeiling)
 	}
 	return shareReq{Weight: f.weight, Demand: demand}, true
+}
+
+// setShare applies the governor's allocation — never above the demand
+// the flow's own ceiling bounded — as the flow's rate ceiling.
+func (f *SenderFlow) setShare(share float64) {
+	f.mu.Lock()
+	if f.err == nil && share > 0 {
+		f.m.SetMaxRate(share)
+		f.governed = true
+	}
+	f.mu.Unlock()
 }
 
 func (f *SenderFlow) handleBatch(now sim.Time, env []transport.Envelope) {
@@ -284,14 +325,12 @@ func (f *SenderFlow) handleBatch(now sim.Time, env []transport.Envelope) {
 	for i := range env {
 		f.m.HandlePacket(now, env[i].From, env[i].Pkt)
 	}
-	// Release on feedback, not on the next tick: when an UPDATE just
+	// Release on feedback without transmitting: when an UPDATE just
 	// completed the membership picture for the window front, this frees
-	// window space (and wakes a blocked Write) immediately instead of
-	// up to a jiffy later — the difference between latency-bound and
-	// rate-bound single-flow throughput.
+	// window space (and wakes a blocked Write) at once, and leaves the
+	// next burst to its own deadline.
 	f.m.TryRelease(now)
-	f.flushLocked()
-	f.cond.Broadcast()
+	f.settle(now)
 	f.mu.Unlock()
 	// The sender machine never retains feedback packets.
 	transport.ReleaseEnvelopes(env)
@@ -356,12 +395,12 @@ func (f *SenderFlow) Write(b []byte) (int, error) {
 		if f.err != nil {
 			return n, f.err
 		}
-		w := f.m.Write(f.sess.now(), b[n:])
+		now := f.sess.now()
+		w := f.m.Write(now, b[n:])
 		n += w
 		if w > 0 {
-			// Ship what fit without waiting for the next tick.
-			f.m.Tick(f.sess.now())
-			f.flushLocked()
+			// Ship what fit if the bucket already funds it.
+			f.settle(now)
 			continue
 		}
 		f.cond.Wait()
@@ -382,12 +421,12 @@ func (f *SenderFlow) Close() error {
 		// dead window would strand the packet.
 		return f.err
 	}
-	f.m.Close(f.sess.now())
-	// Ship the FIN now instead of leaving it for the next shared tick: on
-	// a short stream the FIN is the packet the receivers' end-of-stream
-	// (and so the final UPDATE that drains the window) is waiting on.
-	f.m.Tick(f.sess.now())
-	f.flushLocked()
+	now := f.sess.now()
+	f.m.Close(now)
+	// The FIN is due at once: on a short stream it is the packet the
+	// receivers' end-of-stream (and so the final UPDATE that drains the
+	// window) is waiting on.
+	f.settle(now)
 	for !f.m.Done() && f.err == nil {
 		f.cond.Wait()
 	}
@@ -431,6 +470,7 @@ func (f *SenderFlow) Done() bool {
 
 func (f *SenderFlow) snapshot() FlowSnapshot {
 	f.mu.Lock()
+	f.m.RefreshGauges(f.sess.now())
 	cp := f.m.Stats().Snapshot()
 	done := f.m.Done()
 	w := f.weight
@@ -455,16 +495,6 @@ type ReceiverFlow struct {
 	sender    packet.NodeID
 }
 
-func (f *ReceiverFlow) tick(now sim.Time) {
-	f.mu.Lock()
-	if f.err == nil {
-		f.m.Advance(now)
-		f.flushLocked()
-	}
-	f.cond.Broadcast()
-	f.mu.Unlock()
-}
-
 func (f *ReceiverFlow) handleBatch(now sim.Time, env []transport.Envelope) {
 	f.mu.Lock()
 	if f.err != nil {
@@ -487,8 +517,7 @@ func (f *ReceiverFlow) handleBatch(now sim.Time, env []transport.Envelope) {
 		}
 		env[i] = transport.Envelope{}
 	}
-	f.flushLocked()
-	f.cond.Broadcast()
+	f.settle(now)
 	f.mu.Unlock()
 }
 
@@ -518,8 +547,9 @@ func (f *ReceiverFlow) Read(b []byte) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for {
-		n, err := f.m.Read(f.sess.now(), b)
-		f.flushLocked() // end-of-stream queues UPDATE+LEAVE
+		now := f.sess.now()
+		n, err := f.m.Read(now, b)
+		f.settle(now) // end-of-stream queues UPDATE+LEAVE
 		if n > 0 || err != nil {
 			return n, err
 		}

@@ -1,24 +1,53 @@
-// The fair-share governor's allocation math, kept as a pure function so
-// the redistribution policy is unit-testable without driving live flows.
-//
-// The original governor re-split the budget equally (by weight) every
-// tick regardless of what each flow could actually use; a flow pacing
-// below its ceiling — congestion-cut, urgently stopped, or simply idle —
-// stranded the difference. The demand-aware governor water-fills
-// instead: every flow reports a demand (how many bytes/second it could
-// plausibly use next tick), flows whose weighted share exceeds their
-// demand are capped at the demand, and the slack they donate is
-// re-split among the still-hungry flows, proportional to weight, until
-// no allocation changes.
+// The fair-share governor: the allocation math, kept as a pure function
+// so the redistribution policy is unit-testable without driving live
+// flows, and the deadline that applies it. The governor water-fills:
+// every flow reports a demand (how many bytes/second it could plausibly
+// use next round), flows whose weighted share exceeds their demand are
+// capped at it, and the slack they donate — a flow congestion-cut,
+// urgently stopped or idle paces below its ceiling — is re-split among
+// the still-hungry flows, proportional to weight, until no allocation
+// changes.
 package session
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/kernel"
+	"repro/internal/sim"
+)
+
+// govern is the governor's deadline: sample every sender's demand,
+// water-fill the budget and apply each share. It books itself a jiffy
+// ahead — well inside the round trips the rate controllers react on —
+// only while a sender is left to govern; SetBudget and a sender's attach
+// book it again.
+func (s *Session) govern(now sim.Time) {
+	s.mu.Lock()
+	budget, flows := s.cfg.Budget, append([]anyFlow(nil), s.flows...)
+	s.mu.Unlock()
+	var reqs []shareReq
+	var active []*SenderFlow
+	for _, f := range flows {
+		if sf, sender := f.(*SenderFlow); sender {
+			if req, ok := sf.demand(now, budget > 0); ok {
+				active, reqs = append(active, sf), append(reqs, req)
+			}
+		}
+	}
+	if len(active) == 0 {
+		return
+	}
+	for i, share := range fairShares(budget, reqs) {
+		active[i].setShare(share)
+	}
+	s.book(&s.gov, now+kernel.Jiffy, true)
+}
 
 // shareReq is one governed sender flow's input to the allocator.
 type shareReq struct {
 	// Weight is the flow's fair-share weight (> 0).
 	Weight float64
-	// Demand is the most bandwidth the flow can use next tick, in
+	// Demand is the most bandwidth the flow can use next round, in
 	// bytes/second. math.Inf(1) means "as much as offered" — a flow
 	// pacing at its ceiling whose appetite is unknown.
 	Demand float64

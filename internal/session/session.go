@@ -1,12 +1,13 @@
 // Package session multiplexes many concurrent H-RMC flows — senders
 // and receivers across independent multicast groups — inside one
 // process, the way the paper's kernel implementation multiplexes all
-// AF_HRMC sockets over one jiffy clock and one timer wheel.
+// AF_HRMC sockets over one clock and one timer wheel.
 //
 // One Session owns:
 //
-//   - a single wall-clock tick loop (one kernel jiffy, 10 ms)
-//     driving every flow's transmit and timer machinery;
+//   - a single deadline-driven driver (wake.go): a min-heap of the
+//     flows' own NextWake deadlines, booked at the end of every machine
+//     entry point, and one goroutine sleeping until the earliest;
 //   - one batched receive loop per transport, with a port-based
 //     demultiplexer that drains
 //     a whole batch, groups envelopes by destination port, and hands
@@ -45,10 +46,6 @@ import (
 	"repro/internal/transport"
 )
 
-// tickInterval is the shared wall-clock transmit/timer tick driving
-// every flow: one kernel jiffy, the quantum the machines are written to.
-const tickInterval = 10 * time.Millisecond
-
 // Errors returned by session operations.
 var (
 	// ErrClosed is returned by operations on a closed session or flow.
@@ -63,7 +60,7 @@ var (
 // Config parametrizes a Session.
 type Config struct {
 	// Budget, when positive, caps the aggregate send rate across all
-	// sender flows in bytes/second. Every tick the demand-aware
+	// sender flows in bytes/second. Every jiffy the demand-aware
 	// fair-share governor water-fills it among the flows still sending,
 	// proportional to their weights (WithWeight): flows pacing below
 	// their ceiling donate the slack to still-hungry flows. Shares are
@@ -91,11 +88,8 @@ type Session struct {
 	flows  []anyFlow
 	nextID int
 	closed bool
-	// shares holds the ceilings the governor computed from the previous
-	// tick's demand reports, applied at the start of the next tick so
-	// governor bookkeeping and the flow machine tick share one lock
-	// acquisition per flow.
-	shares map[*SenderFlow]float64
+	wakes  wakes    // the deadline heap the driver sleeps on
+	gov    deadline // the governor's entry in it
 
 	// sendShards are the outgoing staging queues: every flow's
 	// flushLocked appends ready packets to its transport's shard
@@ -141,7 +135,7 @@ type outItem struct {
 	group     transport.GroupID
 }
 
-// New creates a session and starts its shared tick loop.
+// New creates a session and starts its driver.
 func New(cfg Config) *Session {
 	np := cfg.SendPollers
 	if np <= 0 {
@@ -155,8 +149,10 @@ func New(cfg Config) *Session {
 		quit:       make(chan struct{}),
 		pollerDone: make(chan struct{}),
 	}
+	s.wakes.sleep.L = &s.wakes.mu
+	s.gov = deadline{idx: -1, fire: s.govern}
 	s.wg.Add(1)
-	go s.runTicks()
+	go s.runWakes()
 	s.pollerWG.Add(np)
 	for i := range s.sendShards {
 		s.sendShards[i] = &sendShard{notify: make(chan struct{}, 1)}
@@ -171,66 +167,6 @@ func New(cfg Config) *Session {
 
 // now is the session clock every flow machine runs on.
 func (s *Session) now() sim.Time { return sim.Time(time.Since(s.start)) }
-
-// runTicks is the single tick loop shared by every flow.
-func (s *Session) runTicks() {
-	defer s.wg.Done()
-	t := time.NewTicker(tickInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			s.tickAll()
-		case <-s.quit:
-			return
-		}
-	}
-}
-
-// tickAll drives one shared tick. Each flow is locked exactly once: a
-// sender flow's governor share is applied, its machine ticked, and its
-// next-tick demand sampled inside the same critical section (the old
-// governor took three separate per-flow lock acquisitions — weight
-// probe, ceiling store, tick). The shares applied this tick were
-// computed from last tick's demand reports, so the governor lags the
-// flows by one jiffy — well inside the round-trip timescale the rate
-// controllers react on.
-func (s *Session) tickAll() {
-	now := s.now()
-	s.mu.Lock()
-	flows := append([]anyFlow(nil), s.flows...)
-	budget := s.cfg.Budget
-	shares := s.shares
-	s.mu.Unlock()
-
-	governed := budget > 0
-	var senders []*SenderFlow
-	var reqs []shareReq
-	for _, f := range flows {
-		sf, ok := f.(*SenderFlow)
-		if !ok {
-			f.tick(now)
-			continue
-		}
-		share, haveShare := shares[sf]
-		req, active := sf.tickSender(now, share, haveShare, governed)
-		if governed && active {
-			senders = append(senders, sf)
-			reqs = append(reqs, req)
-		}
-	}
-	if !governed {
-		return
-	}
-	alloc := fairShares(budget, reqs)
-	next := make(map[*SenderFlow]float64, len(senders))
-	for i, sf := range senders {
-		next[sf] = alloc[i]
-	}
-	s.mu.Lock()
-	s.shares = next
-	s.mu.Unlock()
-}
 
 // enqueueSend stages a flow's ready packets on its transport's send
 // shard and wakes that shard's poller. items' values are copied; the
@@ -362,13 +298,14 @@ func (s *Session) discardSendq() {
 }
 
 // SetBudget re-points the aggregate bandwidth budget at runtime, in
-// bytes/second. Zero or negative disables the governor: on the next
-// tick every governed flow's ceiling is restored to its own configured
-// (or SetCeiling) value.
+// bytes/second. Zero or negative disables the governor: every governed
+// flow's ceiling is restored to its own configured (or SetCeiling)
+// value.
 func (s *Session) SetBudget(bytesPerSec float64) {
 	s.mu.Lock()
 	s.cfg.Budget = bytesPerSec
 	s.mu.Unlock()
+	s.book(&s.gov, s.now(), true)
 }
 
 // Budget returns the current aggregate bandwidth budget in
@@ -576,13 +513,20 @@ func (s *Session) attach(f anyFlow) error {
 	b.id = s.nextID
 	s.nextID++
 	s.flows = append(s.flows, f)
+	if _, sender := f.(*SenderFlow); sender && s.cfg.Budget > 0 {
+		s.book(&s.gov, s.now(), true) // a sender to govern
+	}
 	return nil
 }
 
-// detach unbinds a flow from the demultiplexer and drops it from the
+// detach unbinds a flow from the demultiplexer, the wake heap and the
 // flow list; its counters leave Snapshot with it.
 func (s *Session) detach(f anyFlow) {
 	b := f.base()
+	b.mu.Lock()
+	b.detached = true
+	b.settle(s.now())
+	b.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if l := s.loops[b.tr]; l != nil {
@@ -601,12 +545,14 @@ func (s *Session) detach(f anyFlow) {
 // packets arrive on it, so receivers of the group must use it as their
 // RemotePort.
 func (s *Session) OpenSender(tr transport.Transport, cfg sender.Config, opts ...FlowOption) (*SenderFlow, error) {
+	cfg.Quantum = quantum
 	f := &SenderFlow{}
 	f.init(s, KindSender, tr, cfg.LocalPort, opts)
 	if f.fec.Enabled {
 		cfg.FECGroupSize = f.fec.GroupSize()
 	}
 	f.m = sender.New(cfg)
+	f.next, f.run, f.flush, f.wakeups = f.m.NextWake, f.m.Tick, f.flushLocked, &f.m.Stats().Wakeups
 	f.capCeiling = f.m.MaxRate()
 	if err := s.attach(f); err != nil {
 		return nil, err
@@ -627,12 +573,14 @@ func (s *Session) OpenReceiver(tr transport.Transport, cfg receiver.Config, opts
 	// including under FEC/local recovery, whose group cache keeps its
 	// own pool reference per cached packet.
 	cfg.RecyclePackets = true
+	cfg.Quantum = quantum
 	f := &ReceiverFlow{}
 	f.init(s, KindReceiver, tr, cfg.LocalPort, opts)
 	if f.fec.Enabled {
 		cfg.FECGroupSize = f.fec.GroupSize()
 	}
 	f.m = receiver.New(cfg)
+	f.next, f.run, f.flush, f.wakeups = f.m.NextWake, f.m.Advance, f.flushLocked, &f.m.Stats().Wakeups
 	if err := s.attach(f); err != nil {
 		return nil, err
 	}
@@ -688,8 +636,8 @@ func (s *Session) Snapshot() Snapshot {
 }
 
 // Close drains every flow gracefully — sender flows block until the
-// stream is fully released to all receivers — then stops the tick
-// loop, closes every bound transport, and waits for the receive loops.
+// stream is fully released to all receivers — then stops the driver,
+// closes every bound transport, and waits for the receive loops.
 // It returns the first flow drain error, if any.
 func (s *Session) Close() error {
 	s.mu.Lock()
@@ -731,6 +679,7 @@ func (s *Session) Abort() {
 
 func (s *Session) shutdown() {
 	s.quitOnce.Do(func() { close(s.quit) })
+	s.wakes.poke()
 	// Let the poller ship everything the flows staged before the
 	// transports close underneath it.
 	<-s.pollerDone

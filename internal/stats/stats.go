@@ -27,11 +27,12 @@ type Sender struct {
 	RetransCancelled    int64 // retransmissions cancelled by peer repairs
 	KeepalivesSent      int64
 
-	// RateBps and CeilingBps are flow-control gauges refreshed on every
-	// transmit tick: the current configured transmission rate and the
-	// rate-control ceiling (the session governor's share under a
-	// budget), both in bytes/second. In Aggregate they sum across
-	// flows, giving the aggregate offered rate and aggregate ceiling.
+	// RateBps and CeilingBps are flow-control gauges brought up to date
+	// when an observer asks (Sender.RefreshGauges): the current
+	// configured transmission rate and the rate-control ceiling (the
+	// session governor's share under a budget), both in bytes/second. In
+	// Aggregate they sum across flows, giving the aggregate offered rate
+	// and aggregate ceiling.
 	RateBps    int64
 	CeilingBps int64
 
@@ -40,14 +41,20 @@ type Sender struct {
 	// receivers (every member known past the released sequence number).
 	Releases             int64
 	ReleasesCompleteInfo int64
-	// ReleaseStalls counts transmit ticks on which the H-RMC sender
-	// wanted to advance the window but could not because receiver
-	// information was lacking.
+	// ReleaseStalls counts stall episodes: the times the H-RMC sender
+	// wanted to advance the window and found it could not, because
+	// receiver information was lacking. An episode lasts until a release
+	// attempt is not blocked; how often the driver looks at one in
+	// between does not count.
 	ReleaseStalls int64
+	// Wakeups counts the times the session driver ran the machine because
+	// a deadline it had published came due (not the runs that ride on a
+	// Write, a Close or arriving feedback). An idle flow's stays still.
+	Wakeups int64
 
 	// Hierarchical repair tier (extension). AggUpdatesReceived counts
 	// AGG_UPDATE packets from repair heads; RepairHeads and
-	// DownstreamMembers are gauges refreshed on every transmit tick:
+	// DownstreamMembers are gauges refreshed with RateBps:
 	// how many membership-table entries are repair heads, and how many
 	// downstream receivers those heads report in aggregate.
 	AggUpdatesReceived int64
@@ -133,4 +140,8 @@ type Receiver struct {
 	HeadDrainTimeouts  int64
 	NakErrsHeard       int64
 	UnrecoverableHoles int64
+
+	// Wakeups counts the times the session driver ran the machine because
+	// one of its timers came due.
+	Wakeups int64
 }
