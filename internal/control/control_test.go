@@ -235,6 +235,10 @@ func TestControlAdmitTransferObserve(t *testing.T) {
 		`hrmc_receiver_fec_recovered{flow="mirror"`,
 		`hrmc_receiver_fec_fallback_naks{flow="mirror"`,
 		`hrmc_receiver_fec_parity_wasted{flow="mirror"`,
+		// The round-trip gauges: RTTMicros keeps its acronym whole.
+		"# TYPE hrmc_receiver_rtt_micros gauge",
+		`hrmc_receiver_rtt_micros{flow="mirror"`,
+		`hrmc_sender_rtt_micros{flow="dist"`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics output missing %q\n--- got ---\n%s", want, metrics)

@@ -23,6 +23,7 @@ var gaugeFields = map[string]bool{
 	"RateBps":           true,
 	"CeilingBps":        true,
 	"MaxFillPermille":   true,
+	"RTTMicros":         true,
 	"RepairHead":        true,
 	"RepairMembers":     true,
 	"RepairHeads":       true,
@@ -30,18 +31,21 @@ var gaugeFields = map[string]bool{
 	"OrphanedLeaves":    true,
 }
 
-// snakeCase converts a Go field name (PacketsSent, RateBps) to a
-// metric suffix (packets_sent, rate_bps).
+// snakeCase converts a Go field name (PacketsSent, RateBps, RTTMicros)
+// to a metric suffix (packets_sent, rate_bps, rtt_micros): a word starts
+// at a capital that follows, or is followed by, a small letter.
 func snakeCase(name string) string {
+	upper := func(i int) bool { return name[i] >= 'A' && name[i] <= 'Z' }
 	var b strings.Builder
-	for i, r := range name {
-		if r >= 'A' && r <= 'Z' {
-			if i > 0 {
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if upper(i) {
+			if i > 0 && (!upper(i-1) || i+1 < len(name) && !upper(i+1)) {
 				b.WriteByte('_')
 			}
-			r += 'a' - 'A'
+			c += 'a' - 'A'
 		}
-		b.WriteRune(r)
+		b.WriteByte(c)
 	}
 	return b.String()
 }

@@ -130,3 +130,90 @@ func FuzzDecodeBorrow(f *testing.F) {
 		}
 	})
 }
+
+// refChecksum is the two-bytes-a-step loop Checksum replaced, kept as the
+// reference the word-summing one is checked against. A non-negative off
+// reads the two bytes there as zero, as verification of a received
+// packet does with the header's checksum field.
+func refChecksum(b []byte, off int) uint16 {
+	var sum uint32
+	n := len(b)
+	for i := 0; i+1 < n; i += 2 {
+		hi, lo := b[i], b[i+1]
+		if i == off {
+			hi, lo = 0, 0
+		}
+		sum += uint32(hi)<<8 | uint32(lo)
+	}
+	if n%2 == 1 {
+		sum += uint32(b[n-1]) << 8
+	}
+	for sum > 0xFFFF {
+		sum = (sum >> 16) + (sum & 0xFFFF)
+	}
+	return ^uint16(sum)
+}
+
+// FuzzChecksumMatchesReference checks the eight-bytes-a-step checksum
+// against the loop it replaced, on arbitrary bytes and on the same bytes
+// with one bit flipped (which must also change the sum: the Internet
+// checksum cannot miss a single-bit error), then sends the bytes through
+// Encode and DecodeBorrow as a payload. The seeds in testdata and below
+// hold the shapes a word loop gets wrong: lengths under one step, odd
+// lengths, every tail length, sums that are a multiple of 0xFFFF, and a
+// flip at every byte offset of a buffer spanning the unrolled step.
+func FuzzChecksumMatchesReference(f *testing.F) {
+	for n := 0; n <= 41; n++ {
+		f.Add(bytes.Repeat([]byte{0xFF}, n), uint16(n))
+	}
+	ramp := make([]byte, 75)
+	for i := range ramp {
+		ramp[i] = byte(i*37 + 1)
+	}
+	for i := range ramp {
+		f.Add(ramp, uint16(i*8+i%8))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, flip uint16) {
+		check := func(b []byte) uint16 {
+			got := Checksum(b)
+			if want := refChecksum(b, -1); got != want {
+				t.Fatalf("Checksum(%x) = %#04x, reference %#04x", b, got, want)
+			}
+			if len(b) >= HeaderSize {
+				if got, want := checksumZeroed(b), refChecksum(b, 16); got != want {
+					t.Fatalf("checksumZeroed(%x) = %#04x, reference %#04x", b, got, want)
+				}
+			}
+			return got
+		}
+		flipped := func(b []byte) []byte {
+			mut := append([]byte(nil), b...)
+			mut[int(flip/8)%len(mut)] ^= 1 << (flip % 8)
+			return mut
+		}
+		sum := check(data)
+		if len(data) > 0 && check(flipped(data)) == sum {
+			t.Fatalf("flip %d of %x left the checksum at %#04x", flip, data, sum)
+		}
+
+		p := &Packet{Header: Header{Type: TypeData, Seq: uint32(flip), Length: uint32(len(data))}, Payload: data}
+		wire, err := p.Encode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refChecksum(wire, 16); p.Checksum != want {
+			t.Fatalf("Encode stored %#04x, reference %#04x", p.Checksum, want)
+		}
+		var q Packet
+		if err := DecodeBorrow(&q, wire); err != nil {
+			t.Fatalf("DecodeBorrow of an encoded packet: %v", err)
+		}
+		if q.Header != p.Header || !bytes.Equal(q.Payload, data) {
+			t.Fatalf("round trip changed the packet:\n %+v\n %+v", p, &q)
+		}
+		if err := DecodeBorrow(&q, flipped(wire)); err == nil {
+			t.Fatalf("flip %d of the encoded packet went undetected", flip)
+		}
+	})
+}

@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -373,55 +374,61 @@ func DecodeBorrow(p *Packet, buf []byte) error {
 }
 
 func verifyChecksum(buf []byte) error {
-	want := binary.BigEndian.Uint16(buf[16:18])
-	// Compute with the checksum field zeroed, without mutating buf.
-	sum := checksumZeroed(buf, 16)
-	if sum != want {
+	if checksumZeroed(buf) != binary.BigEndian.Uint16(buf[16:18]) {
 		return ErrBadChecksum
 	}
 	return nil
 }
 
-// Checksum computes the 16-bit Internet checksum (RFC 1071) of b with the
-// bytes at the checksum offset treated as zero if the caller has already
-// zeroed them. Callers encoding a packet should zero the checksum field
-// first; Encode does this implicitly by computing before filling it in.
+// Checksum computes the 16-bit Internet checksum (RFC 1071) of b: the
+// complement of the ones-complement sum of its big-endian 16-bit words,
+// an odd last byte padded with zero. Callers encoding a packet compute
+// it with the checksum field still zero, as Encode does.
 func Checksum(b []byte) uint16 {
-	var sum uint32
-	n := len(b)
-	for i := 0; i+1 < n; i += 2 {
-		sum += uint32(b[i])<<8 | uint32(b[i+1])
-	}
-	if n%2 == 1 {
-		sum += uint32(b[n-1]) << 8
-	}
-	for sum > 0xFFFF {
-		sum = (sum >> 16) + (sum & 0xFFFF)
-	}
-	return ^uint16(sum)
+	return ^fold(onesSum(0, b))
 }
 
-// checksumZeroed computes the Internet checksum of b treating the two
-// bytes at off as zero.
-func checksumZeroed(b []byte, off int) uint16 {
-	var sum uint32
-	n := len(b)
-	for i := 0; i+1 < n; i += 2 {
-		hi, lo := b[i], b[i+1]
-		if i == off {
-			hi, lo = 0, 0
-		}
-		sum += uint32(hi)<<8 | uint32(lo)
+// checksumZeroed is Checksum over a whole packet with the header's
+// checksum field b[16:18] taken as zero, without writing to b: the sum
+// of what lies either side of the field, both even-aligned.
+func checksumZeroed(b []byte) uint16 {
+	return ^fold(onesSum(onesSum(0, b[:16]), b[18:]))
+}
+
+// onesSum adds the 16-bit words of b to acc in ones-complement
+// arithmetic, eight bytes a step: 2^16 is 1 modulo 0xFFFF, so a 64-bit
+// end-around-carry sum folds to the same 16 bits the word-by-word sum
+// reaches. Each step's carry rides into the next and the last one is
+// added back at the end. b must start on a word boundary of the data
+// summed; a short tail is padded with zeros on the right. The four-step
+// loop is the same loop unrolled, worth half the time of a full packet.
+func onesSum(acc uint64, b []byte) uint64 {
+	var c uint64
+	for ; len(b) >= 32; b = b[32:] {
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[8:]), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[16:]), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[24:]), c)
 	}
-	if n%2 == 1 {
-		v := b[n-1]
-		if n-1 == off {
-			v = 0
-		}
-		sum += uint32(v) << 8
+	for ; len(b) >= 8; b = b[8:] {
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b), c)
 	}
-	for sum > 0xFFFF {
-		sum = (sum >> 16) + (sum & 0xFFFF)
+	if len(b) > 0 {
+		var tail [8]byte
+		copy(tail[:], b)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(tail[:]), c)
 	}
-	return ^uint16(sum)
+	acc, c = bits.Add64(acc, c, 0)
+	return acc + c
+}
+
+// fold reduces a 64-bit ones-complement sum to 16 bits. A non-zero sum
+// stays non-zero at every step, so only all-zero input sums to 0 and a
+// sum that is a multiple of 0xFFFF comes out as 0xFFFF.
+func fold(acc uint64) uint16 {
+	acc = acc>>32 + acc&0xFFFFFFFF
+	acc = acc>>16 + acc&0xFFFF
+	acc = acc>>16 + acc&0xFFFF
+	acc = acc>>16 + acc&0xFFFF
+	return uint16(acc)
 }

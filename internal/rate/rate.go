@@ -267,7 +267,7 @@ const gsoSegment = 64 << 10
 
 // depth is the bucket's capacity at rate r: two quanta of the rate, but
 // at least one GSO supersegment — a driver that can wake every
-// millisecond still hands the transport full batches — and at most the
+// quantum still hands the transport full batches — and at most the
 // paper's two jiffies of rate. It never drops below two packets (header
 // included), or low rates would deadlock. With Quantum = Jiffy this is
 // exactly two jiffies of rate.
@@ -279,9 +279,10 @@ func (c *Controller) depth(r float64) float64 {
 
 // Beat is the period at which the bucket funds one burst at the current
 // rate — half its depth over the rate — kept between the quantum and a
-// jiffy: 1 ms for a 32 MB/s flow under a 1 ms quantum, a jiffy for a
-// 3 MB/s one. It is to this flow what the jiffy was to the per-jiffy
-// transmitter, and with Quantum = Jiffy it is the jiffy.
+// jiffy: under a 350 µs quantum 1.024 ms for a 32 MB/s flow (half a
+// supersegment), 0.35 ms for a 100 MB/s one, a jiffy for a 3 MB/s one.
+// It is to this flow what the jiffy was to the per-jiffy transmitter,
+// and with Quantum = Jiffy it is the jiffy.
 func (c *Controller) Beat() sim.Time {
 	b := sim.FromSeconds(c.depth(c.rate) / 2 / c.rate)
 	return min(max(b, c.cfg.Quantum), kernel.Jiffy)

@@ -152,7 +152,6 @@ func (c *Config) sanitize() {
 	if c.Quantum <= 0 || c.Quantum > kernel.Jiffy {
 		c.Quantum = kernel.Jiffy
 	}
-	c.AssumedRTT = max(c.AssumedRTT, 2*c.Quantum) // the clock's measurement floor
 	if c.WarnBuf <= 0 {
 		c.WarnBuf = 4
 	}

@@ -92,6 +92,9 @@ type Receiver struct {
 	joinTimer     kernel.Timer
 	joinAmbiguous bool // JOIN was retransmitted: RTT sample is unusable
 	joinAcked     bool
+	joinSeq       uint32   // Seq of the last JOIN sent, which its response echoes
+	retimedAt     sim.Time // when a re-timing JOIN went out; 0 = none in flight
+	retimes       int      // re-timing JOINs sent
 	rttEstimate   sim.Time
 	lastAdvance   sim.Time
 	lastControl   sim.Time // throttle for warning rate requests
@@ -133,9 +136,9 @@ func New(cfg Config) *Receiver {
 		pending:      make(map[seqspace.Seq]*nakEntry),
 		dead:         make(map[seqspace.Seq]bool),
 		updatePeriod: cfg.InitialUpdatePeriod,
-		rttEstimate:  cfg.AssumedRTT,
 		rec:          newRecovery(cfg),
 	}
+	r.setRTT(cfg.AssumedRTT)
 	r.timers = []*kernel.Timer{&r.nakTimer, &r.updateTimer, &r.joinTimer, &r.rec.timer}
 	if cfg.RecyclePackets {
 		r.wnd.SetRecycle(true)
@@ -200,7 +203,7 @@ func (r *Receiver) HandleFrom(now sim.Time, from packet.NodeID, p *packet.Packet
 	case packet.TypeProbe:
 		r.onProbe(now, p)
 	case packet.TypeJoinResponse:
-		r.onJoinResponse(now)
+		r.onJoinResponse(now, p)
 	case packet.TypeLeaveResponse:
 		// Only a LEAVE this receiver actually has in flight can be acked;
 		// responses to the auxiliary LEAVEs a re-adoption sends (retiring
@@ -501,6 +504,7 @@ func (r *Receiver) maybeRateRequest(now sim.Time) {
 		r.lastControl = now
 		r.st.RateRequests++
 		r.sendControl(now, trace.RegionWarning, 0)
+		r.retime(now)
 	case window.Critical:
 		// Rule 3: urgent request, stops the sender for two round trips
 		// regardless of the advertised rate. One per two round trips.
@@ -589,8 +593,42 @@ func (r *Receiver) rejoin(now sim.Time) {
 
 // sendJoin emits a JOIN and arms the retry timer.
 func (r *Receiver) sendJoin(now sim.Time) {
+	r.joinSeq = uint32(r.reportedNext())
 	r.sendState(now, packet.TypeJoin, upstream)
 	r.joinTimer.Arm(now + joinRetryInterval)
+}
+
+// maxRetimes bounds the re-timing JOINs of one flow, so a path whose
+// round trip really lies between the floor and a jiffy pays a handful of
+// packets for finding that out, not two per rate request for ever.
+const maxRetimes = 4
+
+// retime repeats the JOIN exchange to take the round-trip sample again,
+// when rule 2 has just asked for half the rate on the strength of it. The
+// one JOIN sample is taken on the coldest path of the flow's life, and an
+// estimate under two jiffies — what the paper's kernel could not have
+// told from its floor — is of the size of a driver's scheduling delays:
+// one late wake there and the look-ahead holds more than the whole window
+// for good. From two jiffies up the network dominates and the sample
+// stands, as in the paper; under a jiffy clock the floor is there and
+// this never runs. The sender answers a member's JOIN like a stranger's
+// and echoes its Seq, so a JOIN carrying a Seq no earlier one carried is
+// matched without ambiguity (Karn). It is not retried, and only a flat
+// receiver does it: a leaf's JOIN goes to its head, and the Seq a head
+// reports can step back.
+func (r *Receiver) retime(now sim.Time) {
+	if r.rttEstimate <= 2*r.cfg.Quantum || r.rttEstimate >= 2*kernel.Jiffy ||
+		r.retimes >= maxRetimes || !r.joinAcked || r.leaf != nil || r.head != nil {
+		return
+	}
+	if r.retimedAt != 0 && now-r.retimedAt < kernel.Jiffy {
+		return // one in flight
+	}
+	if seq := uint32(r.reportedNext()); seq != r.joinSeq {
+		r.joinSeq, r.retimedAt = seq, now
+		r.retimes++
+		r.sendState(now, packet.TypeJoin, upstream)
+	}
 }
 
 // sendState emits a JOIN, UPDATE or LEAVE: the membership packets, which
@@ -603,18 +641,33 @@ func (r *Receiver) sendState(now sim.Time, ty packet.Type, d dest) {
 // has arrived.
 const joinRetryInterval = 50 * kernel.Jiffy
 
-func (r *Receiver) onJoinResponse(now sim.Time) {
+func (r *Receiver) onJoinResponse(now sim.Time, p *packet.Packet) {
+	if r.joinAcked && r.retimedAt != 0 && p.Seq == r.joinSeq {
+		// The answer to a re-timing JOIN: it may lower the estimate,
+		// never raise it.
+		if d := now - r.retimedAt; d < r.rttEstimate {
+			r.setRTT(d)
+		}
+		r.retimedAt = 0
+	}
 	if r.joinAcked || !r.joined {
 		return
 	}
 	r.joinAcked = true
 	r.joinTimer.Disarm()
 	// Karn's rule: only an unambiguous (never-retransmitted) JOIN
-	// exchange yields an RTT sample. The driver's clock cannot resolve
-	// round trips below its quantum, so the estimate floors at two.
+	// exchange yields an RTT sample.
 	if d := now - r.joinTime; d > 0 && !r.joinAmbiguous {
-		r.rttEstimate = max(d, 2*r.cfg.Quantum)
+		r.setRTT(d)
 	}
+}
+
+// setRTT adopts a round-trip sample and shows it on the RTTMicros gauge.
+// The driver's clock cannot resolve round trips below its quantum, so
+// the estimate floors at two.
+func (r *Receiver) setRTT(d sim.Time) {
+	r.rttEstimate = max(d, 2*r.cfg.Quantum)
+	r.st.RTTMicros = int64(r.rttEstimate / sim.Microsecond)
 }
 
 func (r *Receiver) sendUpdate(now sim.Time) {

@@ -73,11 +73,117 @@ func TestJoinOnFirstData(t *testing.T) {
 
 func TestJoinResponseMeasuresRTT(t *testing.T) {
 	r := newR(t, nil)
+	if got := r.Stats().RTTMicros; got != 20000 {
+		t.Errorf("RTTMicros gauge before any sample = %d, want two jiffies", got)
+	}
 	r.HandlePacket(100*sim.Millisecond, data(0, "a"))
 	r.Outgoing()
 	r.HandlePacket(130*sim.Millisecond, &packet.Packet{Header: packet.Header{Type: packet.TypeJoinResponse}})
-	if r.rttEstimate != 30*sim.Millisecond {
-		t.Errorf("RTT after JOIN exchange = %v, want 30ms", r.rttEstimate)
+	if r.rttEstimate != 30*sim.Millisecond || r.Stats().RTTMicros != 30000 {
+		t.Errorf("RTT after JOIN exchange = %v (gauge %d us), want 30ms", r.rttEstimate, r.Stats().RTTMicros)
+	}
+
+	// A round trip the driver's clock cannot resolve floors at two quanta.
+	r = newR(t, func(c *Config) { c.Quantum = 100 * sim.Microsecond })
+	r.HandlePacket(100*sim.Millisecond, data(0, "a"))
+	r.HandlePacket(100*sim.Millisecond+70*sim.Microsecond, &packet.Packet{Header: packet.Header{Type: packet.TypeJoinResponse}})
+	if r.rttEstimate != 200*sim.Microsecond || r.Stats().RTTMicros != 200 {
+		t.Errorf("RTT after a 70 us JOIN exchange = %v (gauge %d us), want the 200 us floor", r.rttEstimate, r.Stats().RTTMicros)
+	}
+}
+
+// A rate request sent on a JOIN sample between the floor and two jiffies
+// re-times the JOIN exchange: the sample was taken on a cold path, and
+// the answer — matched by the Seq it echoes — may lower the estimate,
+// never raise it. Under the paper's jiffy clock, and for a round trip
+// the network accounts for, the one sample stands.
+func TestRateRequestRetimesJoinSample(t *testing.T) {
+	const us = sim.Microsecond
+	joined := func(quantum, sample sim.Time) (*Receiver, sim.Time) {
+		r := newR(t, func(c *Config) { c.RcvBuf = 256 << 10; c.Quantum = quantum })
+		now := sim.Second
+		r.HandlePacket(now, bulk(0))
+		r.HandlePacket(now+sample, &packet.Packet{Header: packet.Header{Type: packet.TypeJoinResponse, Seq: 1}})
+		r.Outgoing()
+		return r, now + sample
+	}
+	// batch empties the window, delivers one 64-packet in-order burst —
+	// 35 % of the window, past the Warning mark — up to the first rate
+	// request, and returns what the machine sent.
+	buf := make([]byte, 256<<10)
+	batch := func(r *Receiver, now sim.Time) []*packet.Packet {
+		r.Read(now, buf)
+		for i, asked := 0, r.Stats().RateRequests; i < 64 && r.Stats().RateRequests == asked; i++ {
+			r.HandlePacket(now, bulk(r.wnd.Next()))
+		}
+		return r.Outgoing()
+	}
+	answer := func(r *Receiver, now sim.Time, seq uint32) {
+		r.HandlePacket(now, &packet.Packet{Header: packet.Header{Type: packet.TypeJoinResponse, Seq: seq}})
+	}
+
+	r, now := joined(100*us, 3*sim.Millisecond)
+	j := findType(batch(r, now+sim.Millisecond), packet.TypeJoin)
+	if j == nil || j.Seq != uint32(r.wnd.Next()) {
+		t.Fatalf("rate request on a 3 ms JOIN sample: re-timing JOIN = %v, want one carrying %d", j, r.wnd.Next())
+	}
+	answer(r, now+sim.Millisecond+50*us, 1) // a straggler answering the first JOIN
+	if r.rttEstimate != 3*sim.Millisecond {
+		t.Errorf("estimate after an answer to an older JOIN = %v, want 3ms kept", r.rttEstimate)
+	}
+	if out := batch(r, now+2*sim.Millisecond); findType(out, packet.TypeJoin) != nil {
+		t.Error("a second re-timing JOIN went out while the first was in flight")
+	}
+	answer(r, now+sim.Millisecond+400*us, j.Seq)
+	if r.rttEstimate != 400*us || r.Stats().RTTMicros != 400 {
+		t.Errorf("estimate after a 400 us re-timing = %v (gauge %d us), want 400us", r.rttEstimate, r.Stats().RTTMicros)
+	}
+	j = findType(batch(r, now+3*sim.Millisecond), packet.TypeJoin)
+	if j == nil {
+		t.Fatal("no re-timing JOIN while the estimate is still above the floor")
+	}
+	answer(r, now+5*sim.Millisecond, j.Seq)
+	if r.rttEstimate != 400*us {
+		t.Errorf("estimate after a slower re-timing = %v, want 400us kept", r.rttEstimate)
+	}
+	for i := sim.Time(0); i < 2*maxRetimes; i++ {
+		at := now + (20+20*i)*sim.Millisecond
+		if j := findType(batch(r, at), packet.TypeJoin); j != nil {
+			answer(r, at+sim.Millisecond, j.Seq)
+		}
+	}
+	if r.retimes != maxRetimes {
+		t.Errorf("%d re-timing JOINs in one flow, want the budget of %d", r.retimes, maxRetimes)
+	}
+
+	for _, c := range []struct {
+		name            string
+		quantum, sample sim.Time
+		asks            bool
+	}{
+		{"a sample at the floor", 100 * us, 70 * us, false},
+		{"a round trip of the network's size", 100 * us, 50 * sim.Millisecond, true},
+		{"the paper's jiffy clock", kernel.Jiffy, 3 * sim.Millisecond, true},
+	} {
+		r, now := joined(c.quantum, c.sample)
+		out := batch(r, now+sim.Millisecond)
+		if asked := findType(out, packet.TypeControl) != nil; asked != c.asks {
+			t.Errorf("%s: rate request sent = %v, want %v", c.name, asked, c.asks)
+		}
+		if findType(out, packet.TypeJoin) != nil {
+			t.Errorf("%s: the JOIN exchange was re-timed", c.name)
+		}
+	}
+}
+
+// bulk is an MSS-sized data packet advertising 200 MB/s: rule 2's
+// look-ahead then holds more than what a 64-packet burst leaves empty of
+// a 256 KiB window (168 KB) on any estimate above 210 us, and less on the
+// 200 us floor.
+func bulk(seq seqspace.Seq) *packet.Packet {
+	return &packet.Packet{
+		Header:  packet.Header{Type: packet.TypeData, Seq: uint32(seq), Length: 1400, RateAdv: 200e6},
+		Payload: make([]byte, 1400),
 	}
 }
 

@@ -504,7 +504,9 @@ func (s *Sender) onJoin(now sim.Time, from packet.NodeID, p *packet.Packet) {
 	m, added := s.admit(now, from, p)
 	// An explicit JOIN — even from a known address — marks a (re)start:
 	// the machine behind the address is new, and packets transmitted
-	// before this moment are pre-history for RTT sampling purposes.
+	// before this moment are pre-history for RTT sampling purposes. (A
+	// member re-timing its round trip, receiver.retime, is taken for one
+	// too; all it loses is the NAK samples of packets already sent.)
 	m.JoinedAt = now
 	s.members.Update(from, seqspace.Seq(p.Seq), now)
 	// A direct JOIN from a former leaf of an evicted head re-homes one
@@ -799,6 +801,7 @@ func (s *Sender) Tick(now sim.Time) {
 func (s *Sender) RefreshGauges(now sim.Time) {
 	s.st.RateBps = int64(s.rc.Rate(now))
 	s.st.CeilingBps = int64(s.rc.Ceiling())
+	s.st.RTTMicros = int64(s.est.RTT() / sim.Microsecond)
 	s.st.RepairHeads = int64(s.members.Heads())
 	s.st.DownstreamMembers = int64(s.members.Downstream())
 }

@@ -11,9 +11,12 @@ import (
 	"time"
 
 	"repro/internal/app"
+	"repro/internal/kernel"
+	"repro/internal/packet"
 	"repro/internal/rate"
 	"repro/internal/receiver"
 	"repro/internal/sender"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -239,5 +242,39 @@ func TestIdleFlowsCostNothing(t *testing.T) {
 	t.Logf("%d idle flows: %.2f wakeups per flow per second (want <= 2)", 2*n, perFlow)
 	if perFlow > 2 {
 		t.Errorf("idle flows woken %.2f times per second each, want <= 2", perFlow)
+	}
+}
+
+// Rule 2 of Section 2 asks for half the rate when what the sender could
+// send in WARNBUF = 4 round trips exceeds the empty part of the receive
+// window, and the round trip it runs on floors at two quanta. One GRO
+// batch of 64 packets is 35 % of a 256 KiB window — past the Warning
+// mark — so under a quantum whose horizon holds more than the whole
+// buffer at the bulk flow's rate (1 ms: 8 ms x 36 MB/s = 288 KB) every
+// batch drew a rate request and the flow sat on MinRate. At the
+// session's quantum the same batch draws none; at the paper's jiffy it
+// draws one, as it always has.
+func TestRule2HorizonFollowsQuantum(t *testing.T) {
+	for _, c := range []struct {
+		quantum  sim.Time
+		controls int64
+	}{
+		{quantum, 0},
+		{kernel.Jiffy, 1},
+	} {
+		r := receiver.New(receiver.Config{LocalAddr: 1, RcvBuf: 256 << 10, MSS: 1400, Quantum: c.quantum})
+		payload := make([]byte, 1400)
+		for seq := uint32(0); seq < 64; seq++ {
+			r.HandlePacket(sim.Second, &packet.Packet{
+				Header:  packet.Header{Type: packet.TypeData, Seq: seq, Length: 1400, RateAdv: 36e6},
+				Payload: payload,
+			})
+		}
+		if got := r.Stats().RateRequests; got != c.controls {
+			t.Errorf("quantum %v: %d rate requests for one 64-packet batch into an empty window, want %d", c.quantum, got, c.controls)
+		}
+		if got := r.Stats().UrgentRequests; got != 0 {
+			t.Errorf("quantum %v: %d urgent requests, want none", c.quantum, got)
+		}
 	}
 }

@@ -9,10 +9,10 @@ import (
 )
 
 // quantum is the finest interval at which the driver wakes one flow from
-// its timer. OpenSender and OpenReceiver stamp it on the machines as
-// their Quantum: the floors they keep because of timer resolution follow
-// this driver's, not the 10 ms jiffy of the paper's kernel.
-const quantum = sim.Millisecond
+// its timer, and what OpenSender and OpenReceiver stamp on the machines
+// as their Quantum: the floors they keep because of timer resolution
+// follow it (DESIGN.md §12 has why it is 350 µs: what 1 ms, 300 and 400 cost).
+const quantum = 350 * sim.Microsecond
 
 // deadline is one entry of the session's wake heap: the next time a flow
 // machine (or the governor) has something to do unprompted. A flow with

@@ -53,7 +53,7 @@ func (a *Aggregate) AddReceiver(r *Receiver) {
 }
 
 // maxFields are gauges, merged by maximum rather than summed.
-var maxFields = map[string]bool{"MaxFillPermille": true}
+var maxFields = map[string]bool{"MaxFillPermille": true, "RTTMicros": true}
 
 // atomicCopy copies every int64 field of src into dst with atomic
 // loads. Both arguments must be pointers to the same struct type.

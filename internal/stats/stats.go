@@ -35,6 +35,10 @@ type Sender struct {
 	// and aggregate ceiling.
 	RateBps    int64
 	CeilingBps int64
+	// RTTMicros is a gauge refreshed with them: the smoothed round-trip
+	// estimate in microseconds, the configured initial value before the
+	// first sample. Aggregate keeps the largest.
+	RTTMicros int64
 
 	// Figure 3 metric: of the Releases buffer-release decisions, how
 	// many happened while the sender had complete information from all
@@ -105,6 +109,9 @@ type Receiver struct {
 	// MaxFillPermille tracks the highest receive-window fill observed,
 	// in thousandths — a diagnostic for flow-control studies.
 	MaxFillPermille int64
+	// RTTMicros is a gauge: the round-trip estimate the flow-control
+	// rules run on, in microseconds. Aggregate keeps the largest.
+	RTTMicros int64
 
 	// Hierarchical repair tier (extension). RepairHead is 1 when this
 	// receiver serves as a repair head, 0 otherwise; RepairMembers is a

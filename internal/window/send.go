@@ -40,8 +40,12 @@ type SendWindow struct {
 	next    seqspace.Seq // snd_nxt: sequence number for the next new packet
 	entries []*SendEntry // ring-free: index 0 is base
 	head    int
-	bytes   int
-	limit   int
+	// unsent is FirstUnsent's cursor: every entry in [head, unsent) has
+	// been transmitted. Tries only grows while an entry is buffered, so
+	// the cursor only moves forward, with head when Release passes it.
+	unsent int
+	bytes  int
+	limit  int
 
 	// Entry structs are carved from slabs and recycled through a free
 	// list, so steady-state Insert/Release traffic allocates nothing.
@@ -158,6 +162,7 @@ func (w *SendWindow) Release() *SendEntry {
 	w.spare = e
 	w.entries[w.head] = nil
 	w.head++
+	w.unsent = max(w.unsent, w.head)
 	w.bytes -= e.Pkt.WireSize()
 	w.base++
 	if w.head > 64 && w.head*2 >= len(w.entries) {
@@ -166,6 +171,7 @@ func (w *SendWindow) Release() *SendEntry {
 			w.entries[i] = nil
 		}
 		w.entries = w.entries[:n]
+		w.unsent -= w.head
 		w.head = 0
 	}
 	return e
@@ -183,11 +189,13 @@ func (w *SendWindow) Each(fn func(seqspace.Seq, *SendEntry) bool) {
 }
 
 // FirstUnsent returns the first entry that has never been transmitted,
-// with its sequence number, or nil.
+// with its sequence number, or nil. The scan resumes where the last one
+// stopped, so a transmit loop calling it once a packet walks the window
+// once, not once a packet.
 func (w *SendWindow) FirstUnsent() (seqspace.Seq, *SendEntry) {
-	for i := w.head; i < len(w.entries); i++ {
-		if e := w.entries[i]; !e.Sent() {
-			return w.base + seqspace.Seq(i-w.head), e
+	for ; w.unsent < len(w.entries); w.unsent++ {
+		if e := w.entries[w.unsent]; !e.Sent() {
+			return w.base + seqspace.Seq(w.unsent-w.head), e
 		}
 	}
 	return 0, nil

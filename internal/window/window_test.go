@@ -2,6 +2,7 @@ package window
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -124,6 +125,59 @@ func TestSendWindowEachAndFirstUnsent(t *testing.T) {
 	w.Entry(3).Tries = 1
 	if _, e := w.FirstUnsent(); e != nil {
 		t.Error("FirstUnsent found an entry in a fully sent window")
+	}
+}
+
+// FirstUnsent keeps a cursor instead of scanning from the front. Drive
+// the window the way the sender does — Insert, first transmissions in
+// order, retransmissions, Release of the front, the drain ReleaseBuffers
+// does — long enough to cross the head compaction many times, and
+// compare every answer with the linear scan.
+func TestFirstUnsentCursorMatchesScan(t *testing.T) {
+	scan := func(w *SendWindow) (seq seqspace.Seq, found *SendEntry) {
+		w.Each(func(s seqspace.Seq, e *SendEntry) bool {
+			if !e.Sent() {
+				seq, found = s, e
+			}
+			return found == nil
+		})
+		return seq, found
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w := NewSendWindow(300*(packet.HeaderSize+1), seqspace.Seq(rng.Uint32()))
+		compactions := 0
+		for step := 0; step < 20000; step++ {
+			headBefore := w.head
+			switch op := rng.Intn(100); {
+			case op < 40:
+				w.Insert(dataPkt(1)) // ErrWindowFull when full: nothing changes
+			case op < 70: // first transmission
+				if _, e := w.FirstUnsent(); e != nil {
+					e.Tries++
+				}
+			case op < 80: // retransmission of something already sent
+				if e := w.Entry(w.Base() + seqspace.Seq(rng.Intn(w.Len()+1))); e != nil && e.Sent() {
+					e.Tries++
+				}
+			case op < 99: // release, sent or not
+				w.Release()
+			default: // teardown drain
+				for w.Release() != nil {
+				}
+			}
+			if w.head < headBefore {
+				compactions++
+			}
+			wantSeq, want := scan(w)
+			if seq, e := w.FirstUnsent(); e != want || seq != wantSeq {
+				t.Fatalf("seed %d step %d: FirstUnsent = %d,%p, linear scan %d,%p (base %d, %d buffered)",
+					seed, step, seq, e, wantSeq, want, w.Base(), w.Len())
+			}
+		}
+		if compactions < 10 {
+			t.Errorf("seed %d: %d head compactions, want the sequence to cross many", seed, compactions)
+		}
 	}
 }
 
