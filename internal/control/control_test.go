@@ -239,6 +239,10 @@ func TestControlAdmitTransferObserve(t *testing.T) {
 		"# TYPE hrmc_receiver_rtt_micros gauge",
 		`hrmc_receiver_rtt_micros{flow="mirror"`,
 		`hrmc_sender_rtt_micros{flow="dist"`,
+		// Time waiting on receivers is a counter, summed in the totals.
+		"# TYPE hrmc_sender_release_blocked_micros counter",
+		`hrmc_sender_release_blocked_micros{flow="dist"`,
+		"hrmc_total_sender_release_blocked_micros",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics output missing %q\n--- got ---\n%s", want, metrics)

@@ -69,7 +69,12 @@ type Config struct {
 	InitialSeq seqspace.Seq
 	// MinBufRTTs is the minimum time a transmitted packet stays buffered
 	// before it becomes a release candidate, in round trips; the paper
-	// sets MINBUF = 10.
+	// sets MINBUF = 10, the default. For an unknown population (and under
+	// RMC) the hold is the release rule's grace for late joiners. With
+	// ExpectedReceivers set it never delays a release, since a packet
+	// every member holds is freed early; it only delays the PROBE for a
+	// packet some member has not confirmed. A live session therefore sets
+	// 1 there when this is left zero.
 	MinBufRTTs int
 	// Rate configures the rate-based flow-control component.
 	Rate rate.Config
@@ -246,6 +251,8 @@ type Sender struct {
 	// independent of whether H-RMC then stalls the release.
 	judged    seqspace.Seq
 	stalled   bool                 // window release is currently blocked on receiver info
+	blocked   bool                 // full window, all transmitted, front not freed (ReleaseBlockedMicros)
+	blockedAt sim.Time             // booked up to here while blocked
 	primed    bool                 // first transmit tick has granted its one-beat budget
 	lastTick  sim.Time             // when Tick last ran: NextWake's "now"
 	lacking   []*membership.Member // Lacking scratch
@@ -938,11 +945,31 @@ func (s *Sender) transmit(now sim.Time, seq seqspace.Seq, e *window.SendEntry, i
 	}
 }
 
-// tryRelease advances the send window: a packet becomes a release
+// tryRelease runs the release rule and books ReleaseBlockedMicros: the
+// time since the last attempt that found the window blocked on receivers
+// (no room for another packet, nothing left to transmit, the front not
+// freed). The window can only leave that state through a release, so
+// booking here needs no deadline of its own.
+func (s *Sender) tryRelease(now sim.Time) {
+	if s.blocked {
+		us := (now - s.blockedAt) / sim.Microsecond
+		s.st.ReleaseBlockedMicros += int64(us)
+		s.blockedAt += us * sim.Microsecond
+	}
+	s.release(now)
+	_, unsent := s.wnd.FirstUnsent()
+	blocked := s.wnd.Len() > 0 && unsent == nil && s.wnd.Free() < s.cfg.MSS+packet.HeaderSize
+	if blocked && !s.blocked {
+		s.blockedAt = now
+	}
+	s.blocked = blocked
+}
+
+// release advances the send window: a packet becomes a release
 // candidate MINBUF round trips after its last transmission; under H-RMC
 // it is released only when every member is known to hold it, otherwise
 // the lacking members are probed and the window stalls.
-func (s *Sender) tryRelease(now sim.Time) {
+func (s *Sender) release(now sim.Time) {
 	was := s.stalled
 	s.stalled = false
 	// stall marks the window blocked; the counter scores episodes, not

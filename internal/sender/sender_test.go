@@ -330,6 +330,45 @@ func TestReleaseStallsCountEpisodes(t *testing.T) {
 	}
 }
 
+// ReleaseBlockedMicros is the time a full, fully transmitted window waits
+// on receivers: none while unsent data waits on the bucket, then exactly
+// the stretch until the UPDATE that frees it, however often release is
+// tried in between.
+func TestReleaseBlockedMicros(t *testing.T) {
+	s := newS(t, func(c *Config) { c.ExpectedReceivers = 1 })
+	s.HandlePacket(0, 3, fb(packet.TypeJoin, 0))
+	if n := s.Write(0, make([]byte, 100_000)); n != 64*1000 {
+		t.Fatalf("Write = %d, want a full 64-packet window", n)
+	}
+	// At 1 MB/s the window takes several jiffies to go out.
+	now := sim.Time(0)
+	for _, e := s.wnd.FirstUnsent(); e != nil; _, e = s.wnd.FirstUnsent() {
+		if now > 20*kernel.Jiffy {
+			t.Fatal("window never fully transmitted")
+		}
+		if got := s.Stats().ReleaseBlockedMicros; got != 0 {
+			t.Fatalf("%v: %d µs booked while data waits on the bucket", now, got)
+		}
+		now += kernel.Jiffy
+		s.Tick(now)
+		s.TryRelease(now)
+		s.Outgoing()
+	}
+	if now < 3*kernel.Jiffy {
+		t.Fatalf("window went out in %v: the bucket never held data back", now)
+	}
+	s.TryRelease(now + 1000*sim.Microsecond + 600)
+	s.HandlePacket(now+3250*sim.Microsecond+400, 3, fb(packet.TypeUpdate, 64))
+	s.TryRelease(now + 3250*sim.Microsecond + 400)
+	if s.WindowBytes() != 0 {
+		t.Fatal("covering UPDATE did not free the window")
+	}
+	s.TryRelease(now + 10*kernel.Jiffy)
+	if got := s.Stats().ReleaseBlockedMicros; got != 3250 {
+		t.Errorf("ReleaseBlockedMicros = %d, want 3250", got)
+	}
+}
+
 func TestProbeRateLimited(t *testing.T) {
 	s := newS(t, func(c *Config) { c.MinBufRTTs = 1; c.InitialRTT = sim.Millisecond })
 	s.Write(0, make([]byte, 1000))

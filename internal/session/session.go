@@ -540,12 +540,25 @@ func (s *Session) detach(f anyFlow) {
 	}
 }
 
+// liveSender stamps what a live session sets on a sender machine: the
+// driver's quantum, and a one-round-trip MINBUF hold for an H-RMC flow
+// with a known population that left it unset. Early release already
+// frees what every member holds, so there the hold only decides when to
+// probe; unknown populations and RMC keep the paper's late-joiner grace.
+func liveSender(cfg sender.Config) sender.Config {
+	cfg.Quantum = quantum
+	if cfg.Mode == sender.HRMC && cfg.ExpectedReceivers > 0 && cfg.MinBufRTTs <= 0 {
+		cfg.MinBufRTTs = 1
+	}
+	return cfg
+}
+
 // OpenSender opens a sending flow over tr. cfg.LocalPort is the flow's
 // demux binding (0 binds the transport's wildcard slot); feedback
 // packets arrive on it, so receivers of the group must use it as their
 // RemotePort.
 func (s *Session) OpenSender(tr transport.Transport, cfg sender.Config, opts ...FlowOption) (*SenderFlow, error) {
-	cfg.Quantum = quantum
+	cfg = liveSender(cfg)
 	f := &SenderFlow{}
 	f.init(s, KindSender, tr, cfg.LocalPort, opts)
 	if f.fec.Enabled {

@@ -91,6 +91,28 @@ func transferAll(t *testing.T, pairs []flowPair, pattern []byte, size int) {
 	wg.Wait()
 }
 
+// A live sender holds a packet one round trip before it probes when it
+// runs H-RMC for a known population and names no hold itself; otherwise
+// the machine's default (the paper's ten) or the caller's value stands.
+// Every live sender gets the driver's quantum.
+func TestLiveSenderStamp(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  sender.Config
+		want int
+	}{
+		{"hrmc known unset", sender.Config{ExpectedReceivers: 2}, 1},
+		{"explicit kept", sender.Config{ExpectedReceivers: 2, MinBufRTTs: 4}, 4},
+		{"unknown population", sender.Config{}, 0},
+		{"rmc", sender.Config{Mode: sender.RMC, ExpectedReceivers: 2}, 0},
+	} {
+		got := liveSender(c.cfg)
+		if got.MinBufRTTs != c.want || got.Quantum != quantum {
+			t.Errorf("%s: MinBufRTTs %d, Quantum %v; want %d, %v", c.name, got.MinBufRTTs, got.Quantum, c.want, quantum)
+		}
+	}
+}
+
 // TestSessionMultiplexStress runs 12 concurrent flows — 4 groups of one
 // sender and two receivers — through one lossy in-memory hub, all
 // driven by one session tick loop, and asserts bit-exact delivery on

@@ -51,6 +51,12 @@ type Sender struct {
 	// attempt is not blocked; how often the driver looks at one in
 	// between does not count.
 	ReleaseStalls int64
+	// ReleaseBlockedMicros is the time, in microseconds, the window spent
+	// waiting on receivers: no room for another packet, every buffered
+	// packet transmitted, and the front not releasable. Time the
+	// application leaves the window empty, or the rate leaves packets
+	// unsent, is not in it.
+	ReleaseBlockedMicros int64
 	// Wakeups counts the times the session driver ran the machine because
 	// a deadline it had published came due (not the runs that ride on a
 	// Write, a Close or arriving feedback). An idle flow's stays still.

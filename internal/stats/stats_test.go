@@ -22,15 +22,15 @@ func TestSnapshotCopies(t *testing.T) {
 
 func TestAggregateMerges(t *testing.T) {
 	var a Aggregate
-	a.AddSender(&Sender{PacketsSent: 3, BytesSent: 100, Releases: 2, ReleasesCompleteInfo: 1})
-	a.AddSender(&Sender{PacketsSent: 4, Retransmissions: 2, Releases: 2, ReleasesCompleteInfo: 2})
+	a.AddSender(&Sender{PacketsSent: 3, BytesSent: 100, Releases: 2, ReleasesCompleteInfo: 1, ReleaseBlockedMicros: 30})
+	a.AddSender(&Sender{PacketsSent: 4, Retransmissions: 2, Releases: 2, ReleasesCompleteInfo: 2, ReleaseBlockedMicros: 12})
 	a.AddReceiver(&Receiver{BytesDelivered: 10, MaxFillPermille: 500})
 	a.AddReceiver(&Receiver{BytesDelivered: 5, MaxFillPermille: 200})
 
 	if a.SenderFlows != 2 || a.ReceiverFlows != 2 {
 		t.Errorf("flow counts = %d/%d, want 2/2", a.SenderFlows, a.ReceiverFlows)
 	}
-	if a.Sender.PacketsSent != 7 || a.Sender.BytesSent != 100 || a.Sender.Retransmissions != 2 {
+	if a.Sender.PacketsSent != 7 || a.Sender.BytesSent != 100 || a.Sender.Retransmissions != 2 || a.Sender.ReleaseBlockedMicros != 42 {
 		t.Errorf("sender totals wrong: %+v", a.Sender)
 	}
 	if got := a.Sender.ReleaseInfoRatio(); got != 0.75 {
