@@ -2,7 +2,8 @@
 // 5% of all deliveries and delays the rest; the kernel buffers are tiny
 // (16 KiB ≈ eleven packets). The transfer still completes bit-exact, and
 // the printed statistics show the machinery that made it happen: NAKs,
-// retransmissions, periodic updates and sender probes.
+// retransmissions, periodic updates and sender probes. Exits non-zero
+// unless every receiver got the payload bit-exact.
 //
 //	go run ./examples/lossy
 package main
@@ -16,9 +17,7 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/core"
-	"repro/internal/receiver"
-	"repro/internal/sender"
+	"repro/internal/session"
 	"repro/internal/transport"
 )
 
@@ -37,25 +36,33 @@ func main() {
 		transport.WithDelay(2*time.Millisecond),
 	)
 
+	sess := session.New(session.Config{})
 	var wg sync.WaitGroup
-	rcvs := make([]*core.Receiver, nReceivers)
-	for i := 0; i < nReceivers; i++ {
-		rcvs[i] = core.NewReceiver(hub.Endpoint(), receiver.Config{RcvBuf: buffers})
+	rcvs := make([]*session.ReceiverFlow, nReceivers)
+	for i := range rcvs {
+		rcv, err := sess.OpenReceiverFlow(hub.Endpoint(), session.FlowSpec{Kind: session.KindReceiver, Buf: buffers})
+		if err != nil {
+			log.Fatalf("open receiver %d: %v", i, err)
+		}
+		rcvs[i] = rcv
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got, err := io.ReadAll(rcvs[i])
+			got, err := io.ReadAll(rcv)
 			if err != nil {
 				log.Fatalf("receiver %d: %v", i, err)
 			}
-			fmt.Printf("receiver %d: %d bytes, bit-exact=%v\n", i, len(got), bytes.Equal(got, payload))
+			if !bytes.Equal(got, payload) {
+				log.Fatalf("receiver %d: %d bytes, bit-exact=false", i, len(got))
+			}
+			fmt.Printf("receiver %d: %d bytes, bit-exact=true\n", i, len(got))
 		}(i)
 	}
 
-	snd := core.NewSender(hub.Endpoint(), sender.Config{
-		SndBuf:            buffers,
-		ExpectedReceivers: nReceivers,
-	})
+	snd, err := sess.OpenSenderFlow(hub.Endpoint(), session.FlowSpec{Kind: session.KindSender, Buf: buffers, Receivers: nReceivers})
+	if err != nil {
+		log.Fatalf("open sender: %v", err)
+	}
 	fmt.Printf("sending %d KiB through %d%% loss with %d KiB buffers...\n",
 		size>>10, int(lossRate*100), buffers>>10)
 	start := time.Now()
@@ -77,6 +84,8 @@ func main() {
 		rs := r.Stats()
 		fmt.Printf("receiver %d: %d dups discarded, %d NAKs sent (%d retried), %d probes answered\n",
 			i, rs.Duplicates, rs.NaksSent, rs.NakRetries, rs.ProbesReceived)
-		r.Close()
+	}
+	if err := sess.Close(); err != nil {
+		log.Fatalf("session close: %v", err)
 	}
 }

@@ -8,6 +8,8 @@
 // ports demultiplex the groups, so cross-group traffic never needs
 // separate sockets. This mirrors the paper's kernel implementation,
 // where every AF_HRMC socket shared one jiffy clock and one NIC.
+// Exits non-zero unless every receiver got its group's payload
+// bit-exact.
 //
 //	go run ./examples/multigroup
 package main
@@ -21,8 +23,6 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/receiver"
-	"repro/internal/sender"
 	"repro/internal/session"
 	"repro/internal/transport"
 )
@@ -48,9 +48,11 @@ func main() {
 		app.FillPattern(payload, int64(g)<<24)
 
 		for r := 0; r < rcvPerGroup; r++ {
-			rf, err := sess.OpenReceiver(hub.Endpoint(), receiver.Config{
-				LocalPort: rcvPort, RemotePort: sndPort, RcvBuf: 128 << 10,
-			}, session.WithLabel(fmt.Sprintf("recv-%c%d", 'A'+g, r)))
+			rf, err := sess.OpenReceiverFlow(hub.Endpoint(), session.FlowSpec{
+				Kind:      session.KindReceiver,
+				Label:     fmt.Sprintf("recv-%c%d", 'A'+g, r),
+				LocalPort: rcvPort, PeerPort: sndPort, Buf: 128 << 10,
+			})
 			if err != nil {
 				log.Fatalf("open receiver: %v", err)
 			}
@@ -61,8 +63,10 @@ func main() {
 				if err != nil {
 					log.Fatalf("group %c receiver %d: %v", 'A'+g, r, err)
 				}
-				fmt.Printf("group %c receiver %d: %d bytes, identical=%v\n",
-					'A'+g, r, len(got), bytes.Equal(got, payload))
+				if !bytes.Equal(got, payload) {
+					log.Fatalf("group %c receiver %d: %d bytes, identical=false", 'A'+g, r, len(got))
+				}
+				fmt.Printf("group %c receiver %d: %d bytes, identical=true\n", 'A'+g, r, len(got))
 			}(g, r)
 		}
 
@@ -70,10 +74,12 @@ func main() {
 		if g == 0 {
 			weight = 2.0 // group A gets a double share of the budget
 		}
-		sf, err := sess.OpenSender(hub.Endpoint(), sender.Config{
-			LocalPort: sndPort, RemotePort: rcvPort,
-			SndBuf: 128 << 10, ExpectedReceivers: rcvPerGroup,
-		}, session.WithLabel(fmt.Sprintf("send-%c", 'A'+g)), session.WithWeight(weight))
+		sf, err := sess.OpenSenderFlow(hub.Endpoint(), session.FlowSpec{
+			Kind:      session.KindSender,
+			Label:     fmt.Sprintf("send-%c", 'A'+g),
+			LocalPort: sndPort, PeerPort: rcvPort,
+			Buf: 128 << 10, Receivers: rcvPerGroup, Weight: weight,
+		})
 		if err != nil {
 			log.Fatalf("open sender: %v", err)
 		}

@@ -1,10 +1,11 @@
 // Quickstart: one H-RMC sender, three receivers, in-process transport.
 //
 // This is the smallest complete use of the public API: create a
-// transport, open a sending and several receiving connections, write on
-// one side, read on the others. Close blocks until every receiver is
-// known to hold the whole stream — the reliability guarantee H-RMC adds
-// over the RMC baseline.
+// transport and a session, open one sending and several receiving
+// flows from FlowSpecs, write on one side, read on the others. The
+// sender's Close blocks until every receiver is known to hold the whole
+// stream — the reliability guarantee H-RMC adds over the RMC baseline.
+// Exits non-zero unless every receiver got the message bit-exact.
 //
 //	go run ./examples/quickstart
 package main
@@ -16,9 +17,7 @@ import (
 	"log"
 	"sync"
 
-	"repro/internal/core"
-	"repro/internal/receiver"
-	"repro/internal/sender"
+	"repro/internal/session"
 	"repro/internal/transport"
 )
 
@@ -27,12 +26,16 @@ func main() {
 	message := bytes.Repeat([]byte("reliable multicast with H-RMC! "), 4096) // 128 KiB
 
 	hub := transport.NewHub()
+	sess := session.New(session.Config{})
 
 	// Receivers first, so they are listening when data starts.
 	var wg sync.WaitGroup
 	results := make([][]byte, nReceivers)
 	for i := 0; i < nReceivers; i++ {
-		rcv := core.NewReceiver(hub.Endpoint(), receiver.Config{RcvBuf: 128 << 10})
+		rcv, err := sess.OpenReceiverFlow(hub.Endpoint(), session.FlowSpec{Kind: session.KindReceiver, Buf: 128 << 10})
+		if err != nil {
+			log.Fatalf("open receiver %d: %v", i, err)
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -41,14 +44,17 @@ func main() {
 				log.Fatalf("receiver %d: %v", i, err)
 			}
 			results[i] = got
-			rcv.Close()
 		}(i)
 	}
 
-	snd := core.NewSender(hub.Endpoint(), sender.Config{
-		SndBuf:            128 << 10,
-		ExpectedReceivers: nReceivers, // hold buffers until all three join
+	snd, err := sess.OpenSenderFlow(hub.Endpoint(), session.FlowSpec{
+		Kind:      session.KindSender,
+		Buf:       128 << 10,
+		Receivers: nReceivers, // hold buffers until all three join
 	})
+	if err != nil {
+		log.Fatalf("open sender: %v", err)
+	}
 	if _, err := snd.Write(message); err != nil {
 		log.Fatalf("write: %v", err)
 	}
@@ -56,9 +62,15 @@ func main() {
 		log.Fatalf("close: %v", err)
 	}
 	wg.Wait()
+	if err := sess.Close(); err != nil {
+		log.Fatalf("session close: %v", err)
+	}
 
 	for i, got := range results {
-		fmt.Printf("receiver %d: %d bytes, identical=%v\n", i, len(got), bytes.Equal(got, message))
+		if !bytes.Equal(got, message) {
+			log.Fatalf("receiver %d: %d bytes, identical=false", i, len(got))
+		}
+		fmt.Printf("receiver %d: %d bytes, identical=true\n", i, len(got))
 	}
 	st := snd.Stats()
 	fmt.Printf("sender: %d data packets, %d updates received, %d probes sent\n",

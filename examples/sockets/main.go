@@ -3,7 +3,8 @@
 // The sender performs socket → bind → connect → send → close; each
 // receiver performs socket → bind → setsockopt(join) → recv → close —
 // "application code that uses the H-RMC protocol looks much like any
-// other socket-related code."
+// other socket-related code." Exits non-zero unless every receiver
+// got the payload bit-exact.
 //
 //	go run ./examples/sockets
 package main
@@ -53,9 +54,13 @@ func main() {
 			if err != nil {
 				log.Fatalf("recv %d: %v", i, err)
 			}
-			fmt.Printf("receiver %d: recv'd %d bytes, identical=%v\n",
-				i, len(got), bytes.Equal(got, payload))
-			sock.Close()
+			if !bytes.Equal(got, payload) {
+				log.Fatalf("receiver %d: recv'd %d bytes, identical=false", i, len(got))
+			}
+			fmt.Printf("receiver %d: recv'd %d bytes, identical=true\n", i, len(got))
+			if err := sock.Close(); err != nil {
+				log.Fatalf("recv %d: close: %v", i, err)
+			}
 		}(i)
 	}
 

@@ -5,7 +5,8 @@
 //
 // Requires an environment where loopback multicast works (Linux with
 // the lo interface up). If the group cannot be joined, the example says
-// so and exits cleanly.
+// so and exits cleanly; once the transfer starts, any error or mismatch
+// exits non-zero.
 //
 //	go run ./examples/udpmulticast
 package main
@@ -21,9 +22,7 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/core"
-	"repro/internal/receiver"
-	"repro/internal/sender"
+	"repro/internal/session"
 	"repro/internal/udpmcast"
 )
 
@@ -55,9 +54,13 @@ func main() {
 		return
 	}
 
+	sess := session.New(session.Config{})
 	var wg sync.WaitGroup
 	for i, rt := range rts {
-		rcv := core.NewReceiver(rt, receiver.Config{RcvBuf: 256 << 10})
+		rcv, err := sess.OpenReceiverFlow(rt, session.FlowSpec{Kind: session.KindReceiver, Buf: 256 << 10})
+		if err != nil {
+			log.Fatalf("open receiver %d: %v", i, err)
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -65,16 +68,17 @@ func main() {
 			if err != nil {
 				log.Fatalf("receiver %d: %v", i, err)
 			}
-			fmt.Printf("receiver %d: %d bytes over real UDP multicast, identical=%v\n",
-				i, len(got), bytes.Equal(got, payload))
-			rcv.Close()
+			if !bytes.Equal(got, payload) {
+				log.Fatalf("receiver %d: %d bytes over real UDP multicast, identical=false", i, len(got))
+			}
+			fmt.Printf("receiver %d: %d bytes over real UDP multicast, identical=true\n", i, len(got))
 		}(i)
 	}
 
-	snd := core.NewSender(st, sender.Config{
-		SndBuf:            256 << 10,
-		ExpectedReceivers: nReceivers,
-	})
+	snd, err := sess.OpenSenderFlow(st, session.FlowSpec{Kind: session.KindSender, Buf: 256 << 10, Receivers: nReceivers})
+	if err != nil {
+		log.Fatalf("open sender: %v", err)
+	}
 	start := time.Now()
 	if _, err := snd.Write(payload); err != nil {
 		log.Fatalf("write: %v", err)
@@ -92,6 +96,9 @@ func main() {
 	}
 	wg.Wait()
 	el := time.Since(start)
+	if err := sess.Close(); err != nil {
+		log.Fatalf("session close: %v", err)
+	}
 	fmt.Printf("sender: done in %v (%.2f Mbps), %d members served\n",
 		el.Round(time.Millisecond), float64(len(payload))*8/el.Seconds()/1e6, nReceivers)
 }

@@ -6,20 +6,21 @@
 // (the receiving side). SO_SNDBUF/SO_RCVBUF set the kernel-buffer
 // analogues that the paper's evaluation sweeps.
 //
-// It is a thin, faithful veneer over internal/core; new code that does
-// not need the socket idiom should use core directly.
+// Each socket is one flow on its own internal/session Session. When
+// Connect or HRMC_ADD_MEMBERSHIP fixes the role, the socket's state
+// becomes a session.FlowSpec: Bind → LocalPort, the group's port →
+// PeerPort (sending side), SO_SNDBUF or SO_RCVBUF → Buf,
+// HRMC_EXPECTED_RECEIVERS → Receivers. Close is Session.Close.
 package hrmcsock
 
 import (
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
+	"net/netip"
 	"sync"
 
-	"repro/internal/core"
-	"repro/internal/receiver"
-	"repro/internal/sender"
+	"repro/internal/session"
 	"repro/internal/transport"
 	"repro/internal/udpmcast"
 )
@@ -46,8 +47,8 @@ const (
 	// HRMC_EXPECTED_RECEIVERS sets how many receivers must join before
 	// the sending side releases buffered data.
 	HRMC_EXPECTED_RECEIVERS
-	// HRMC_LOOPBACK pins sender multicast egress to 127.0.0.1 (same-host
-	// demos).
+	// HRMC_LOOPBACK pins sender multicast egress to 127.0.0.1, and joins
+	// a receiver on the lo interface (same-host demos).
 	HRMC_LOOPBACK
 )
 
@@ -74,8 +75,10 @@ type Sock struct {
 	// transportOverride lets tests substitute an in-memory transport.
 	transportOverride transport.Transport
 
-	snd    *core.Sender
-	rcv    *core.Receiver
+	// sess is the socket's one-flow session, opened with its role.
+	sess   *session.Session
+	snd    *session.SenderFlow
+	rcv    *session.ReceiverFlow
 	closed bool
 }
 
@@ -89,14 +92,25 @@ func Socket(domain, typ, proto int) (*Sock, error) {
 	return &Sock{}, nil
 }
 
-// Bind associates the socket with a local port (informational in this
-// user-space incarnation: the UDP transports pick free ports, and the
-// value travels in the H-RMC header's port fields).
+// settableLocked reports why the socket can take no more configuration:
+// it is closed, or its role — and with it its flow — is established.
+func (s *Sock) settableLocked() error {
+	if s.closed {
+		return ErrClosed
+	}
+	if s.sess != nil {
+		return ErrAlreadyBound
+	}
+	return nil
+}
+
+// Bind associates the socket with a local port, the flow's H-RMC header
+// port (the UDP transports pick free ports of their own).
 func (s *Sock) Bind(port uint16) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	if err := s.settableLocked(); err != nil {
+		return err
 	}
 	s.port = port
 	return nil
@@ -104,12 +118,13 @@ func (s *Sock) Bind(port uint16) error {
 
 // Setsockopt sets integer options (SO_SNDBUF, SO_RCVBUF,
 // HRMC_EXPECTED_RECEIVERS, HRMC_LOOPBACK with nonzero = on) and the
-// string option HRMC_ADD_MEMBERSHIP.
+// string option HRMC_ADD_MEMBERSHIP. Once Connect or the membership
+// option has established the role, every option returns ErrAlreadyBound.
 func (s *Sock) Setsockopt(opt int, value any) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	if err := s.settableLocked(); err != nil {
+		return err
 	}
 	switch opt {
 	case SO_SNDBUF:
@@ -150,13 +165,14 @@ func (s *Sock) Setsockopt(opt int, value any) error {
 
 // joinLocked establishes the receiving role.
 func (s *Sock) joinLocked(group string) error {
-	if s.snd != nil || s.rcv != nil {
-		return ErrAlreadyBound
-	}
 	tr := s.transportOverride
 	if tr == nil {
 		var ifi *net.Interface
-		if lo, err := net.InterfaceByName("lo"); err == nil && s.loopback {
+		if s.loopback {
+			lo, err := net.InterfaceByName("lo")
+			if err != nil {
+				return fmt.Errorf("hrmcsock: loopback join %s: %w", group, err)
+			}
 			ifi = lo
 		}
 		var err error
@@ -165,10 +181,13 @@ func (s *Sock) joinLocked(group string) error {
 			return fmt.Errorf("hrmcsock: join %s: %w", group, err)
 		}
 	}
-	s.rcv = core.NewReceiver(tr, receiver.Config{
-		LocalPort: s.port,
-		RcvBuf:    s.rcvBuf,
-	})
+	sess := session.New(session.Config{})
+	f, err := sess.OpenReceiverFlow(tr, session.FlowSpec{Kind: session.KindReceiver, LocalPort: s.port, Buf: s.rcvBuf})
+	if err != nil {
+		sess.Abort()
+		return fmt.Errorf("hrmcsock: join %s: %w", group, err)
+	}
+	s.sess, s.rcv = sess, f
 	return nil
 }
 
@@ -177,11 +196,8 @@ func (s *Sock) joinLocked(group string) error {
 func (s *Sock) Connect(group string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.snd != nil || s.rcv != nil {
-		return ErrAlreadyBound
+	if err := s.settableLocked(); err != nil {
+		return err
 	}
 	tr := s.transportOverride
 	if tr == nil {
@@ -197,18 +213,17 @@ func (s *Sock) Connect(group string) error {
 	}
 	// DATA is addressed to the group's port — the port receivers bind —
 	// while feedback comes back to the locally bound port.
-	var remote uint16
-	if _, portStr, err := net.SplitHostPort(group); err == nil {
-		if p, err := strconv.ParseUint(portStr, 10, 16); err == nil {
-			remote = uint16(p)
-		}
+	sp := session.FlowSpec{Kind: session.KindSender, LocalPort: s.port, Buf: s.sndBuf, Receivers: s.expected}
+	if ap, err := netip.ParseAddrPort(group); err == nil {
+		sp.PeerPort = ap.Port()
 	}
-	s.snd = core.NewSender(tr, sender.Config{
-		LocalPort:         s.port,
-		RemotePort:        remote,
-		SndBuf:            s.sndBuf,
-		ExpectedReceivers: s.expected,
-	})
+	sess := session.New(session.Config{})
+	f, err := sess.OpenSenderFlow(tr, sp)
+	if err != nil {
+		sess.Abort()
+		return fmt.Errorf("hrmcsock: connect %s: %w", group, err)
+	}
+	s.sess, s.snd = sess, f
 	return nil
 }
 
@@ -242,9 +257,9 @@ func (s *Sock) Read(b []byte) (int, error) { return s.Recv(b) }
 // Write makes a sending Sock an io.Writer.
 func (s *Sock) Write(b []byte) (int, error) { return s.Send(b) }
 
-// Close releases the socket. On the sending side it blocks until every
-// receiver is known to hold the whole stream, like the kernel close on
-// an H-RMC socket.
+// Close releases the socket by closing its session. On the sending side
+// it blocks until every receiver is known to hold the whole stream, like
+// the kernel close on an H-RMC socket.
 func (s *Sock) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -252,15 +267,12 @@ func (s *Sock) Close() error {
 		return nil
 	}
 	s.closed = true
-	snd, rcv := s.snd, s.rcv
+	sess := s.sess
 	s.mu.Unlock()
-	if snd != nil {
-		return snd.Close()
+	if sess == nil {
+		return nil
 	}
-	if rcv != nil {
-		return rcv.Close()
-	}
-	return nil
+	return sess.Close()
 }
 
 // UseTransport substitutes the packet transport before Connect or the

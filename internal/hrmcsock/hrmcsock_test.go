@@ -67,20 +67,41 @@ func TestSendRecvLifecycleErrors(t *testing.T) {
 	}
 }
 
+// TestRoleExclusivity checks that once Connect or the membership option
+// has opened the socket's flow, neither role can be taken again and no
+// option or Bind is taken silently: each returns ErrAlreadyBound.
 func TestRoleExclusivity(t *testing.T) {
 	hub := transport.NewHub()
-	s, _ := Socket(AF_HRMC, SOCK_IP, IPPROTO_HRMC)
-	s.UseTransport(hub.Endpoint())
-	if err := s.Connect("239.0.0.1:1"); err != nil {
-		t.Fatal(err)
+	for _, role := range []string{"send", "recv"} {
+		s, _ := Socket(AF_HRMC, SOCK_IP, IPPROTO_HRMC)
+		s.UseTransport(hub.Endpoint())
+		var err error
+		if role == "send" {
+			err = s.Connect("239.0.0.1:1")
+		} else {
+			err = s.Setsockopt(HRMC_ADD_MEMBERSHIP, "239.0.0.1:1")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Connect("239.0.0.1:1"); err != ErrAlreadyBound {
+			t.Errorf("%s: Connect: %v", role, err)
+		}
+		if err := s.Setsockopt(HRMC_ADD_MEMBERSHIP, "239.0.0.1:1"); err != ErrAlreadyBound {
+			t.Errorf("%s: join: %v", role, err)
+		}
+		for _, opt := range []int{SO_SNDBUF, SO_RCVBUF, HRMC_EXPECTED_RECEIVERS, HRMC_LOOPBACK} {
+			if err := s.Setsockopt(opt, 1); err != ErrAlreadyBound {
+				t.Errorf("%s: option %d after the role was set: %v", role, opt, err)
+			}
+		}
+		if err := s.Bind(7); err != ErrAlreadyBound {
+			t.Errorf("%s: Bind: %v", role, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Errorf("%s: Close: %v", role, err)
+		}
 	}
-	if err := s.Connect("239.0.0.1:1"); err != ErrAlreadyBound {
-		t.Errorf("second Connect: %v", err)
-	}
-	if err := s.Setsockopt(HRMC_ADD_MEMBERSHIP, "239.0.0.1:1"); err != ErrAlreadyBound {
-		t.Errorf("join on a sending socket: %v", err)
-	}
-	s.Close()
 }
 
 // TestSocketTransferOverHub runs the full BSD-style call sequence of

@@ -29,17 +29,18 @@ func (k Kind) String() string {
 	return "sender"
 }
 
-// FlowOption configures a flow at open time.
+// FlowOption configures a flow at open time. Like OpenSender, it is
+// exported for benchmark/ alone; everything else uses a FlowSpec.
 type FlowOption func(*flow)
 
-// WithLabel names the flow in snapshots and logs.
-func WithLabel(label string) FlowOption {
+// withLabel names the flow in snapshots and logs.
+func withLabel(label string) FlowOption {
 	return func(f *flow) { f.label = label }
 }
 
-// WithWeight sets the flow's fair-share weight under a session budget
+// withWeight sets the flow's fair-share weight under a session budget
 // (default 1). Non-positive weights are ignored.
-func WithWeight(w float64) FlowOption {
+func withWeight(w float64) FlowOption {
 	return func(f *flow) {
 		if w > 0 {
 			f.weight = w
@@ -47,12 +48,12 @@ func WithWeight(w float64) FlowOption {
 	}
 }
 
-// WithGroup tags the flow with its multicast group on a shared
+// withGroup tags the flow with its multicast group on a shared
 // GroupTransport: outgoing multicast is addressed to g (instead of the
 // transport's only group), and arriving packets tagged with a
 // different group are dropped at the demultiplexer as cross-group
 // strays. Zero (the default) keeps the single-group behavior.
-func WithGroup(g transport.GroupID) FlowOption {
+func withGroup(g transport.GroupID) FlowOption {
 	return func(f *flow) { f.group = g }
 }
 
@@ -83,7 +84,7 @@ func (c FecConfig) GroupSize() int {
 // WithFec sets the flow's forward-error-correction parameters. On a
 // sender it drives the parity pipeline; on a receiver it arms local
 // parity recovery and defers first NAKs long enough for parity to win
-// the race.
+// the race. FlowSpec.Fec sets it; it is exported for benchmark/ alone.
 func WithFec(fc FecConfig) FlowOption {
 	return func(f *flow) { f.fec = fc }
 }
@@ -118,7 +119,7 @@ type flow struct {
 	weight float64
 	fec    FecConfig
 	// group is the flow's multicast group on a shared GroupTransport
-	// (see WithGroup); immutable after init, so the receive and send
+	// (see withGroup); immutable after init, so the receive and send
 	// paths read it without the flow lock.
 	group transport.GroupID
 	// sendShard is the session send-poller shard this flow stages onto,
@@ -244,13 +245,13 @@ func (f *flow) fail(err error) {
 // ID returns the flow's session-unique ID.
 func (f *flow) ID() int { return f.id }
 
-// Label returns the flow's WithLabel name, if any.
+// Label returns the flow's FlowSpec.Label, if any.
 func (f *flow) Label() string { return f.label }
 
 // Port returns the flow's local (demux) port.
 func (f *flow) Port() uint16 { return f.port }
 
-// Group returns the flow's WithGroup tag (0 on single-group
+// Group returns the flow's FlowSpec.Group tag (0 on single-group
 // transports).
 func (f *flow) Group() transport.GroupID { return f.group }
 

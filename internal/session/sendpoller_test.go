@@ -39,7 +39,7 @@ func TestSessionShardedSendPollers(t *testing.T) {
 		app.FillPattern(data, int64(g)<<18)
 		rf, err := sess.OpenReceiver(hub.Endpoint(), receiver.Config{
 			LocalPort: rp, RemotePort: sp, RcvBuf: 64 << 10,
-		}, WithLabel(fmt.Sprintf("g%d-rcv", g)))
+		}, withLabel(fmt.Sprintf("g%d-rcv", g)))
 		if err != nil {
 			t.Fatalf("OpenReceiver g%d: %v", g, err)
 		}
@@ -57,7 +57,7 @@ func TestSessionShardedSendPollers(t *testing.T) {
 		sf, err := sess.OpenSender(hub.Endpoint(), sender.Config{
 			LocalPort: sp, RemotePort: rp, SndBuf: 64 << 10,
 			ExpectedReceivers: 1, Rate: fastRate(),
-		}, WithLabel(fmt.Sprintf("g%d-snd", g)))
+		}, withLabel(fmt.Sprintf("g%d-snd", g)))
 		if err != nil {
 			t.Fatalf("OpenSender g%d: %v", g, err)
 		}

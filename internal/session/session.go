@@ -15,21 +15,20 @@
 //     the 20-byte H-RMC header carries src/dst ports end to end, so
 //     flows sharing a transport need no extra framing. A flow bound
 //     to port 0 acts as the wildcard and receives every packet with
-//     no exact port binding, which is how single-flow users
-//     (internal/core) keep working unconfigured. Packets bound for no
-//     flow are recycled into the shared transport packet pool;
+//     no exact port binding, so a lone flow on its transport needs no
+//     ports. Packets bound for no flow are recycled into the shared
+//     transport packet pool;
 //   - an optional aggregate bandwidth budget: a weighted fair-share
 //     governor re-apportions the configured line rate among the
 //     sender flows still transmitting, scaling each flow's
 //     internal/rate ceiling so the sum never exceeds the budget —
 //     mirroring how the kernel shared one NIC among all sockets.
 //
-// Lifecycle: OpenSender/OpenReceiver bind flows, each flow's
-// Close drains gracefully (a sender blocks until every receiver is
-// known to hold the stream), Snapshot reports per-flow and aggregate
-// counters at any time, and Session.Close drains every flow and shuts
-// the loops and transports down. internal/core remains the single-flow
-// convenience API, now a thin wrapper over a one-flow Session.
+// Lifecycle: OpenSenderFlow/OpenReceiverFlow bind the flows FlowSpecs
+// describe, each flow's Close drains gracefully (a sender blocks until
+// every receiver is known to hold the stream), Snapshot reports
+// per-flow and aggregate counters at any time, and Session.Close drains
+// every flow and shuts the loops and transports down.
 package session
 
 import (
@@ -62,7 +61,7 @@ type Config struct {
 	// Budget, when positive, caps the aggregate send rate across all
 	// sender flows in bytes/second. Every jiffy the demand-aware
 	// fair-share governor water-fills it among the flows still sending,
-	// proportional to their weights (WithWeight): flows pacing below
+	// proportional to their weights (FlowSpec.Weight): flows pacing below
 	// their ceiling donate the slack to still-hungry flows. Shares are
 	// floored at each flow's rate-control MinRate — the
 	// one-packet-per-jiffy pacing floor — so a budget below
@@ -553,10 +552,10 @@ func liveSender(cfg sender.Config) sender.Config {
 	return cfg
 }
 
-// OpenSender opens a sending flow over tr. cfg.LocalPort is the flow's
-// demux binding (0 binds the transport's wildcard slot); feedback
-// packets arrive on it, so receivers of the group must use it as their
-// RemotePort.
+// OpenSender opens a sending flow over tr from a raw machine config;
+// it is exported for benchmark/ alone, and everything else opens
+// through OpenSenderFlow. cfg.LocalPort is the flow's demux binding (0
+// binds the wildcard slot) and its receivers' RemotePort.
 func (s *Session) OpenSender(tr transport.Transport, cfg sender.Config, opts ...FlowOption) (*SenderFlow, error) {
 	cfg = liveSender(cfg)
 	f := &SenderFlow{}
@@ -573,10 +572,10 @@ func (s *Session) OpenSender(tr transport.Transport, cfg sender.Config, opts ...
 	return f, nil
 }
 
-// OpenReceiver opens a receiving flow over tr. cfg.LocalPort is the
-// flow's demux binding (0 binds the wildcard slot); the group's sender
-// must use it as its RemotePort. A zero cfg.LocalAddr defaults to the
-// transport's node ID.
+// OpenReceiver opens a receiving flow over tr from a raw machine
+// config, for benchmark/ alone (see OpenSender). cfg.LocalPort is the
+// flow's demux binding (0 binds the wildcard slot) and its sender's
+// RemotePort; a zero cfg.LocalAddr defaults to the transport's node ID.
 func (s *Session) OpenReceiver(tr transport.Transport, cfg receiver.Config, opts ...FlowOption) (*ReceiverFlow, error) {
 	if cfg.LocalAddr == 0 {
 		cfg.LocalAddr = tr.Local()

@@ -135,7 +135,7 @@ func TestSessionMultiplexStress(t *testing.T) {
 		for i := 0; i < rcvPerGroup; i++ {
 			rf, err := sess.OpenReceiver(hub.Endpoint(), receiver.Config{
 				LocalPort: rp, RemotePort: sp, RcvBuf: 64 << 10,
-			}, WithLabel(fmt.Sprintf("g%d-rcv%d", g, i)))
+			}, withLabel(fmt.Sprintf("g%d-rcv%d", g, i)))
 			if err != nil {
 				t.Fatalf("OpenReceiver g%d: %v", g, err)
 			}
@@ -155,7 +155,7 @@ func TestSessionMultiplexStress(t *testing.T) {
 		sf, err := sess.OpenSender(hub.Endpoint(), sender.Config{
 			LocalPort: sp, RemotePort: rp, SndBuf: 64 << 10,
 			ExpectedReceivers: rcvPerGroup, Rate: fastRate(),
-		}, WithLabel(fmt.Sprintf("g%d-snd", g)))
+		}, withLabel(fmt.Sprintf("g%d-snd", g)))
 		if err != nil {
 			t.Fatalf("OpenSender g%d: %v", g, err)
 		}
@@ -327,8 +327,8 @@ func TestGovernorWeightedShares(t *testing.T) {
 	sess := New(Config{Budget: 1e6})
 	defer sess.Abort()
 
-	a := govTransfer(t, sess, hub, 0, 8<<20, WithWeight(3))
-	b := govTransfer(t, sess, hub, 1, 8<<20, WithWeight(1))
+	a := govTransfer(t, sess, hub, 0, 8<<20, withWeight(3))
+	b := govTransfer(t, sess, hub, 1, 8<<20, withWeight(1))
 
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -526,6 +526,33 @@ func TestSenderFlowAbortUnblocksWrite(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Abort did not unblock Write")
+	}
+}
+
+// TestReceiverFlowCloseUnblocksRead checks that closing a receiving flow
+// with no sender fails a Read blocked on it.
+func TestReceiverFlowCloseUnblocksRead(t *testing.T) {
+	hub := transport.NewHub()
+	sess := New(Config{})
+	defer sess.Abort()
+	rf, err := sess.OpenReceiverFlow(hub.Endpoint(), FlowSpec{Kind: KindReceiver})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := rf.Read(make([]byte, 10))
+		errCh <- err
+	}()
+	time.Sleep(30 * time.Millisecond)
+	rf.Close()
+	select {
+	case err := <-errCh:
+		if err != ErrClosed {
+			t.Errorf("blocked Read returned %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not unblock Read")
 	}
 }
 

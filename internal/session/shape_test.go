@@ -132,7 +132,7 @@ func perFlowCost(t *testing.T, n int) time.Duration {
 			}
 			pairs[g] = openPair(t, sess, snd[g%shards], rcv[g%shards], g, sender.Config{
 				SndBuf: 128 << 10, Rate: rate.Config{MinRate: 32e6, MaxRate: 1e9, MSS: 1400},
-			}, receiver.Config{RcvBuf: 128 << 10}, WithGroup(gid))
+			}, receiver.Config{RcvBuf: 128 << 10}, withGroup(gid))
 		}
 		transferAll(t, pairs, pattern, size)
 		if err := sess.Close(); err != nil {
@@ -199,7 +199,7 @@ func TestIdleFlowsCostNothing(t *testing.T) {
 		if _, err := rcv[g%shards].Join(addr); err != nil {
 			t.Fatal(err)
 		}
-		pairs[g] = openPair(t, sess, snd[g%shards], rcv[g%shards], g, sender.Config{SndBuf: 32 << 10}, receiver.Config{RcvBuf: 32 << 10}, WithGroup(gid))
+		pairs[g] = openPair(t, sess, snd[g%shards], rcv[g%shards], g, sender.Config{SndBuf: 32 << 10}, receiver.Config{RcvBuf: 32 << 10}, withGroup(gid))
 	}
 	// Join every receiver: one short write each, read to the last byte,
 	// streams left open.

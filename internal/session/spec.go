@@ -1,10 +1,10 @@
 // FlowSpec: the one canonical translation from a declarative flow
 // description to the machine configs and options a flow opens with.
 // Every front end — the hrmc-send/hrmc-recv CLIs, the hrmcd daemon's
-// config file, and internal/control's admission API — builds a
-// FlowSpec and opens it through OpenSenderFlow/OpenReceiverFlow, so a
-// knob added here reaches every entry point at once instead of being
-// hand-wired three times.
+// config file, internal/control's admission API, internal/hrmcsock's
+// sockets and the examples — builds a FlowSpec and opens it through
+// OpenSenderFlow/OpenReceiverFlow, so a knob added here reaches every
+// entry point at once.
 package session
 
 import (
@@ -55,8 +55,8 @@ type FlowSpec struct {
 	ReadoptHead bool
 	// JoinInProgress admits a receiver to a stream already flowing.
 	JoinInProgress bool
-	// Group tags the flow's multicast group on a shared GroupTransport
-	// (see WithGroup); zero for single-group transports.
+	// Group is the flow's multicast group on a shared GroupTransport;
+	// zero for single-group transports.
 	Group transport.GroupID
 }
 
@@ -104,16 +104,16 @@ func (sp FlowSpec) receiverConfig() receiver.Config {
 func (sp FlowSpec) options() []FlowOption {
 	var opts []FlowOption
 	if sp.Label != "" {
-		opts = append(opts, WithLabel(sp.Label))
+		opts = append(opts, withLabel(sp.Label))
 	}
 	if sp.Weight > 0 {
-		opts = append(opts, WithWeight(sp.Weight))
+		opts = append(opts, withWeight(sp.Weight))
 	}
 	if sp.Fec.Enabled {
 		opts = append(opts, WithFec(sp.Fec))
 	}
 	if sp.Group != 0 {
-		opts = append(opts, WithGroup(sp.Group))
+		opts = append(opts, withGroup(sp.Group))
 	}
 	return opts
 }

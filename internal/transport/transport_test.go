@@ -161,7 +161,7 @@ func TestHubDelay(t *testing.T) {
 
 func TestHubCloseSemantics(t *testing.T) {
 	hub := NewHub()
-	a, b := hub.Endpoint(), hub.Endpoint()
+	a, b, c := hub.Endpoint(), hub.Endpoint(), hub.Endpoint()
 	a.Close()
 	if err := a.Close(); err != nil {
 		t.Errorf("double Close errored: %v", err)
@@ -172,6 +172,13 @@ func TestHubCloseSemantics(t *testing.T) {
 	// Sending to a closed endpoint is a silent drop, like the network.
 	if err := send1(b, pkt(1), false, a.Local()); err != nil {
 		t.Errorf("send to closed endpoint errored: %v", err)
+	}
+	// A closed endpoint leaves the multicast fan-out; the open ones stay.
+	if err := send1(b, pkt(2), true, 0); err != nil {
+		t.Errorf("multicast past a closed endpoint errored: %v", err)
+	}
+	if got, _, err := recv1(c); err != nil || got.Seq != 2 {
+		t.Errorf("open endpoint after a peer closed: %v %v", got, err)
 	}
 }
 

@@ -10,10 +10,8 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/core"
 	"repro/internal/packet"
-	"repro/internal/receiver"
-	"repro/internal/sender"
+	"repro/internal/session"
 	"repro/internal/transport"
 )
 
@@ -101,28 +99,35 @@ func TestUDPMulticastTransfer(t *testing.T) {
 	want := make([]byte, size)
 	app.FillPattern(want, 0)
 
+	sess := session.New(session.Config{})
+	defer sess.Abort()
 	var wg sync.WaitGroup
 	results := make([][]byte, n)
 	for i, rt := range rts {
+		rf, err := sess.OpenReceiverFlow(rt, session.FlowSpec{Kind: session.KindReceiver, Buf: 64 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
 		wg.Add(1)
-		go func(i int, rt *Endpoint) {
+		go func(i int) {
 			defer wg.Done()
-			rc := core.NewReceiver(rt, receiver.Config{RcvBuf: 64 << 10})
-			got, err := io.ReadAll(rc)
+			got, err := io.ReadAll(rf)
 			if err != nil {
 				t.Errorf("receiver %d: %v", i, err)
 			}
 			results[i] = got
-			rc.Close()
-		}(i, rt)
+		}(i)
 	}
 
-	sc := core.NewSender(st, sender.Config{SndBuf: 64 << 10, ExpectedReceivers: n})
-	if _, err := sc.Write(want); err != nil {
+	sf, err := sess.OpenSenderFlow(st, session.FlowSpec{Kind: session.KindSender, Buf: 64 << 10, Receivers: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sf.Write(want); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- sc.Close() }()
+	go func() { done <- sf.Close() }()
 	select {
 	case err := <-done:
 		if err != nil {
