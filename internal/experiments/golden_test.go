@@ -11,7 +11,7 @@ import (
 var update = flag.Bool("update", false, "regenerate testdata/figures_quick.csv")
 
 // TestGoldenFigures renders every registered experiment the way
-// `hrmc-bench -quick -seeds 1 -format csv` does and compares the result
+// `hrmc-figures -quick -seeds 1 -format csv` does and compares the result
 // with the checked-in copy: the simulator is deterministic, so a change
 // to a protocol machine that claims "same behaviour" either leaves this
 // file alone or says which cells it moved (go test -update rewrites it).

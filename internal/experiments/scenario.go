@@ -2,7 +2,7 @@
 // evaluation (Section 5): the release-information study (Figure 3), the
 // experimental LAN study at 10 and 100 Mbps (Figures 10–13), and the
 // simulation study over characteristic groups (Figures 14–16). Each
-// figure has a runner returning formatted tables; cmd/hrmc-bench and the
+// figure has a runner returning formatted tables; cmd/hrmc-figures and the
 // root bench_test.go drive them.
 package experiments
 

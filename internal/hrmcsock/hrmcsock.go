@@ -231,8 +231,11 @@ func (s *Sock) Connect(group string) error {
 // window is full — the send system call of the kernel interface.
 func (s *Sock) Send(b []byte) (int, error) {
 	s.mu.Lock()
-	snd := s.snd
+	snd, closed := s.snd, s.closed
 	s.mu.Unlock()
+	if closed {
+		return 0, ErrClosed
+	}
 	if snd == nil {
 		return 0, ErrNotConnected
 	}

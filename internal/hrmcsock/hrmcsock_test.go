@@ -165,6 +165,9 @@ func TestSocketTransferOverHub(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if n, err := s.Send(payload); n != 0 || err != ErrClosed {
+		t.Errorf("Send after Close = %d, %v; want 0, ErrClosed", n, err)
+	}
 	wg.Wait()
 	for i, got := range results {
 		if !bytes.Equal(got, payload) {

@@ -13,12 +13,6 @@ import "repro/internal/sim"
 // Jiffy is the Linux 2.1 timer tick on the paper's machines: 10 ms.
 const Jiffy = 10 * sim.Millisecond
 
-// Jiffies converts a jiffy count to a duration.
-func Jiffies(n int64) sim.Time { return sim.Time(n) * Jiffy }
-
-// ToJiffies converts a duration to whole jiffies, rounding down.
-func ToJiffies(d sim.Time) int64 { return int64(d / Jiffy) }
-
 // Timer is a one-shot deadline, the analogue of a struct timer_list. The
 // zero value is a disarmed timer. Timers do not fire by themselves: the
 // owner polls Due (or Deadline) from whatever drives time forward.

@@ -10,12 +10,6 @@ func TestJiffyConversions(t *testing.T) {
 	if Jiffy != 10*sim.Millisecond {
 		t.Fatalf("Jiffy = %v, want 10ms (the paper's 2.1 kernel tick)", Jiffy)
 	}
-	if Jiffies(50) != 500*sim.Millisecond {
-		t.Errorf("Jiffies(50) = %v", Jiffies(50))
-	}
-	if ToJiffies(95*sim.Millisecond) != 9 {
-		t.Errorf("ToJiffies(95ms) = %d, want 9 (round down)", ToJiffies(95*sim.Millisecond))
-	}
 }
 
 func TestTimerLifecycle(t *testing.T) {

@@ -15,7 +15,6 @@ import (
 	"repro/internal/receiver"
 	"repro/internal/repair"
 	"repro/internal/sender"
-	"repro/internal/seqspace"
 	"repro/internal/sim"
 )
 
@@ -78,28 +77,15 @@ type HierarchyConfig struct {
 
 // hNode is one simulated receiver host in the hierarchy.
 type hNode struct {
-	M    *receiver.Receiver
+	rx
 	id   packet.NodeID
 	head bool
 	tree int // subtree index; head i owns the leaves with tree == i
 
 	// rcfg is the machine's construction config, kept so a restart can
 	// rebuild it cold (with JoinInProgress set).
-	rcfg    receiver.Config
-	crashed bool
-	// pendingRebase defers pattern-verification re-anchoring until the
-	// rebuilt machine reports its JoinInProgress anchor point.
-	pendingRebase bool
-
-	Received   int64
-	BadBytes   int64
-	verifyOff  int64
-	Finished   bool
-	FinishedAt sim.Time
+	rcfg receiver.Config
 }
-
-// Crashed reports whether the node is currently down.
-func (nd *hNode) Crashed() bool { return nd.crashed }
 
 // ID returns the node's simulated unicast address.
 func (nd *hNode) ID() packet.NodeID { return nd.id }
@@ -112,10 +98,7 @@ type Hierarchy struct {
 	Engine *sim.Engine
 	cfg    HierarchyConfig
 
-	snd     *sender.Sender
-	source  app.Source
-	closed  bool
-	pending []byte
+	snd feeder
 
 	nodes    []*hNode // heads first (index 0..Heads-1), then leaves
 	finished int
@@ -129,10 +112,8 @@ type Hierarchy struct {
 	faults *faultState
 	seams
 
-	// mss and initialSeq are the sender's stream geometry, kept to
-	// translate a restarted node's rebase anchor into a byte offset.
-	mss        int
-	initialSeq seqspace.Seq
+	// stream translates a mid-stream joiner's anchor into a byte offset.
+	stream stream
 
 	headLoss    *sim.RNG
 	subtreeLoss *sim.RNG
@@ -158,7 +139,8 @@ func NewHierarchy(cfg HierarchyConfig, scfg sender.Config) *Hierarchy {
 	h := &Hierarchy{
 		Engine:  &sim.Engine{},
 		cfg:     cfg,
-		source:  app.NewMemorySource(cfg.Size),
+		snd:     feeder{M: sender.New(scfg), Source: app.NewMemorySource(cfg.Size)},
+		stream:  stream{mss: scfg.MSS, initialSeq: scfg.InitialSeq},
 		readBuf: make([]byte, 64<<10),
 	}
 	rng := sim.NewRNG(cfg.Seed)
@@ -171,12 +153,9 @@ func NewHierarchy(cfg HierarchyConfig, scfg sender.Config) *Hierarchy {
 		h.faults = newFaultState(cfg.Faults, rng.Stream(4))
 	}
 
-	h.mss = scfg.MSS
-	if h.mss <= 0 {
-		h.mss = 1400 // the sender.Config default
+	if h.stream.mss <= 0 {
+		h.stream.mss = 1400 // the sender.Config default
 	}
-	h.initialSeq = scfg.InitialSeq
-	h.snd = sender.New(scfg)
 
 	total := cfg.Heads * (1 + cfg.LeavesPerHead)
 	h.nodes = make([]*hNode, 0, total)
@@ -186,13 +165,13 @@ func NewHierarchy(cfg HierarchyConfig, scfg sender.Config) *Hierarchy {
 		if !cfg.Flat {
 			rcfg.Head = &repair.Config{MemberTimeout: cfg.HeadMemberTimeout}
 		}
-		h.nodes = append(h.nodes, &hNode{M: receiver.New(rcfg), id: id, head: true, tree: i, rcfg: rcfg})
+		h.nodes = append(h.nodes, &hNode{rx: rx{M: receiver.New(rcfg)}, id: id, head: true, tree: i, rcfg: rcfg})
 	}
 	for i := 0; i < cfg.Heads; i++ {
 		for j := 0; j < cfg.LeavesPerHead; j++ {
 			id := packet.NodeID(len(h.nodes) + 1)
 			rcfg := h.leafConfig(id, i)
-			h.nodes = append(h.nodes, &hNode{M: receiver.New(rcfg), id: id, tree: i, rcfg: rcfg})
+			h.nodes = append(h.nodes, &hNode{rx: rx{M: receiver.New(rcfg)}, id: id, tree: i, rcfg: rcfg})
 		}
 	}
 	h.base = len(h.nodes)
@@ -224,7 +203,7 @@ func (h *Hierarchy) AddLeaf(tree int) *hNode {
 	id := packet.NodeID(len(h.nodes) + 1)
 	rcfg := h.leafConfig(id, tree)
 	rcfg.JoinInProgress = true
-	nd := &hNode{M: receiver.New(rcfg), id: id, tree: tree, rcfg: rcfg, pendingRebase: true}
+	nd := &hNode{rx: rx{M: receiver.New(rcfg), pendingRebase: true}, id: id, tree: tree, rcfg: rcfg}
 	h.nodes = append(h.nodes, nd)
 	return nd
 }
@@ -268,14 +247,11 @@ func (h *Hierarchy) onRestart(node packet.NodeID) {
 	}
 	rcfg := nd.rcfg
 	rcfg.JoinInProgress = true
-	nd.M = receiver.New(rcfg)
-	nd.Received, nd.BadBytes, nd.verifyOff = 0, 0, 0
-	nd.Finished, nd.FinishedAt = false, 0
-	nd.pendingRebase = true
+	nd.restart(receiver.New(rcfg))
 }
 
 // Sender returns the sender machine (for assertions).
-func (h *Hierarchy) Sender() *sender.Sender { return h.snd }
+func (h *Hierarchy) Sender() *sender.Sender { return h.snd.M }
 
 // FaultDrops returns how many packets the fault plane's loss bursts
 // destroyed (zero without a plan).
@@ -307,13 +283,9 @@ func (h *Hierarchy) eachLeaf(tree int, fn func(*hNode)) {
 // receiver, which keeps the event queue small at 10k+ nodes.
 func (h *Hierarchy) tick() {
 	now := h.Engine.Now()
-	h.feedWindow(now)
-	if !h.closed && h.source.Remaining() == 0 && len(h.pending) == 0 {
-		h.closed = true
-		h.snd.Close(now)
-	}
-	if h.due(now, h.snd.NextWake) {
-		h.snd.Tick(now)
+	h.snd.feed(now)
+	if h.due(now, h.snd.M.NextWake) {
+		h.snd.M.Tick(now)
 	}
 	h.flushSender(now)
 	for _, nd := range h.nodes {
@@ -331,41 +303,11 @@ func (h *Hierarchy) tick() {
 	}
 }
 
-func (h *Hierarchy) feedWindow(now sim.Time) {
-	if h.closed {
-		return
-	}
-	for len(h.pending) > 0 {
-		w := h.snd.Write(now, h.pending)
-		h.pending = h.pending[w:]
-		if w == 0 {
-			return
-		}
-	}
-	for {
-		avail := h.source.Available(now)
-		if avail == 0 {
-			return
-		}
-		buf := make([]byte, minInt(avail, 64<<10))
-		m := h.source.Produce(now, buf)
-		if m == 0 {
-			return
-		}
-		buf = buf[:m]
-		w := h.snd.Write(now, buf)
-		if w < m {
-			h.pending = buf[w:]
-			return
-		}
-	}
-}
-
 // flushSender routes the sender's outgoing packets: multicast fans out
 // to heads at +Delay and to leaves at +Delay+LeafDelay with the loss
 // model applied; unicast goes to its node with the path delay.
 func (h *Hierarchy) flushSender(now sim.Time) {
-	for _, o := range h.snd.Outgoing() {
+	for _, o := range h.snd.M.Outgoing() {
 		h.emit(0, o.Pkt, o.Dest.Multicast, o.Dest.Node)
 		if o.Dest.Multicast {
 			// One clone shared by every receiver: nothing in this model
@@ -432,7 +374,7 @@ func (h *Hierarchy) flushNode(nd *hNode, now sim.Time) {
 				return
 			}
 			h.SenderFeedback++
-			h.snd.HandlePacket(t, from, pkt)
+			h.snd.M.HandlePacket(t, from, pkt)
 			h.flushSender(t)
 		})
 	}
@@ -477,42 +419,14 @@ func (h *Hierarchy) deliverToNode(nd *hNode, from packet.NodeID, p *packet.Packe
 }
 
 func (h *Hierarchy) drainReads(nd *hNode, now sim.Time) {
-	if nd.pendingRebase {
-		// A mid-stream joiner (restart or flash crowd) delivers from its
-		// anchor, not from byte zero: translate the anchor sequence into
-		// a byte offset. Exact only while every packet before the anchor
-		// carried MSS bytes — the sender's 64 KiB feed buffer guarantees
-		// that when MSS divides it; chaos scenarios pick such an MSS.
-		rb, ok := nd.M.RebasedAt()
-		if !ok {
-			return // nothing readable before the anchor exists
-		}
-		nd.verifyOff = int64(seqspace.Diff(rb, h.initialSeq)) * int64(h.mss)
-		nd.pendingRebase = false
-	}
-	for {
-		m, err := nd.M.Read(now, h.readBuf)
-		if m > 0 {
-			if i := app.VerifyPattern(h.readBuf[:m], nd.verifyOff); i >= 0 {
-				nd.BadBytes++
-			}
-			nd.verifyOff += int64(m)
-			nd.Received += int64(m)
-		}
-		if nd.M.FinDelivered() && !nd.Finished {
-			nd.Finished = true
-			nd.FinishedAt = now
-			h.finished++
-		}
-		if err != nil || m == 0 {
-			return
-		}
+	if nd.drain(now, h.readBuf, nil, h.stream) {
+		h.finished++
 	}
 }
 
 func (h *Hierarchy) done() bool {
 	// Crashed nodes are excluded: the run completes around a dead host.
-	return h.snd.Done() && h.finished+h.crashedUnfinished == len(h.nodes)
+	return h.snd.M.Done() && h.finished+h.crashedUnfinished == len(h.nodes)
 }
 
 // Run drives the simulation until the transfer completes or limit
@@ -527,18 +441,7 @@ func (h *Hierarchy) Run(limit sim.Time) Result {
 	}
 	res := Result{Completed: true, NICDrops: h.Drops}
 	for _, nd := range h.nodes {
-		if !nd.Finished {
-			// A node down at the end of the run does not count against
-			// completion; every live node must have finished.
-			if !nd.crashed {
-				res.Completed = false
-			}
-			continue
-		}
-		if nd.FinishedAt > res.Duration {
-			res.Duration = nd.FinishedAt
-		}
-		res.Bytes = nd.Received
+		res.add(&nd.rx)
 	}
 	return res
 }

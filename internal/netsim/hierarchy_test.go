@@ -9,9 +9,10 @@ import (
 )
 
 // hierarchyTransfer runs the two-level model and returns it with the
-// run result. The same topology and loss model serve the hierarchical
-// and the flat (baseline) configuration.
-func hierarchyTransfer(t *testing.T, flat bool, heads, leavesPerHead int, size int64, seed uint64) (*Hierarchy, Result) {
+// run result and the fold of every packet its machines emitted. The same
+// topology and loss model serve the hierarchical and the flat (baseline)
+// configuration.
+func hierarchyTransfer(t *testing.T, flat bool, heads, leavesPerHead int, size int64, seed uint64) (*Hierarchy, Result, *PacketHash) {
 	t.Helper()
 	rcfg := rate.DefaultConfig()
 	rcfg.MaxRate = Rate100Mbps
@@ -32,22 +33,33 @@ func hierarchyTransfer(t *testing.T, flat bool, heads, leavesPerHead int, size i
 		Mode:   sender.HRMC,
 		Rate:   rcfg,
 	})
+	ph := NewPacketHash()
+	h.Seams(false, ph.Add)
 	res := h.Run(120 * sim.Second)
-	return h, res
+	return h, res, ph
 }
 
 // TestHierarchyScale is the acceptance scenario for the repair tier:
 // 10,000+ receivers behind 100 repair heads complete a lossy transfer
 // bit-exact while the sender tracks only the heads, and the feedback
 // the sender receives shrinks by an order of magnitude against the
-// same population reporting flat.
+// same population reporting flat. Both arms are pinned to the packets
+// their machines emitted when the pins were taken, so a refactor of the
+// sender, the receiver roles or this model cannot move them unnoticed.
 func TestHierarchyScale(t *testing.T) {
 	const (
 		heads  = 100
 		leaves = 100 // per head: 100 + 100*100 = 10,100 receivers
 		size   = 96 << 10
 	)
-	hier, res := hierarchyTransfer(t, false, heads, leaves, size, 11)
+	pinned := func(arm string, ph *PacketHash, packets int, sum uint64) {
+		t.Logf("%s: %d packets, FNV %016x", arm, ph.Packets, ph.Sum())
+		if ph.Packets != packets || ph.Sum() != sum {
+			t.Errorf("%s arm emitted %d packets, FNV %016x; pinned: %d packets, FNV %016x",
+				arm, ph.Packets, ph.Sum(), packets, sum)
+		}
+	}
+	hier, res, hierHash := hierarchyTransfer(t, false, heads, leaves, size, 11)
 	if !res.Completed {
 		t.Fatal("hierarchical transfer did not complete")
 	}
@@ -90,7 +102,7 @@ func TestHierarchyScale(t *testing.T) {
 		hier.SenderFeedback, answered, suppressed, escalated, aggs, hier.Sender().MaxJoined())
 
 	// Baseline: same tree, flat reporting.
-	flat, fres := hierarchyTransfer(t, true, heads, leaves, size, 11)
+	flat, fres, flatHash := hierarchyTransfer(t, true, heads, leaves, size, 11)
 	if !fres.Completed {
 		t.Fatal("flat transfer did not complete")
 	}
@@ -108,6 +120,8 @@ func TestHierarchyScale(t *testing.T) {
 		t.Errorf("sender feedback reduced only %.1fx (flat %d, hier %d), want >= 10x",
 			ratio, flat.SenderFeedback, hier.SenderFeedback)
 	}
+	pinned("hierarchical", hierHash, 70655, 0xc65d5fad0fc2853c)
+	pinned("flat", flatHash, 74563, 0x1fa921842995a97e)
 }
 
 // TestHierarchySmallTree exercises the same machinery at a size cheap
@@ -119,7 +133,7 @@ func TestHierarchySmallTree(t *testing.T) {
 		leaves = 8
 		size   = 64 << 10
 	)
-	hier, res := hierarchyTransfer(t, false, heads, leaves, size, 3)
+	hier, res, _ := hierarchyTransfer(t, false, heads, leaves, size, 3)
 	if !res.Completed {
 		t.Fatal("transfer did not complete")
 	}

@@ -194,13 +194,9 @@ func (n *Network) onRestart(node packet.NodeID) {
 		return
 	}
 	r.crashed = false
-	if r.Rebuild == nil {
-		return
+	if r.Rebuild != nil {
+		r.restart(r.Rebuild())
 	}
-	r.M = r.Rebuild()
-	r.Received, r.BadBytes, r.verifyOff = 0, 0, 0
-	r.Finished, r.FinishedAt = false, 0
-	r.pendingRebase = true
 }
 
 func (n *Network) receiverByID(node packet.NodeID) *ReceiverHost {
@@ -266,9 +262,10 @@ func (h *host) nic(now sim.Time, wireBytes int) (sim.Time, bool) {
 	return h.nicFree, false
 }
 
-// SenderHost couples a sender machine with its application source.
-type SenderHost struct {
-	host
+// feeder is the Application Interface of a simulated sender, the same in
+// both models: it moves the source's bytes into the sender machine and
+// closes the stream once the source's last byte is in.
+type feeder struct {
 	M      *sender.Sender
 	Source app.Source
 	closed bool
@@ -277,32 +274,133 @@ type SenderHost struct {
 	pending []byte
 }
 
-// ReceiverHost couples a receiver machine with its group and sink.
-type ReceiverHost struct {
-	host
-	M     *receiver.Receiver
-	Sink  app.Sink
-	Group Group
-	rxRng *sim.RNG
+// feed writes previously refused bytes first, then produces fresh data
+// until the window fills or the source runs dry.
+func (f *feeder) feed(now sim.Time) {
+	if f.closed {
+		return
+	}
+	for len(f.pending) > 0 {
+		w := f.M.Write(now, f.pending)
+		f.pending = f.pending[w:]
+		if w == 0 {
+			return // window full
+		}
+	}
+	for {
+		avail := f.Source.Available(now)
+		if avail == 0 {
+			break
+		}
+		buf := make([]byte, min(avail, 64<<10))
+		m := f.Source.Produce(now, buf)
+		if m == 0 {
+			break
+		}
+		if w := f.M.Write(now, buf[:m]); w < m {
+			f.pending = buf[w:m]
+			return
+		}
+	}
+	if f.Source.Remaining() == 0 {
+		f.closed = true
+		f.M.Close(now)
+	}
+}
+
+// rx is what both models keep per receiver host: its machine, whether
+// the host is down, and the application reading the stream, which
+// verifies every byte against the pattern the source wrote.
+type rx struct {
+	M       *receiver.Receiver
+	crashed bool
 
 	Received   int64 // bytes delivered to the application
 	FinishedAt sim.Time
 	Finished   bool
 	BadBytes   int64 // pattern-verification failures (must stay zero)
 	verifyOff  int64
-	readBuf    []byte
-
-	// Rebuild constructs a cold replacement machine when a FaultRestart
-	// revives this host (typically receiver.New with JoinInProgress set).
-	Rebuild func() *receiver.Receiver
-	crashed bool
-	// pendingRebase defers verification re-anchoring until the rebuilt
-	// machine reports its JoinInProgress anchor (see Config.StreamMSS).
+	// pendingRebase defers verification re-anchoring until a machine that
+	// joined mid-stream reports its JoinInProgress anchor.
 	pendingRebase bool
 }
 
 // Crashed reports whether the host is currently down.
-func (r *ReceiverHost) Crashed() bool { return r.crashed }
+func (r *rx) Crashed() bool { return r.crashed }
+
+// restart puts a cold machine in place of the old one. Delivery
+// accounting restarts from the new machine's anchor.
+func (r *rx) restart(m *receiver.Receiver) { *r = rx{M: m, pendingRebase: true} }
+
+// stream is the sender's stream geometry, which translates a mid-stream
+// joiner's anchor sequence s into the byte offset (s − initialSeq)·mss.
+// That is exact only while every packet before the anchor carried MSS
+// bytes: the 64 KiB feed buffer guarantees it when MSS divides it, and
+// scenarios that restart receivers pick such an MSS.
+type stream struct {
+	mss        int
+	initialSeq seqspace.Seq
+}
+
+// drain performs application reads into buf — within sink's budget, when
+// there is a sink — and reports whether this drain delivered the FIN.
+func (r *rx) drain(now sim.Time, buf []byte, sink app.Sink, st stream) (finished bool) {
+	if r.pendingRebase {
+		rb, ok := r.M.RebasedAt()
+		if !ok {
+			return false // nothing readable before the anchor exists
+		}
+		r.verifyOff = int64(seqspace.Diff(rb, st.initialSeq)) * int64(st.mss)
+		r.pendingRebase = false
+	}
+	for {
+		b := buf
+		if sink != nil {
+			budget := sink.Budget(now)
+			if budget <= 0 {
+				return finished
+			}
+			b = buf[:min(budget, len(buf))]
+		}
+		m, err := r.M.Read(now, b)
+		if m > 0 {
+			if i := app.VerifyPattern(b[:m], r.verifyOff); i >= 0 {
+				r.BadBytes++
+			}
+			r.verifyOff += int64(m)
+			r.Received += int64(m)
+			if sink != nil {
+				sink.Consume(now, m)
+			}
+		}
+		if r.M.FinDelivered() && !r.Finished {
+			r.Finished, r.FinishedAt, finished = true, now, true
+		}
+		if err != nil || m == 0 {
+			return finished
+		}
+	}
+}
+
+// SenderHost couples a sender machine with its application source.
+type SenderHost struct {
+	host
+	feeder
+}
+
+// ReceiverHost couples a receiver machine with its group and sink.
+type ReceiverHost struct {
+	host
+	rx
+	Sink    app.Sink
+	Group   Group
+	rxRng   *sim.RNG
+	readBuf []byte
+
+	// Rebuild constructs a cold replacement machine when a FaultRestart
+	// revives this host (typically receiver.New with JoinInProgress set).
+	Rebuild func() *receiver.Receiver
+}
 
 // AddSender installs the sender host; only one is supported (the paper's
 // protocol is single-source).
@@ -310,7 +408,7 @@ func (n *Network) AddSender(m *sender.Sender, src app.Source) *SenderHost {
 	if n.snd != nil {
 		panic("netsim: second sender")
 	}
-	s := &SenderHost{host: host{net: n, id: 0}, M: m, Source: src}
+	s := &SenderHost{host: host{net: n, id: 0}, feeder: feeder{M: m, Source: src}}
 	n.snd = s
 	return s
 }
@@ -321,7 +419,7 @@ func (n *Network) AddReceiver(m *receiver.Receiver, g Group, sink app.Sink) *Rec
 	id := packet.NodeID(len(n.rcvs) + 1)
 	r := &ReceiverHost{
 		host:    host{net: n, id: id},
-		M:       m,
+		rx:      rx{M: m},
 		Sink:    sink,
 		Group:   g,
 		rxRng:   n.rng.Stream(uint64(id) + 1000),
@@ -365,11 +463,7 @@ func (n *Network) scheduleSenderTick(at sim.Time) {
 	n.Engine.At(at, func() {
 		now := n.Engine.Now()
 		s := n.snd
-		s.feedWindow(now)
-		if !s.closed && s.Source.Remaining() == 0 && len(s.pending) == 0 {
-			s.closed = true
-			s.M.Close(now)
-		}
+		s.feed(now)
 		if n.due(now, s.M.NextWake) {
 			s.M.Tick(now)
 		}
@@ -378,39 +472,6 @@ func (n *Network) scheduleSenderTick(at sim.Time) {
 			n.scheduleSenderTick(now + jiffy)
 		}
 	})
-}
-
-// feedWindow is the Application Interface: it writes previously refused
-// bytes first, then produces fresh data until the window fills or the
-// source runs dry.
-func (s *SenderHost) feedWindow(now sim.Time) {
-	if s.closed {
-		return
-	}
-	for len(s.pending) > 0 {
-		w := s.M.Write(now, s.pending)
-		s.pending = s.pending[w:]
-		if w == 0 {
-			return // window full
-		}
-	}
-	for {
-		avail := s.Source.Available(now)
-		if avail == 0 {
-			return
-		}
-		buf := make([]byte, minInt(avail, 64<<10))
-		m := s.Source.Produce(now, buf)
-		if m == 0 {
-			return
-		}
-		buf = buf[:m]
-		w := s.M.Write(now, buf)
-		if w < m {
-			s.pending = buf[w:]
-			return
-		}
-	}
 }
 
 func (n *Network) scheduleReceiverTick(r *ReceiverHost, at sim.Time) {
@@ -437,40 +498,7 @@ func (n *Network) scheduleReceiverTick(r *ReceiverHost, at sim.Time) {
 
 // drainReads performs application reads within the sink's budget.
 func (n *Network) drainReads(r *ReceiverHost, now sim.Time) {
-	if r.pendingRebase {
-		rb, ok := r.M.RebasedAt()
-		if !ok {
-			return // nothing readable before the anchor exists
-		}
-		r.verifyOff = int64(seqspace.Diff(rb, n.cfg.StreamInitialSeq)) * int64(n.cfg.StreamMSS)
-		r.pendingRebase = false
-	}
-	for {
-		budget := r.Sink.Budget(now)
-		if budget <= 0 {
-			return
-		}
-		buf := r.readBuf
-		if budget < len(buf) {
-			buf = buf[:budget]
-		}
-		m, err := r.M.Read(now, buf)
-		if m > 0 {
-			if i := app.VerifyPattern(buf[:m], r.verifyOff); i >= 0 {
-				r.BadBytes++
-			}
-			r.verifyOff += int64(m)
-			r.Received += int64(m)
-			r.Sink.Consume(now, m)
-		}
-		if r.M.FinDelivered() && !r.Finished {
-			r.Finished = true
-			r.FinishedAt = now
-		}
-		if err != nil || m == 0 {
-			return
-		}
-	}
+	r.drain(now, r.readBuf, r.Sink, stream{n.cfg.StreamMSS, n.cfg.StreamInitialSeq})
 }
 
 // flushSender routes the sender machine's outgoing packets through the
@@ -690,36 +718,26 @@ func (n *Network) Run(limit sim.Time) Result {
 			break
 		}
 	}
-	res := Result{
-		Completed:   true,
-		NICDrops:    n.NICDrops,
-		RouterDrops: n.RouterDrops,
-	}
+	res := Result{Completed: true, NICDrops: n.NICDrops, RouterDrops: n.RouterDrops}
 	for _, r := range n.rcvs {
-		if !r.Finished {
-			// Hosts down at the end of the run don't count against
-			// completion; every live host must have finished.
-			if !r.crashed {
-				res.Completed = false
-			}
-			continue
-		}
-		if r.FinishedAt > res.Duration {
-			res.Duration = r.FinishedAt
-		}
-		res.Bytes = r.Received
+		res.add(&r.rx)
 	}
 	return res
+}
+
+// add folds one receiver host into the result: the run completed when
+// every host still up at its end has finished, and lasted until the last
+// of them did.
+func (res *Result) add(r *rx) {
+	if !r.Finished {
+		res.Completed = res.Completed && r.crashed
+		return
+	}
+	res.Duration = max(res.Duration, r.FinishedAt)
+	res.Bytes = r.Received
 }
 
 // String describes the network briefly.
 func (n *Network) String() string {
 	return fmt.Sprintf("netsim{rate=%.0fMbps receivers=%d}", n.cfg.LineRate*8/1e6, len(n.rcvs))
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

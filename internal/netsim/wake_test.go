@@ -1,44 +1,14 @@
 package netsim_test
 
 import (
-	"encoding/binary"
-	"hash"
-	"hash/fnv"
 	"testing"
 
 	"repro/internal/experiments"
 	"repro/internal/netsim"
-	"repro/internal/packet"
 	"repro/internal/rate"
 	"repro/internal/sender"
 	"repro/internal/sim"
 )
-
-// packetHash folds every packet a machine hands the network into one
-// FNV: type, tries, flags, destination, seq, length, rate, ports, origin
-// and payload.
-type packetHash struct {
-	h       hash.Hash64
-	packets int
-}
-
-func (ph *packetHash) add(from packet.NodeID, p *packet.Packet, multicast bool, to packet.NodeID) {
-	var b [26]byte
-	b[0], b[1], b[2] = byte(p.Type), p.Tries, p.Flags
-	if multicast {
-		b[3] = 1
-	}
-	binary.LittleEndian.PutUint32(b[4:], p.Seq)
-	binary.LittleEndian.PutUint32(b[8:], p.Length)
-	binary.LittleEndian.PutUint32(b[12:], p.RateAdv)
-	binary.LittleEndian.PutUint16(b[16:], p.SrcPort)
-	binary.LittleEndian.PutUint16(b[18:], p.DstPort)
-	binary.LittleEndian.PutUint16(b[20:], uint16(from))
-	binary.LittleEndian.PutUint32(b[22:], uint32(to))
-	ph.h.Write(b[:])
-	ph.h.Write(p.Payload)
-	ph.packets++
-}
 
 // NextWake is complete: a driver that runs a machine only on the jiffies
 // at or past its NextWake emits, packet for packet, what one running it
@@ -47,10 +17,17 @@ func (ph *packetHash) add(from packet.NodeID, p *packet.Packet, multicast bool, 
 // mid-flow are driven both ways; the FNV over every packet they hand the
 // network has to agree. A deadline NextWake forgets is a hung flow under
 // the session's deadline-driven driver, and this is where it shows first.
+// The full run is also pinned to the packets the machines emitted when
+// this test was written, so a change that moves both drivers the same way
+// fails here too; -short runs only the fig10 and fig15 scenarios and logs.
 func TestNextWakeComplete(t *testing.T) {
-	drive := func(wakeDriven bool) *packetHash {
-		ph := &packetHash{h: fnv.New64a()}
-		netsim.OnNew(func(n *netsim.Network) { n.Seams(wakeDriven, ph.add) })
+	const (
+		wantPackets = 480856
+		wantFNV     = 0x8ac81fb05f9c2854
+	)
+	drive := func(wakeDriven bool) *netsim.PacketHash {
+		ph := netsim.NewPacketHash()
+		netsim.OnNew(func(n *netsim.Network) { n.Seams(wakeDriven, ph.Add) })
 		defer netsim.OnNew(nil)
 		for _, r := range experiments.Registry() {
 			if testing.Short() && r.Name != "fig10" && r.Name != "fig15" {
@@ -82,7 +59,7 @@ func TestNextWakeComplete(t *testing.T) {
 			SndBuf: 256 << 10, Mode: sender.HRMC, Rate: rc,
 			HeadSilenceTimeout: 3 * sim.Second, FailoverGrace: 2 * sim.Second,
 		})
-		h.Seams(wakeDriven, ph.add)
+		h.Seams(wakeDriven, ph.Add)
 		if res := h.Run(60 * sim.Second); !res.Completed || h.Sender().Stats().HeadsEvicted == 0 {
 			t.Errorf("repair tier (wake-driven %v): completed %v, %d heads evicted", wakeDriven, res.Completed, h.Sender().Stats().HeadsEvicted)
 		}
@@ -90,8 +67,12 @@ func TestNextWakeComplete(t *testing.T) {
 	}
 	everyJiffy, onlyDue := drive(false), drive(true)
 	t.Logf("every jiffy: %d packets, FNV %016x; only when due: %d packets, FNV %016x",
-		everyJiffy.packets, everyJiffy.h.Sum64(), onlyDue.packets, onlyDue.h.Sum64())
-	if everyJiffy.packets != onlyDue.packets || everyJiffy.h.Sum64() != onlyDue.h.Sum64() {
+		everyJiffy.Packets, everyJiffy.Sum(), onlyDue.Packets, onlyDue.Sum())
+	if everyJiffy.Packets != onlyDue.Packets || everyJiffy.Sum() != onlyDue.Sum() {
 		t.Error("a machine run only at its NextWake did not emit what one run every jiffy does")
+	}
+	if !testing.Short() && (everyJiffy.Packets != wantPackets || everyJiffy.Sum() != wantFNV) {
+		t.Errorf("the machines emitted %d packets, FNV %016x; pinned: %d packets, FNV %016x",
+			everyJiffy.Packets, everyJiffy.Sum(), wantPackets, uint64(wantFNV))
 	}
 }

@@ -57,8 +57,8 @@ func TestTombstoneGuardsStaleNakThenExpires(t *testing.T) {
 	// uncoverable request and earns the NAK_ERR.
 	now += ttl + kernel.Jiffy
 	s.Tick(now)
-	if len(s.departed) != 0 {
-		t.Fatalf("tombstones not swept after TTL: %d left", len(s.departed))
+	if len(s.tombs.departed) != 0 {
+		t.Fatalf("tombstones not swept after TTL: %d left", len(s.tombs.departed))
 	}
 	s.HandlePacket(now, 1, nak(2, 5))
 	if s.Stats().NakErrsSent != 1 {
@@ -84,8 +84,8 @@ func TestTombstoneChurnDoesNotLeak(t *testing.T) {
 		now += kernel.Jiffy
 		s.Tick(now)
 		s.Outgoing()
-		if len(s.departed) > peak {
-			peak = len(s.departed)
+		if len(s.tombs.departed) > peak {
+			peak = len(s.tombs.departed)
 		}
 	}
 	// At one join/leave per jiffy and a 5-jiffy TTL, steady state keeps
@@ -96,8 +96,8 @@ func TestTombstoneChurnDoesNotLeak(t *testing.T) {
 	}
 	now += ttl + kernel.Jiffy
 	s.Tick(now)
-	if len(s.departed) != 0 {
-		t.Fatalf("%d tombstones left after quiescence + TTL", len(s.departed))
+	if len(s.tombs.departed) != 0 {
+		t.Fatalf("%d tombstones left after quiescence + TTL", len(s.tombs.departed))
 	}
 }
 

@@ -268,6 +268,9 @@ type SenderFlow struct {
 	// even under a larger governor share.
 	governed   bool
 	capCeiling float64
+	// closed marks that Close ended the stream: a Write after it (or
+	// blocked across it) has nothing to append to.
+	closed bool
 }
 
 // govHeadroom is the growth room the governor leaves a flow pacing
@@ -387,12 +390,16 @@ func (f *SenderFlow) Weight() float64 {
 }
 
 // Write sends b on the multicast stream, blocking while the send
-// window is full. It returns len(b) unless the flow fails.
+// window is full. It returns len(b) unless the flow fails, or ErrClosed
+// once Close has ended the stream.
 func (f *SenderFlow) Write(b []byte) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n := 0
 	for n < len(b) {
+		if f.closed {
+			return n, ErrClosed
+		}
 		if f.err != nil {
 			return n, f.err
 		}
@@ -423,6 +430,7 @@ func (f *SenderFlow) Close() error {
 		return f.err
 	}
 	now := f.sess.now()
+	f.closed = true
 	f.m.Close(now)
 	// The FIN is due at once: on a short stream it is the packet the
 	// receivers' end-of-stream (and so the final UPDATE that drains the

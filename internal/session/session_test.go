@@ -12,6 +12,7 @@ import (
 	"repro/internal/rate"
 	"repro/internal/receiver"
 	"repro/internal/sender"
+	"repro/internal/sim"
 	"repro/internal/transport"
 )
 
@@ -526,6 +527,28 @@ func TestSenderFlowAbortUnblocksWrite(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Abort did not unblock Write")
+	}
+}
+
+// TestSenderFlowWriteAfterClose: a Write after Close has ended the
+// stream is refused with ErrClosed, not handed to the machine (which
+// panics on it), and so is a Send on a closed socket built on the flow.
+func TestSenderFlowWriteAfterClose(t *testing.T) {
+	hub := transport.NewHub()
+	sess := New(Config{})
+	defer sess.Abort()
+	sf, err := sess.OpenSender(hub.Endpoint(), sender.Config{InitialRTT: sim.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sf.Write([]byte("before")); err != nil {
+		t.Fatalf("Write before Close: %v", err)
+	}
+	if err := sf.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if n, err := sf.Write([]byte("after")); n != 0 || err != ErrClosed {
+		t.Errorf("Write after Close = %d, %v; want 0, ErrClosed", n, err)
 	}
 }
 
