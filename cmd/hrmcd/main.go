@@ -73,9 +73,8 @@ type Config struct {
 	// group transport: that many socket pairs (and receive-poller pairs)
 	// host every admitted group, chosen per group by hash, so serving
 	// 1,000 groups costs O(shards) fds and goroutines instead of
-	// O(groups), and the session runs one send poller per shard so TX
-	// parallelism matches. Requires DataPort; 0 keeps the classic
-	// one-socket-per-flow dialer and a single send poller.
+	// O(groups). The session's one send poller serves every shard.
+	// Requires DataPort; 0 keeps the classic one-socket-per-flow dialer.
 	Shards int `json:"shards,omitempty"`
 	// DataPort is the UDP data port shared by every group in sharded
 	// mode. Group addresses must be bare IPs or ip:DataPort.
@@ -253,13 +252,9 @@ func run(cfg *Config, retention time.Duration) error {
 	}
 	defer closeShards()
 	if cfg.Shards > 0 {
-		fmt.Printf("hrmcd: sharded transport: %[1]d shard socket pairs on data port %[2]d, %[1]d send pollers\n",
-			cfg.Shards, cfg.DataPort)
+		fmt.Printf("hrmcd: sharded transport: %d shard socket pairs on data port %d\n", cfg.Shards, cfg.DataPort)
 	}
-	sess := session.New(session.Config{
-		Budget:      cfg.BudgetMbps * 1e6 / 8,
-		SendPollers: cfg.Shards,
-	})
+	sess := session.New(session.Config{Budget: cfg.BudgetMbps * 1e6 / 8})
 	mgr := control.NewManager(control.ManagerConfig{
 		Session:   sess,
 		Dialer:    dialer,

@@ -413,6 +413,54 @@ func TestControlAPIErrors(t *testing.T) {
 	p.do(t, "POST", "/v1/shutdown", nil, http.StatusNotImplemented, nil)
 }
 
+// Unnamed flows get names no listed flow already has: not after a Forget
+// shrinks the listing, and not when admissions race.
+func TestControlDefaultNamesUnique(t *testing.T) {
+	p := newTestPlane(t, nil, session.Config{})
+	admit := func() FlowStatus {
+		t.Helper()
+		fs, err := p.mgr.Admit(FlowSpec{Group: "g", Role: RoleRecv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	unique := func(when string) {
+		t.Helper()
+		seen := map[string]bool{}
+		for _, fs := range p.mgr.List() {
+			if seen[fs.Name] {
+				t.Errorf("%s: two flows named %q", when, fs.Name)
+			}
+			seen[fs.Name] = true
+		}
+	}
+	first := admit()
+	admit()
+	if err := p.mgr.Abort(first.ID); err != nil {
+		t.Fatal(err)
+	}
+	p.waitFlow(t, first.ID, "aborted", func(fs FlowStatus) bool { return fs.State == StateClosed })
+	if err := p.mgr.Forget(first.ID); err != nil {
+		t.Fatal(err)
+	}
+	admit()
+	unique("after a Forget")
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := p.mgr.Admit(FlowSpec{Group: "g", Role: RoleRecv}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	unique("after concurrent admissions")
+}
+
 // TestControlShutdownDrainsAll checks Manager.Shutdown: every flow is
 // drained, admissions are rejected afterwards, and Wait returns.
 func TestControlShutdownDrainsAll(t *testing.T) {

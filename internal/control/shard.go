@@ -60,9 +60,6 @@ func (d *ShardedDialer) Dial(spec FlowSpec) (Link, error) {
 	return Link{Transport: tr, Group: gid, Shared: true}, nil
 }
 
-// Shards returns the number of shard transports.
-func (d *ShardedDialer) Shards() int { return len(d.shards) }
-
 // ShardStats snapshots each shard's datapath counters, in shard order,
 // for the /metrics per-shard series. Shards that cannot report (no
 // GroupReporter) yield zero stats.

@@ -29,8 +29,11 @@ type outItem struct {
 // to its driver, in emission order.
 type outbox struct {
 	// local and remote fill the port fields. remote may start zero and is
-	// then learned from the sender (learnRemote).
+	// then learned from the sender (learnRemote), like sender, the node
+	// toSender packets go to, known once senderOK.
 	local, remote uint16
+	sender        packet.NodeID
+	senderOK      bool
 	// subtree marks the group as a repair head's subtree, whose members
 	// listen on the receiver port rather than the sender's.
 	subtree bool
@@ -86,11 +89,10 @@ func (r *Receiver) route(now sim.Time, p *packet.Packet) (dest, packet.NodeID) {
 // sender-originated types, so a peer's multicast NAK (local recovery)
 // can never hijack the feedback address. A leaf's JOIN/LEAVE responses
 // come from its repair head, not the sender, so they are excluded while
-// it is attached.
-func (r *Receiver) learnRemote(p *packet.Packet) {
-	if r.out.remote != 0 || p.SrcPort == 0 {
-		return
-	}
+// it is attached. The sender's node is adopted the same way, from the
+// first such packet whose source port is the sender's (configured, or
+// learned from this very packet): a stray from another port is not it.
+func (r *Receiver) learnRemote(from packet.NodeID, p *packet.Packet) {
 	switch p.Type {
 	case packet.TypeJoinResponse, packet.TypeLeaveResponse:
 		if r.leaf.attached() {
@@ -100,8 +102,18 @@ func (r *Receiver) learnRemote(p *packet.Packet) {
 	default:
 		return
 	}
-	r.out.remote = p.SrcPort
+	o := &r.out
+	if o.remote == 0 {
+		o.remote = p.SrcPort
+	}
+	if !o.senderOK && p.SrcPort == o.remote {
+		o.sender, o.senderOK = from, true
+	}
 }
+
+// Sender reports the sender's node, where Outgoing's packets go, once
+// learnRemote has adopted it; until then a driver leaves them queued.
+func (r *Receiver) Sender() (packet.NodeID, bool) { return r.out.sender, r.out.senderOK }
 
 // take removes the packets queued for d, in order, and passes each to fn.
 func (o *outbox) take(d dest, fn func(outItem)) {

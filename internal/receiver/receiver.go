@@ -194,7 +194,7 @@ func (r *Receiver) HandleFrom(now sim.Time, from packet.NodeID, p *packet.Packet
 	if r.fromHead(now, from, p) {
 		return false, nil
 	}
-	r.learnRemote(p)
+	r.learnRemote(from, p)
 	switch p.Type {
 	case packet.TypeData:
 		retained = r.onData(now, p)

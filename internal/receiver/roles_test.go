@@ -153,6 +153,51 @@ func TestOutboxViewsKeepOrder(t *testing.T) {
 	}
 }
 
+// The sender's node is adopted from the first sender-originated packet
+// that comes from the sender's port — configured, or learned from that
+// very packet — and from nothing else: not feedback, not DATA from
+// another port, not a later packet. Node 0 is a real sender.
+func TestSenderLearnedFromSenderPort(t *testing.T) {
+	type arrival struct {
+		from   packet.NodeID
+		ty     packet.Type
+		src    uint16
+		sender packet.NodeID // what Sender reports after it, if known
+		known  bool
+	}
+	for _, c := range []struct {
+		name   string
+		remote uint16
+		seq    []arrival
+	}{
+		{"configured port", remotePort, []arrival{
+			{5, packet.TypeNak, remotePort + 1, 0, false},
+			{6, packet.TypeUpdate, remotePort, 0, false},
+			{7, packet.TypeData, remotePort + 1, 0, false},
+			{0, packet.TypeKeepalive, remotePort, 0, true},
+			{9, packet.TypeData, remotePort, 0, true},
+		}},
+		{"learned port", 0, []arrival{
+			{5, packet.TypeNak, remotePort + 1, 0, false},
+			{3, packet.TypeProbe, remotePort, 3, true},
+			{4, packet.TypeData, remotePort + 1, 3, true},
+		}},
+	} {
+		r := newR(t, func(cfg *Config) { cfg.LocalPort, cfg.RemotePort = localPort, c.remote })
+		for i, a := range c.seq {
+			p := &packet.Packet{Header: packet.Header{Type: a.ty, SrcPort: a.src, DstPort: localPort, Seq: 1 << 20}}
+			r.HandleFrom(sim.Second, a.from, p)
+			if got, ok := r.Sender(); ok != a.known || got != a.sender {
+				t.Errorf("%s, arrival %d (%v from node %d port %d): sender %d known=%v, want %d known=%v",
+					c.name, i, a.ty, a.from, a.src, got, ok, a.sender, a.known)
+			}
+		}
+		if r.out.remote != remotePort {
+			t.Errorf("%s: remote port %d, want %d", c.name, r.out.remote, remotePort)
+		}
+	}
+}
+
 func TestLeafLivenessStateMachine(t *testing.T) {
 	var none *leaf
 	if none.attached() || none.takes(0, &packet.Packet{Header: packet.Header{Type: packet.TypeJoin}}) {

@@ -124,8 +124,8 @@ func TestSessionPoolBalanceUnderConcurrentAbort(t *testing.T) {
 }
 
 // TestSessionGoroutinesScaleWithTransports pins the shared-poller
-// model: a session's goroutine count is one tick loop, one send
-// poller, and one receive loop per transport — admitting 63 more flow
+// model: a session's goroutine count is one driver, one send poller,
+// and one receive loop per transport — admitting 63 more flow
 // pairs onto the same two endpoints must not grow it.
 func TestSessionGoroutinesScaleWithTransports(t *testing.T) {
 	const (
@@ -138,8 +138,7 @@ func TestSessionGoroutinesScaleWithTransports(t *testing.T) {
 	sndEp, rcvEp := hub.Endpoint(), hub.Endpoint()
 
 	open := func(g int) flowPair {
-		return openPair(t, sess, sndEp, rcvEp, g,
-			sender.Config{SndBuf: 32 << 10, Rate: fastRate()}, receiver.Config{RcvBuf: 32 << 10})
+		return openPair(t, sess, sndEp, rcvEp, g, FlowSpec{Buf: 32 << 10, MinRateBps: 1e6, MaxRateBps: 64e6})
 	}
 
 	pairs := make([]flowPair, 0, flows)

@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/packet"
-	"repro/internal/receiver"
-	"repro/internal/sender"
 	"repro/internal/transport"
 )
 
@@ -28,9 +26,9 @@ func TestSessionFecDatapathPoolBalance(t *testing.T) {
 
 	pairs := make([]flowPair, groups)
 	for g := range pairs {
-		pairs[g] = openPair(t, sess, hub.Endpoint(), hub.Endpoint(), g,
-			sender.Config{SndBuf: 64 << 10, Rate: fastRate()}, receiver.Config{RcvBuf: 64 << 10},
-			WithFec(FecConfig{Enabled: true, K: 8}))
+		pairs[g] = openPair(t, sess, hub.Endpoint(), hub.Endpoint(), g, FlowSpec{
+			Buf: 64 << 10, MinRateBps: 1e6, MaxRateBps: 64e6, Fec: FecConfig{Enabled: true, K: 8},
+		})
 	}
 	pattern := make([]byte, size+groups)
 	app.FillPattern(pattern, 0)

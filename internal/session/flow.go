@@ -29,33 +29,10 @@ func (k Kind) String() string {
 	return "sender"
 }
 
-// FlowOption configures a flow at open time. Like OpenSender, it is
-// exported for benchmark/ alone; everything else uses a FlowSpec.
-type FlowOption func(*flow)
-
-// withLabel names the flow in snapshots and logs.
-func withLabel(label string) FlowOption {
-	return func(f *flow) { f.label = label }
-}
-
-// withWeight sets the flow's fair-share weight under a session budget
-// (default 1). Non-positive weights are ignored.
-func withWeight(w float64) FlowOption {
-	return func(f *flow) {
-		if w > 0 {
-			f.weight = w
-		}
-	}
-}
-
-// withGroup tags the flow with its multicast group on a shared
-// GroupTransport: outgoing multicast is addressed to g (instead of the
-// transport's only group), and arriving packets tagged with a
-// different group are dropped at the demultiplexer as cross-group
-// strays. Zero (the default) keeps the single-group behavior.
-func withGroup(g transport.GroupID) FlowOption {
-	return func(f *flow) { f.group = g }
-}
+// FlowOption sets a field of a raw-config flow's FlowSpec at open time;
+// WithFec is the only one. Like OpenSender, it is exported for
+// benchmark/ alone; everything else opens from a FlowSpec.
+type FlowOption func(*FlowSpec)
 
 // DefaultFecGroupSize is the parity group size K used when FEC is
 // enabled without an explicit K.
@@ -86,7 +63,7 @@ func (c FecConfig) GroupSize() int {
 // parity recovery and defers first NAKs long enough for parity to win
 // the race. FlowSpec.Fec sets it; it is exported for benchmark/ alone.
 func WithFec(fc FecConfig) FlowOption {
-	return func(f *flow) { f.fec = fc }
+	return func(sp *FlowSpec) { sp.Fec = fc }
 }
 
 // anyFlow is what the session loops drive: either a *SenderFlow or a
@@ -110,29 +87,19 @@ type anyFlow interface {
 // the sans-I/O machine against the driver, the receive loop, and
 // the application; cond wakes blocked Write/Read/Close callers.
 type flow struct {
-	sess   *Session
-	tr     transport.Transport
-	kind   Kind
-	id     int
-	label  string
-	port   uint16
+	sess *Session
+	tr   transport.Transport
+	id   int
+	// spec is what the flow was opened with: its kind, label, port
+	// (LocalPort), FEC and multicast group on a shared GroupTransport.
+	// Immutable after open, so the receive and send paths read it
+	// without the flow lock.
+	spec   FlowSpec
 	weight float64
-	fec    FecConfig
-	// group is the flow's multicast group on a shared GroupTransport
-	// (see withGroup); immutable after init, so the receive and send
-	// paths read it without the flow lock.
-	group transport.GroupID
-	// sendShard is the session send-poller shard this flow stages onto,
-	// inherited from its transport at attach; immutable afterwards.
-	sendShard int
 
 	mu   sync.Mutex
 	cond *sync.Cond
 	err  error
-	// itemScratch is the reusable staging buffer flushLocked fills and
-	// enqueueSend copies onto the session's shared send queue; guarded
-	// by mu.
-	itemScratch []outItem
 
 	// The machine's NextWake, its Tick or Advance and the flow's
 	// flushLocked; the flow's entry in the wake heap and what settle last
@@ -151,47 +118,35 @@ type flow struct {
 	detached bool
 }
 
-func (f *flow) init(s *Session, kind Kind, tr transport.Transport, port uint16, opts []FlowOption) {
-	f.sess = s
+func (f *flow) init(s *Session, tr transport.Transport, sp FlowSpec) {
+	f.sess, f.tr, f.spec = s, tr, sp
 	f.due = deadline{idx: -1, fire: f.wake}
-	f.tr = tr
-	f.kind = kind
-	f.port = port
 	f.weight = 1
-	f.cond = sync.NewCond(&f.mu)
-	for _, o := range opts {
-		o(f)
+	if sp.Weight > 0 {
+		f.weight = sp.Weight
 	}
+	f.cond = sync.NewCond(&f.mu)
 }
 
-// stage appends one outgoing packet to the scratch staging buffer.
-// Caller holds f.mu. The header is copied by value so later machine
-// mutation cannot race the poller's send; windowed packets (still
-// owned by the send window) get a covering Retain, every other packet
-// transfers its ownership to the poller's post-send Put.
-func (f *flow) stage(items []outItem, p *packet.Packet, windowed, multicast bool, to packet.NodeID) []outItem {
+// stage appends one outgoing packet to the session's send queue. Caller
+// holds f.mu and sess.sendMu. The header is copied by value so later
+// machine mutation cannot race the poller's send; windowed packets
+// (still owned by the send window) get a covering Retain, every other
+// packet transfers its ownership to the poller's post-send Put.
+func (f *flow) stage(p *packet.Packet, windowed, multicast bool, to packet.NodeID) {
 	if windowed {
 		packet.Retain(p)
 	}
-	return append(items, outItem{
+	s := f.sess
+	s.sendq = append(s.sendq, outItem{
 		tr:        f.tr,
 		hdr:       p.Header,
 		payload:   p.Payload,
 		owner:     p,
 		multicast: multicast,
 		to:        to,
-		group:     f.group,
+		group:     f.spec.Group,
 	})
-}
-
-// ship hands the staged items to the session's shared send poller and
-// clears the scratch slots. Caller holds f.mu.
-func (f *flow) ship(items []outItem) {
-	f.sess.enqueueSend(f.sendShard, items)
-	for i := range items {
-		items[i] = outItem{}
-	}
-	f.itemScratch = items[:0]
 }
 
 func (f *flow) base() *flow { return f }
@@ -244,16 +199,6 @@ func (f *flow) fail(err error) {
 
 // ID returns the flow's session-unique ID.
 func (f *flow) ID() int { return f.id }
-
-// Label returns the flow's FlowSpec.Label, if any.
-func (f *flow) Label() string { return f.label }
-
-// Port returns the flow's local (demux) port.
-func (f *flow) Port() uint16 { return f.port }
-
-// Group returns the flow's FlowSpec.Group tag (0 on single-group
-// transports).
-func (f *flow) Group() transport.GroupID { return f.group }
 
 // SenderFlow is one reliable-multicast sending flow hosted by a
 // session. It keeps the blocking Write/Close socket feel of the kernel
@@ -345,14 +290,16 @@ func (f *SenderFlow) flushLocked() {
 	if len(outs) == 0 {
 		return
 	}
-	items := f.itemScratch[:0]
+	s := f.sess
+	s.sendMu.Lock()
 	for _, o := range outs {
-		items = f.stage(items, o.Pkt, o.Windowed, o.Dest.Multicast, o.Dest.Node)
+		f.stage(o.Pkt, o.Windowed, o.Dest.Multicast, o.Dest.Node)
 	}
+	s.sendMu.Unlock()
+	s.sendStaged()
 	// The headers are staged by value and the packets covered by their
 	// own references, so the drained slice can go straight back.
 	f.m.Recycle(outs)
-	f.ship(items)
 }
 
 // SetWeight re-points the flow's fair-share weight under the session
@@ -485,7 +432,7 @@ func (f *SenderFlow) snapshot() FlowSnapshot {
 	w := f.weight
 	f.mu.Unlock()
 	return FlowSnapshot{
-		ID: f.id, Label: f.label, Kind: f.kind, Port: f.port, Group: f.group,
+		ID: f.id, Label: f.spec.Label, Kind: KindSender, Port: f.spec.LocalPort, Group: f.spec.Group,
 		Weight: w, Done: done, Sender: &cp,
 	}
 }
@@ -499,9 +446,6 @@ func (f *SenderFlow) abort()            { f.Abort() }
 type ReceiverFlow struct {
 	flow
 	m *receiver.Receiver
-
-	senderSet bool
-	sender    packet.NodeID
 }
 
 func (f *ReceiverFlow) handleBatch(now sim.Time, env []transport.Envelope) {
@@ -512,10 +456,6 @@ func (f *ReceiverFlow) handleBatch(now sim.Time, env []transport.Envelope) {
 		f.mu.Unlock()
 		transport.ReleaseEnvelopes(env)
 		return
-	}
-	if !f.senderSet && len(env) > 0 {
-		f.senderSet = true
-		f.sender = env[0].From
 	}
 	for i := range env {
 		// The source address rides along so a repair head can attribute
@@ -531,22 +471,31 @@ func (f *ReceiverFlow) handleBatch(now sim.Time, env []transport.Envelope) {
 }
 
 func (f *ReceiverFlow) flushLocked() {
-	items := f.itemScratch[:0]
-	for _, p := range f.m.OutgoingMulticast() {
-		items = f.stage(items, p, false, true, 0)
+	mc, addr := f.m.OutgoingMulticast(), f.m.OutgoingAddressed()
+	// Unicast feedback stays queued in the machine until it has learned
+	// the sender's node (receiver.Sender).
+	var uc []*packet.Packet
+	sender, known := f.m.Sender()
+	if known {
+		uc = f.m.Outgoing()
+	}
+	if len(mc)+len(addr)+len(uc) == 0 {
+		return
+	}
+	s := f.sess
+	s.sendMu.Lock()
+	for _, p := range mc {
+		f.stage(p, false, true, 0)
 	}
 	// Repair-plane traffic (leaf↔head) carries its own destination.
-	for _, a := range f.m.OutgoingAddressed() {
-		items = f.stage(items, a.Pkt, false, false, a.To)
+	for _, a := range addr {
+		f.stage(a.Pkt, false, false, a.To)
 	}
-	// Unicast feedback stays queued in the machine until the sender's
-	// node ID is learned from its first packet.
-	if f.senderSet {
-		for _, p := range f.m.Outgoing() {
-			items = f.stage(items, p, false, false, f.sender)
-		}
+	for _, p := range uc {
+		f.stage(p, false, false, sender)
 	}
-	f.ship(items)
+	s.sendMu.Unlock()
+	s.sendStaged()
 }
 
 // Read delivers in-order stream bytes, blocking until data is
@@ -599,7 +548,7 @@ func (f *ReceiverFlow) snapshot() FlowSnapshot {
 	done := f.m.Done()
 	f.mu.Unlock()
 	return FlowSnapshot{
-		ID: f.id, Label: f.label, Kind: f.kind, Port: f.port, Group: f.group,
+		ID: f.id, Label: f.spec.Label, Kind: KindReceiver, Port: f.spec.LocalPort, Group: f.spec.Group,
 		Done: done, Receiver: &cp,
 	}
 }

@@ -68,12 +68,6 @@ type Config struct {
 	// len(flows)*MinRate cannot be fully honored. SetBudget adjusts the
 	// budget at runtime.
 	Budget float64
-	// SendPollers is how many shared send pollers drain staged outgoing
-	// batches. Transports are assigned to pollers round-robin at first
-	// attach, so TX parallelism scales with shards on a sharded daemon
-	// while each transport's traffic stays ordered on one poller. Zero
-	// or negative selects one poller (the pre-sharding behavior).
-	SendPollers int
 }
 
 // Session hosts many concurrent H-RMC flows over shared driver loops.
@@ -90,34 +84,22 @@ type Session struct {
 	wakes  wakes    // the deadline heap the driver sleeps on
 	gov    deadline // the governor's entry in it
 
-	// sendShards are the outgoing staging queues: every flow's
-	// flushLocked appends ready packets to its transport's shard
-	// (header by value, payload by reference, pool ownership covered by
-	// Retain) and that shard's poller drains it into per-transport
-	// SendBatch calls. A handful of pollers serve every flow, so
-	// goroutine count is O(pollers + transports), not O(flows); each
-	// transport maps to exactly one shard, keeping its packet order.
-	sendShards []*sendShard
-	// nextShard round-robins transports onto send shards at first
-	// attach. Guarded by mu.
-	nextShard int
+	// sendq is the one outgoing staging queue: every flow's flushLocked
+	// appends its ready packets straight onto it under sendMu (header by
+	// value, payload by reference, pool ownership covered by Retain), and
+	// the one send poller swaps the slice out and ships it in
+	// per-transport SendBatch calls. Goroutine count is O(transports),
+	// not O(flows), and each transport's packets keep their order.
+	sendMu    sync.Mutex
+	sendq     []outItem
+	sendReady chan struct{} // capacity 1: "sendq may be non-empty"
 
-	quit     chan struct{}
-	quitOnce sync.Once
-	// pollerDone closes when every send poller has shipped its final
-	// drain; shutdown waits on it before closing transports so staged
-	// farewells (a receiver's EOF-time UPDATE+LEAVE) reach the wire.
+	quit chan struct{}
+	// pollerDone closes when the send poller has shipped its final drain;
+	// Close waits on it before closing transports so staged farewells (a
+	// receiver's EOF-time UPDATE+LEAVE) reach the wire.
 	pollerDone chan struct{}
-	pollerWG   sync.WaitGroup
 	wg         sync.WaitGroup
-}
-
-// sendShard is one staging queue + notify pair owned by one send
-// poller.
-type sendShard struct {
-	mu     sync.Mutex
-	q      []outItem
-	notify chan struct{} // capacity 1: "q may be non-empty"
 }
 
 // outItem is one staged outgoing packet. The header is copied by value
@@ -136,15 +118,11 @@ type outItem struct {
 
 // New creates a session and starts its driver.
 func New(cfg Config) *Session {
-	np := cfg.SendPollers
-	if np <= 0 {
-		np = 1
-	}
 	s := &Session{
 		cfg:        cfg,
 		start:      time.Now(),
 		loops:      make(map[transport.Transport]*recvLoop),
-		sendShards: make([]*sendShard, np),
+		sendReady:  make(chan struct{}, 1),
 		quit:       make(chan struct{}),
 		pollerDone: make(chan struct{}),
 	}
@@ -152,75 +130,51 @@ func New(cfg Config) *Session {
 	s.gov = deadline{idx: -1, fire: s.govern}
 	s.wg.Add(1)
 	go s.runWakes()
-	s.pollerWG.Add(np)
-	for i := range s.sendShards {
-		s.sendShards[i] = &sendShard{notify: make(chan struct{}, 1)}
-		go s.runSendPoller(s.sendShards[i])
-	}
-	go func() {
-		s.pollerWG.Wait()
-		close(s.pollerDone)
-	}()
+	go s.runSendPoller()
 	return s
 }
 
 // now is the session clock every flow machine runs on.
 func (s *Session) now() sim.Time { return sim.Time(time.Since(s.start)) }
 
-// enqueueSend stages a flow's ready packets on its transport's send
-// shard and wakes that shard's poller. items' values are copied; the
-// caller may reuse its scratch slice as soon as this returns.
-func (s *Session) enqueueSend(shard int, items []outItem) {
-	if len(items) == 0 {
-		return
-	}
-	sh := s.sendShards[shard%len(s.sendShards)]
-	sh.mu.Lock()
-	sh.q = append(sh.q, items...)
-	sh.mu.Unlock()
+// sendStaged wakes the send poller after a flow staged packets.
+func (s *Session) sendStaged() {
 	select {
-	case sh.notify <- struct{}{}:
+	case s.sendReady <- struct{}{}:
 	default:
 	}
 }
 
-// runSendPoller is one shard's send driver: it drains the shard's
-// staged queue, groups consecutive items by transport, and ships each
-// run through one SendBatch call. SendBatch only borrows its envelopes
-// for the call, so the poller rebuilds them from scratch packets
-// (header by value, payload aliased) and releases every item's owner
-// reference right after the send.
-func (s *Session) runSendPoller(sh *sendShard) {
-	defer s.pollerWG.Done()
+// runSendPoller is the session's send driver: it swaps the staged queue
+// for its own emptied slice, groups consecutive items by transport, and
+// ships each run through one SendBatch call. SendBatch only borrows its
+// envelopes for the call, so the poller rebuilds them from scratch
+// packets (header by value, payload aliased) and releases every item's
+// owner reference right after the send.
+func (s *Session) runSendPoller() {
+	defer close(s.pollerDone)
 	var local []outItem
 	var env []transport.Envelope
 	var pkts []packet.Packet
 	drain := func() {
-		sh.mu.Lock()
-		local = append(local[:0], sh.q...)
-		for i := range sh.q {
-			sh.q[i] = outItem{}
-		}
-		sh.q = sh.q[:0]
-		sh.mu.Unlock()
+		s.sendMu.Lock()
+		local, s.sendq = s.sendq, local[:0]
+		s.sendMu.Unlock()
 		env, pkts = sendItems(local, env, pkts)
-		for i := range local {
-			local[i] = outItem{}
-		}
+		clear(local)
 	}
 	for {
 		select {
-		case <-sh.notify:
+		case <-s.sendReady:
+			drain()
 		case <-s.quit:
 			// Ship, don't drop: drained flows stage their farewells
 			// (UPDATE+LEAVE, FIN feedback) just before quit, and the
 			// transports stay open until pollerDone closes. Whatever the
-			// receive loops stage after this, shutdown discards once
-			// they exit.
+			// receive loops stage after this, end discards once they exit.
 			drain()
 			return
 		}
-		drain()
 	}
 }
 
@@ -281,19 +235,17 @@ func sendItems(items []outItem, env []transport.Envelope, pkts []packet.Packet) 
 	return env, pkts
 }
 
-// discardSendq empties every shard's staged queue without sending,
-// releasing every owner reference.
+// discardSendq empties the staged queue without sending, releasing
+// every owner reference.
 func (s *Session) discardSendq() {
-	for _, sh := range s.sendShards {
-		sh.mu.Lock()
-		local := sh.q
-		sh.q = nil
-		sh.mu.Unlock()
-		for i := range local {
-			packet.Put(local[i].owner)
-			local[i] = outItem{}
-		}
+	s.sendMu.Lock()
+	q := s.sendq
+	s.sendq = nil
+	s.sendMu.Unlock()
+	for i := range q {
+		packet.Put(q[i].owner)
 	}
+	clear(q)
 }
 
 // SetBudget re-points the aggregate bandwidth budget at runtime, in
@@ -323,11 +275,7 @@ const recvBatchSize = 64
 
 // recvLoop is the per-transport receive driver plus its demultiplexer.
 type recvLoop struct {
-	tr transport.Transport
-	// sendShard is the send-poller shard every flow of this transport
-	// stages onto, assigned round-robin at loop creation; immutable.
-	sendShard int
-
+	tr     transport.Transport
 	mu     sync.Mutex
 	byPort map[uint16]anyFlow
 }
@@ -449,8 +397,8 @@ func (s *Session) runRecv(l *recvLoop) {
 			// one daemon: a group-tagged arrival that does not match the
 			// flow's own group is a cross-group stray — recycle it
 			// rather than feeding a foreign group's packet to the
-			// machine. (flow.group is immutable after init.)
-			if fg := f.base().group; fg != 0 && env[i].Group != 0 && env[i].Group != fg {
+			// machine. (A flow's spec is immutable after open.)
+			if fg := f.base().spec.Group; fg != 0 && env[i].Group != 0 && env[i].Group != fg {
 				transport.PutPacket(env[i].Pkt)
 				env[i] = transport.Envelope{}
 				continue
@@ -499,16 +447,13 @@ func (s *Session) attach(f anyFlow) error {
 	l, ok := s.loops[b.tr]
 	if !ok {
 		l = &recvLoop{tr: b.tr, byPort: make(map[uint16]anyFlow)}
-		l.sendShard = s.nextShard % len(s.sendShards)
-		s.nextShard++
 		s.loops[b.tr] = l
 		s.wg.Add(1)
 		go s.runRecv(l)
 	}
-	if err := l.bind(b.port, f); err != nil {
+	if err := l.bind(b.spec.LocalPort, f); err != nil {
 		return err
 	}
-	b.sendShard = l.sendShard
 	b.id = s.nextID
 	s.nextID++
 	s.flows = append(s.flows, f)
@@ -529,7 +474,7 @@ func (s *Session) detach(f anyFlow) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if l := s.loops[b.tr]; l != nil {
-		l.unbind(b.port, f)
+		l.unbind(b.spec.LocalPort, f)
 	}
 	for i, g := range s.flows {
 		if g == f {
@@ -557,13 +502,18 @@ func liveSender(cfg sender.Config) sender.Config {
 // through OpenSenderFlow. cfg.LocalPort is the flow's demux binding (0
 // binds the wildcard slot) and its receivers' RemotePort.
 func (s *Session) OpenSender(tr transport.Transport, cfg sender.Config, opts ...FlowOption) (*SenderFlow, error) {
+	return s.openSender(tr, cfg, rawSpec(KindSender, cfg.LocalPort, opts))
+}
+
+// openSender is the one way a sending flow comes up: cfg drives the
+// machine, sp's flow fields (label, port, weight, group, FEC) the flow.
+func (s *Session) openSender(tr transport.Transport, cfg sender.Config, sp FlowSpec) (*SenderFlow, error) {
 	cfg = liveSender(cfg)
-	f := &SenderFlow{}
-	f.init(s, KindSender, tr, cfg.LocalPort, opts)
-	if f.fec.Enabled {
-		cfg.FECGroupSize = f.fec.GroupSize()
+	if sp.Fec.Enabled {
+		cfg.FECGroupSize = sp.Fec.GroupSize()
 	}
-	f.m = sender.New(cfg)
+	f := &SenderFlow{m: sender.New(cfg)}
+	f.init(s, tr, sp)
 	f.next, f.run, f.flush, f.wakeups = f.m.NextWake, f.m.Tick, f.flushLocked, &f.m.Stats().Wakeups
 	f.capCeiling = f.m.MaxRate()
 	if err := s.attach(f); err != nil {
@@ -577,6 +527,12 @@ func (s *Session) OpenSender(tr transport.Transport, cfg sender.Config, opts ...
 // flow's demux binding (0 binds the wildcard slot) and its sender's
 // RemotePort; a zero cfg.LocalAddr defaults to the transport's node ID.
 func (s *Session) OpenReceiver(tr transport.Transport, cfg receiver.Config, opts ...FlowOption) (*ReceiverFlow, error) {
+	return s.openReceiver(tr, cfg, rawSpec(KindReceiver, cfg.LocalPort, opts))
+}
+
+// openReceiver is the one way a receiving flow comes up (see
+// openSender).
+func (s *Session) openReceiver(tr transport.Transport, cfg receiver.Config, sp FlowSpec) (*ReceiverFlow, error) {
 	if cfg.LocalAddr == 0 {
 		cfg.LocalAddr = tr.Local()
 	}
@@ -586,12 +542,11 @@ func (s *Session) OpenReceiver(tr transport.Transport, cfg receiver.Config, opts
 	// own pool reference per cached packet.
 	cfg.RecyclePackets = true
 	cfg.Quantum = quantum
-	f := &ReceiverFlow{}
-	f.init(s, KindReceiver, tr, cfg.LocalPort, opts)
-	if f.fec.Enabled {
-		cfg.FECGroupSize = f.fec.GroupSize()
+	if sp.Fec.Enabled {
+		cfg.FECGroupSize = sp.Fec.GroupSize()
 	}
-	f.m = receiver.New(cfg)
+	f := &ReceiverFlow{m: receiver.New(cfg)}
+	f.init(s, tr, sp)
 	f.next, f.run, f.flush, f.wakeups = f.m.NextWake, f.m.Advance, f.flushLocked, &f.m.Stats().Wakeups
 	if err := s.attach(f); err != nil {
 		return nil, err
@@ -651,7 +606,18 @@ func (s *Session) Snapshot() Snapshot {
 // stream is fully released to all receivers — then stops the driver,
 // closes every bound transport, and waits for the receive loops.
 // It returns the first flow drain error, if any.
-func (s *Session) Close() error {
+func (s *Session) Close() error { return s.end(anyFlow.drainClose) }
+
+// Abort tears every flow down without waiting for delivery and shuts
+// the session down.
+func (s *Session) Abort() {
+	s.end(func(f anyFlow) error { f.abort(); return nil })
+}
+
+// end is Close and Abort: it ends every flow with endFlow, then stops
+// the driver and the poller, closes every bound transport and waits
+// for the receive loops. Only the first call does any of it.
+func (s *Session) end(endFlow func(anyFlow) error) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -663,34 +629,11 @@ func (s *Session) Close() error {
 	s.mu.Unlock()
 	var firstErr error
 	for _, f := range flows {
-		if err := f.drainClose(); err != nil && firstErr == nil && err != ErrClosed {
+		if err := endFlow(f); err != nil && firstErr == nil && err != ErrClosed {
 			firstErr = err
 		}
 	}
-	s.shutdown()
-	return firstErr
-}
-
-// Abort tears every flow down without waiting for delivery and shuts
-// the session down.
-func (s *Session) Abort() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
-	s.closed = true
-	flows := append([]anyFlow(nil), s.flows...)
-	s.mu.Unlock()
-	for _, f := range flows {
-		f.abort()
-	}
-	s.shutdown()
-}
-
-func (s *Session) shutdown() {
-	s.quitOnce.Do(func() { close(s.quit) })
+	close(s.quit)
 	s.wakes.poke()
 	// Let the poller ship everything the flows staged before the
 	// transports close underneath it.
@@ -708,4 +651,5 @@ func (s *Session) shutdown() {
 	// The receive loops may have staged feedback after the poller's
 	// exit drain; with every loop stopped the queue is finally quiet.
 	s.discardSendq()
+	return firstErr
 }

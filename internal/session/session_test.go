@@ -35,19 +35,21 @@ type flowPair struct {
 }
 
 // openPair opens flow g's receiver on rtr and the sender feeding it on
-// str, filling the ports and the one expected receiver into rc and sc.
-func openPair(t *testing.T, sess *Session, str, rtr transport.Transport, g int, sc sender.Config, rc receiver.Config, opts ...FlowOption) flowPair {
+// str, both from sp with the kinds, the ports and the one expected
+// receiver filled in; sp.Buf sizes both windows.
+func openPair(t *testing.T, sess *Session, str, rtr transport.Transport, g int, sp FlowSpec) flowPair {
 	t.Helper()
-	sc.LocalPort, sc.RemotePort = groupPorts(g)
-	rc.LocalPort, rc.RemotePort = sc.RemotePort, sc.LocalPort
-	sc.ExpectedReceivers = 1
-	rf, err := sess.OpenReceiver(rtr, rc, opts...)
+	sp.Kind, sp.Receivers = KindSender, 1
+	sp.LocalPort, sp.PeerPort = groupPorts(g)
+	rs := sp
+	rs.Kind, rs.LocalPort, rs.PeerPort = KindReceiver, sp.PeerPort, sp.LocalPort
+	rf, err := sess.OpenReceiverFlow(rtr, rs)
 	if err != nil {
-		t.Fatalf("OpenReceiver g%d: %v", g, err)
+		t.Fatalf("OpenReceiverFlow g%d: %v", g, err)
 	}
-	sf, err := sess.OpenSender(str, sc, opts...)
+	sf, err := sess.OpenSenderFlow(str, sp)
 	if err != nil {
-		t.Fatalf("OpenSender g%d: %v", g, err)
+		t.Fatalf("OpenSenderFlow g%d: %v", g, err)
 	}
 	return flowPair{sf, rf}
 }
@@ -134,9 +136,10 @@ func TestSessionMultiplexStress(t *testing.T) {
 		data := make([]byte, size)
 		app.FillPattern(data, int64(g)<<20) // distinct stream per group
 		for i := 0; i < rcvPerGroup; i++ {
-			rf, err := sess.OpenReceiver(hub.Endpoint(), receiver.Config{
-				LocalPort: rp, RemotePort: sp, RcvBuf: 64 << 10,
-			}, withLabel(fmt.Sprintf("g%d-rcv%d", g, i)))
+			rf, err := sess.OpenReceiverFlow(hub.Endpoint(), FlowSpec{
+				Kind: KindReceiver, Label: fmt.Sprintf("g%d-rcv%d", g, i),
+				LocalPort: rp, PeerPort: sp, Buf: 64 << 10,
+			})
 			if err != nil {
 				t.Fatalf("OpenReceiver g%d: %v", g, err)
 			}
@@ -153,10 +156,11 @@ func TestSessionMultiplexStress(t *testing.T) {
 				}
 			}(g, i, rf)
 		}
-		sf, err := sess.OpenSender(hub.Endpoint(), sender.Config{
-			LocalPort: sp, RemotePort: rp, SndBuf: 64 << 10,
-			ExpectedReceivers: rcvPerGroup, Rate: fastRate(),
-		}, withLabel(fmt.Sprintf("g%d-snd", g)))
+		sf, err := sess.OpenSenderFlow(hub.Endpoint(), FlowSpec{
+			Kind: KindSender, Label: fmt.Sprintf("g%d-snd", g),
+			LocalPort: sp, PeerPort: rp, Buf: 64 << 10, Receivers: rcvPerGroup,
+			MinRateBps: 1e6, MaxRateBps: 64e6,
+		})
 		if err != nil {
 			t.Fatalf("OpenSender g%d: %v", g, err)
 		}
@@ -297,27 +301,15 @@ func ceiling(f *SenderFlow) float64 {
 // govTransfer opens a sender/receiver pair that keeps transferring for
 // the life of the test so the sender stays hungry under the governor.
 // The pump goroutines ignore errors: the caller tears the session down
-// with Abort when its assertion is met.
-func govTransfer(t *testing.T, sess *Session, hub *transport.Hub, g int, size int, opts ...FlowOption) *SenderFlow {
+// with Abort when its assertion is met. A zero weight keeps the default.
+func govTransfer(t *testing.T, sess *Session, hub *transport.Hub, g int, size int, weight float64) *SenderFlow {
 	t.Helper()
-	sp, rp := groupPorts(g)
-	rf, err := sess.OpenReceiver(hub.Endpoint(), receiver.Config{
-		LocalPort: rp, RemotePort: sp, RcvBuf: 64 << 10,
+	p := openPair(t, sess, hub.Endpoint(), hub.Endpoint(), g, FlowSpec{
+		Buf: 64 << 10, Weight: weight, MinRateBps: 100e3, MaxRateBps: 64e6,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _, _ = io.Copy(io.Discard, rf) }()
-	sf, err := sess.OpenSender(hub.Endpoint(), sender.Config{
-		LocalPort: sp, RemotePort: rp, SndBuf: 64 << 10,
-		ExpectedReceivers: 1,
-		Rate:              rate.Config{MinRate: 100e3, MaxRate: 64e6, MSS: 1400},
-	}, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _, _ = sf.Write(make([]byte, size)) }()
-	return sf
+	go func() { _, _ = io.Copy(io.Discard, p.rf) }()
+	go func() { _, _ = p.sf.Write(make([]byte, size)) }()
+	return p.sf
 }
 
 // TestGovernorWeightedShares checks the weighted split on live flows:
@@ -328,8 +320,8 @@ func TestGovernorWeightedShares(t *testing.T) {
 	sess := New(Config{Budget: 1e6})
 	defer sess.Abort()
 
-	a := govTransfer(t, sess, hub, 0, 8<<20, withWeight(3))
-	b := govTransfer(t, sess, hub, 1, 8<<20, withWeight(1))
+	a := govTransfer(t, sess, hub, 0, 8<<20, 3)
+	b := govTransfer(t, sess, hub, 1, 8<<20, 1)
 
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -357,7 +349,7 @@ func TestGovernorDemandRedistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hungry := govTransfer(t, sess, hub, 1, 8<<20)
+	hungry := govTransfer(t, sess, hub, 1, 8<<20, 0)
 
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -380,8 +372,8 @@ func TestGovernorRuntimeTuning(t *testing.T) {
 	sess := New(Config{Budget: 1e6})
 	defer sess.Abort()
 
-	a := govTransfer(t, sess, hub, 0, 8<<20)
-	b := govTransfer(t, sess, hub, 1, 8<<20)
+	a := govTransfer(t, sess, hub, 0, 8<<20, 0)
+	b := govTransfer(t, sess, hub, 1, 8<<20, 0)
 
 	waitFor := func(what string, cond func() bool) {
 		t.Helper()

@@ -59,9 +59,21 @@ func TestFecCrossoverLiveHub(t *testing.T) {
 		for g := range pairs {
 			// A hub per flow: its own loss stream, no cross-flow fan-out.
 			hub := transport.NewHub(transport.WithLoss(0.01, int64(29+g)))
-			pairs[g] = openPair(t, sess, hub.Endpoint(), hub.Endpoint(), g, sender.Config{
-				SndBuf: 256 << 10, MinBufRTTs: 1, Rate: rate.Config{MinRate: 2e6, MaxRate: 8e6, MSS: 1400},
-			}, receiver.Config{RcvBuf: 256 << 10, Trace: &sink}, opts...)
+			sp, rp := groupPorts(g)
+			rf, err := sess.OpenReceiver(hub.Endpoint(), receiver.Config{
+				LocalPort: rp, RemotePort: sp, RcvBuf: 256 << 10, Trace: &sink,
+			}, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sf, err := sess.OpenSender(hub.Endpoint(), sender.Config{
+				LocalPort: sp, RemotePort: rp, SndBuf: 256 << 10, ExpectedReceivers: 1, MinBufRTTs: 1,
+				Rate: rate.Config{MinRate: 2e6, MaxRate: 8e6, MSS: 1400},
+			}, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs[g] = flowPair{sf, rf}
 		}
 		transferAll(t, pairs, pattern, perFlow)
 		if err := sess.Close(); err != nil {
@@ -130,9 +142,9 @@ func perFlowCost(t *testing.T, n int) time.Duration {
 			if _, err := rcv[g%shards].Join(addr); err != nil {
 				t.Fatal(err)
 			}
-			pairs[g] = openPair(t, sess, snd[g%shards], rcv[g%shards], g, sender.Config{
-				SndBuf: 128 << 10, Rate: rate.Config{MinRate: 32e6, MaxRate: 1e9, MSS: 1400},
-			}, receiver.Config{RcvBuf: 128 << 10}, withGroup(gid))
+			pairs[g] = openPair(t, sess, snd[g%shards], rcv[g%shards], g, FlowSpec{
+				Buf: 128 << 10, MinRateBps: 32e6, MaxRateBps: 1e9, Group: gid,
+			})
 		}
 		transferAll(t, pairs, pattern, size)
 		if err := sess.Close(); err != nil {
@@ -199,7 +211,7 @@ func TestIdleFlowsCostNothing(t *testing.T) {
 		if _, err := rcv[g%shards].Join(addr); err != nil {
 			t.Fatal(err)
 		}
-		pairs[g] = openPair(t, sess, snd[g%shards], rcv[g%shards], g, sender.Config{SndBuf: 32 << 10}, receiver.Config{RcvBuf: 32 << 10}, withGroup(gid))
+		pairs[g] = openPair(t, sess, snd[g%shards], rcv[g%shards], g, FlowSpec{Buf: 32 << 10, Group: gid})
 	}
 	// Join every receiver: one short write each, read to the last byte,
 	// streams left open.

@@ -1,5 +1,5 @@
 // FlowSpec: the one canonical translation from a declarative flow
-// description to the machine configs and options a flow opens with.
+// description to the machine config and the flow it opens.
 // Every front end — the hrmc-send/hrmc-recv CLIs, the hrmcd daemon's
 // config file, internal/control's admission API, internal/hrmcsock's
 // sockets and the examples — builds a FlowSpec and opens it through
@@ -61,7 +61,7 @@ type FlowSpec struct {
 }
 
 // senderConfig builds the sender machine configuration the spec
-// describes; FEC rides in options (WithFec).
+// describes; openSender adds FEC.
 func (sp FlowSpec) senderConfig() sender.Config {
 	cfg := sender.Config{
 		LocalPort:         sp.LocalPort,
@@ -83,7 +83,7 @@ func (sp FlowSpec) senderConfig() sender.Config {
 }
 
 // receiverConfig builds the receiver machine configuration the spec
-// describes; FEC rides in options (WithFec).
+// describes; openReceiver adds FEC.
 func (sp FlowSpec) receiverConfig() receiver.Config {
 	cfg := receiver.Config{
 		LocalPort:      sp.LocalPort,
@@ -100,22 +100,14 @@ func (sp FlowSpec) receiverConfig() receiver.Config {
 	return cfg
 }
 
-// options builds the flow options the spec describes.
-func (sp FlowSpec) options() []FlowOption {
-	var opts []FlowOption
-	if sp.Label != "" {
-		opts = append(opts, withLabel(sp.Label))
+// rawSpec is the FlowSpec of a flow opened from a raw machine config:
+// its kind, its port and whatever opts set.
+func rawSpec(kind Kind, port uint16, opts []FlowOption) FlowSpec {
+	sp := FlowSpec{Kind: kind, LocalPort: port}
+	for _, o := range opts {
+		o(&sp)
 	}
-	if sp.Weight > 0 {
-		opts = append(opts, withWeight(sp.Weight))
-	}
-	if sp.Fec.Enabled {
-		opts = append(opts, WithFec(sp.Fec))
-	}
-	if sp.Group != 0 {
-		opts = append(opts, withGroup(sp.Group))
-	}
-	return opts
+	return sp
 }
 
 // OpenSenderFlow opens the sending flow sp describes over tr.
@@ -123,7 +115,7 @@ func (s *Session) OpenSenderFlow(tr transport.Transport, sp FlowSpec) (*SenderFl
 	if sp.Kind != KindSender {
 		return nil, fmt.Errorf("session: OpenSenderFlow on a %v spec", sp.Kind)
 	}
-	return s.OpenSender(tr, sp.senderConfig(), sp.options()...)
+	return s.openSender(tr, sp.senderConfig(), sp)
 }
 
 // OpenReceiverFlow opens the receiving flow sp describes over tr.
@@ -131,5 +123,5 @@ func (s *Session) OpenReceiverFlow(tr transport.Transport, sp FlowSpec) (*Receiv
 	if sp.Kind != KindReceiver {
 		return nil, fmt.Errorf("session: OpenReceiverFlow on a %v spec", sp.Kind)
 	}
-	return s.OpenReceiver(tr, sp.receiverConfig(), sp.options()...)
+	return s.openReceiver(tr, sp.receiverConfig(), sp)
 }
