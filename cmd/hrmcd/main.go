@@ -64,11 +64,6 @@ type Config struct {
 	// address ("host:port" or "unix:/path"); the -listen flag
 	// overrides it.
 	Listen string `json:"listen,omitempty"`
-	// RetentionSec, when positive, evicts terminal flows from the
-	// control plane that long after they finish, bounding /v1/status and
-	// /metrics cardinality on long-lived daemons; 0 keeps them until an
-	// explicit forget. The -retention flag overrides it.
-	RetentionSec int `json:"retention_sec,omitempty"`
 	// Shards, when positive, switches the daemon to the shared-socket
 	// group transport: that many socket pairs (and receive-poller pairs)
 	// host every admitted group, chosen per group by hash, so serving
@@ -108,7 +103,7 @@ func main() {
 	var (
 		cfgPath   = flag.String("config", "", "JSON config file (see -example)")
 		listen    = flag.String("listen", "", `control API address ("host:port" or "unix:/path"); overrides the config`)
-		retention = flag.Duration("retention", 0, "evict terminal flows from the control plane this long after they finish (0 keeps them until an explicit forget); overrides the config")
+		retention = flag.Duration("retention", 0, "evict terminal flows from the control plane this long after they finish, bounding /v1/status and /metrics on long-lived daemons (0 keeps them until an explicit forget)")
 		pprofAddr = flag.String("pprof", "", `serve net/http/pprof on this address (e.g. "127.0.0.1:6060") for live datapath profiling`)
 		example   = flag.Bool("example", false, "print an example config and exit")
 	)
@@ -140,20 +135,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hrmcd: nothing to do: no groups configured and no -listen address (try -example)")
 		os.Exit(2)
 	}
-	if err := run(cfg, cfg.retention(*retention)); err != nil {
+	if err := run(cfg, *retention); err != nil {
 		fmt.Fprintf(os.Stderr, "hrmcd: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// retention resolves how long terminal flows stay listed: the
-// -retention flag verbatim when given (sub-second values included),
-// else the config's whole seconds.
-func (c *Config) retention(flag time.Duration) time.Duration {
-	if flag > 0 {
-		return flag
-	}
-	return time.Duration(c.RetentionSec) * time.Second
 }
 
 func loadConfig(path string) (*Config, error) {
@@ -161,11 +146,16 @@ func loadConfig(path string) (*Config, error) {
 	if path == "" {
 		return cfg, nil
 	}
-	raw, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	if err := json.Unmarshal(raw, cfg); err != nil {
+	defer f.Close()
+	// An unknown key is an error, as on the control API: a misspelt or
+	// retired setting must not be silently ignored.
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(cfg); err != nil {
 		return nil, fmt.Errorf("parse %s: %w", path, err)
 	}
 	control.AssignPorts(cfg.Groups)

@@ -1,18 +1,28 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
-	"time"
 )
 
-// -retention 500ms used to round-trip through whole seconds and arrive
-// as 0, which the control plane reads as "keep terminal flows forever".
-func TestRetentionFlagKeepsSubSecond(t *testing.T) {
-	cfg := &Config{RetentionSec: 3}
-	if got := cfg.retention(500 * time.Millisecond); got != 500*time.Millisecond {
-		t.Errorf("-retention 500ms resolved to %v", got)
+// The config file is refused when it names a key the daemon does not
+// have, as the control API refuses a flow spec with one: a misspelt or
+// retired setting (retention is the -retention flag) must not be
+// silently ignored.
+func TestConfigRejectsUnknownKeys(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hrmcd.json")
+	if err := os.WriteFile(path, []byte(`{"retention_sec": 3, "groups": []}`), 0o600); err != nil {
+		t.Fatal(err)
 	}
-	if got := cfg.retention(0); got != 3*time.Second {
-		t.Errorf("retention_sec 3 with no flag resolved to %v", got)
+	if _, err := loadConfig(path); err == nil || !strings.Contains(err.Error(), "retention_sec") {
+		t.Errorf("loadConfig = %v, want an unknown-field error naming retention_sec", err)
+	}
+	if err := os.WriteFile(path, []byte(exampleConfig), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if cfg, err := loadConfig(path); err != nil || len(cfg.Groups) != 3 {
+		t.Errorf("example config: %v, %+v", err, cfg)
 	}
 }

@@ -20,7 +20,6 @@ import (
 func faultNet(n int, size int64, plan *FaultPlan, seed uint64) *Network {
 	cfg := DefaultConfig(Rate10Mbps, seed)
 	cfg.Faults = plan
-	cfg.StreamMSS = 1024
 	net := New(cfg)
 	rcfg := rate.DefaultConfig()
 	rcfg.MaxRate = Rate10Mbps

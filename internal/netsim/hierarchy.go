@@ -136,11 +136,12 @@ func NewHierarchy(cfg HierarchyConfig, scfg sender.Config) *Hierarchy {
 	if cfg.Heads <= 0 {
 		panic("netsim: hierarchy needs heads")
 	}
+	m := sender.New(scfg)
 	h := &Hierarchy{
 		Engine:  &sim.Engine{},
 		cfg:     cfg,
-		snd:     feeder{M: sender.New(scfg), Source: app.NewMemorySource(cfg.Size)},
-		stream:  stream{mss: scfg.MSS, initialSeq: scfg.InitialSeq},
+		snd:     feeder{M: m, Source: app.NewMemorySource(cfg.Size)},
+		stream:  streamOf(m),
 		readBuf: make([]byte, 64<<10),
 	}
 	rng := sim.NewRNG(cfg.Seed)
@@ -151,10 +152,6 @@ func NewHierarchy(cfg HierarchyConfig, scfg sender.Config) *Hierarchy {
 	// and fault-free runs must draw identically to earlier builds.
 	if cfg.Faults != nil && len(cfg.Faults.Events) > 0 {
 		h.faults = newFaultState(cfg.Faults, rng.Stream(4))
-	}
-
-	if h.stream.mss <= 0 {
-		h.stream.mss = 1400 // the sender.Config default
 	}
 
 	total := cfg.Heads * (1 + cfg.LeavesPerHead)

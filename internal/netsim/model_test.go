@@ -13,11 +13,10 @@ import (
 
 func TestCPUCostModel(t *testing.T) {
 	// The paper's measured host cost: (10 + 0.025·l) µs.
-	n := New(DefaultConfig(Rate10Mbps, 1))
-	if got := n.cpuCost(0); got != 10*sim.Microsecond {
+	if got := cpuCost(0); got != 10*sim.Microsecond {
 		t.Errorf("cpuCost(0) = %v, want 10µs", got)
 	}
-	if got := n.cpuCost(1400); got != 45*sim.Microsecond {
+	if got := cpuCost(1400); got != 45*sim.Microsecond {
 		t.Errorf("cpuCost(1400) = %v, want 45µs", got)
 	}
 }

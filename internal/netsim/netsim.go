@@ -54,40 +54,29 @@ type Config struct {
 	// the paper's explanation for the NAKs of Figure 13. Zero means
 	// unbounded.
 	NICQueueBytes int
-	// PerPacketCPU and PerByteCPU express the measured H-RMC processing
-	// cost (10 + 0.025·l) µs; they serialize on the host CPU.
-	PerPacketCPU sim.Time
-	PerByteCPU   float64 // nanoseconds per payload byte
-	// LowerLayerDelay is the measured lower-layer cost (150 µs),
-	// modeled as pipeline latency.
-	LowerLayerDelay sim.Time
 
 	// Faults schedules crashes, restarts, partitions, and loss bursts
 	// against this network (nil = fault-free). A crashed receiver stops
 	// processing; a restart rebuilds its machine via the host's Rebuild
 	// hook. The sender (NodeID 0) cannot crash in this model.
 	Faults *FaultPlan
-	// StreamMSS and StreamInitialSeq describe the sender's stream
-	// geometry so a rebuilt receiver's pattern verification can
-	// re-anchor: a JoinInProgress rebase at sequence s corresponds to
-	// byte offset (s − StreamInitialSeq)·StreamMSS. Only consulted when
-	// Faults restarts receivers; exact while every pre-anchor packet
-	// carries MSS bytes (pick an MSS dividing the 64 KiB feed buffer).
-	StreamMSS        int
-	StreamInitialSeq seqspace.Seq
 }
 
-// DefaultConfig returns the paper's host model on a network of the given
-// line rate in bytes/second.
+// The paper's measured host costs.
+const (
+	// perPacketCPU and perByteCPU are the H-RMC processing cost
+	// (10 + 0.025·l) µs; it serializes on the host CPU.
+	perPacketCPU = 10 * sim.Microsecond
+	perByteCPU   = 25.0 // nanoseconds per payload byte
+	// lowerLayerDelay is the lower-layer cost (150 µs), modeled as
+	// pipeline latency.
+	lowerLayerDelay = 150 * sim.Microsecond
+)
+
+// DefaultConfig returns the paper's network on a line of the given rate
+// in bytes/second.
 func DefaultConfig(lineRate float64, seed uint64) Config {
-	return Config{
-		Seed:            seed,
-		LineRate:        lineRate,
-		NICQueueBytes:   256 << 10,
-		PerPacketCPU:    10 * sim.Microsecond,
-		PerByteCPU:      25, // 0.025 µs per byte
-		LowerLayerDelay: 150 * sim.Microsecond,
-	}
+	return Config{Seed: seed, LineRate: lineRate, NICQueueBytes: 256 << 10}
 }
 
 // Rates for convenience.
@@ -105,6 +94,9 @@ type Network struct {
 
 	snd  *SenderHost
 	rcvs []*ReceiverHost
+	// stream is the sender's stream geometry, for re-anchoring the
+	// verification of receivers Faults restarts.
+	stream stream
 
 	// Per-group router serialization and loss streams.
 	groups map[string]*groupRouter
@@ -217,9 +209,9 @@ func (n *Network) group(g Group) *groupRouter {
 }
 
 // cpuCost returns the host protocol-processing cost for a packet of the
-// given payload length: (10 + 0.025·l) µs with the default config.
-func (n *Network) cpuCost(payloadLen int) sim.Time {
-	return n.cfg.PerPacketCPU + sim.Time(n.cfg.PerByteCPU*float64(payloadLen))
+// given payload length: (10 + 0.025·l) µs.
+func cpuCost(payloadLen int) sim.Time {
+	return perPacketCPU + sim.Time(perByteCPU*float64(payloadLen))
 }
 
 // host is the shared CPU/NIC state of a simulated machine.
@@ -237,7 +229,7 @@ func (h *host) cpu(now sim.Time, payloadLen int) sim.Time {
 	if h.cpuFree > start {
 		start = h.cpuFree
 	}
-	done := start + h.net.cpuCost(payloadLen)
+	done := start + cpuCost(payloadLen)
 	h.cpuFree = done
 	return done
 }
@@ -342,6 +334,11 @@ type stream struct {
 	initialSeq seqspace.Seq
 }
 
+func streamOf(m *sender.Sender) stream {
+	mss, initialSeq := m.Stream()
+	return stream{mss, initialSeq}
+}
+
 // drain performs application reads into buf — within sink's budget, when
 // there is a sink — and reports whether this drain delivered the FIN.
 func (r *rx) drain(now sim.Time, buf []byte, sink app.Sink, st stream) (finished bool) {
@@ -410,6 +407,7 @@ func (n *Network) AddSender(m *sender.Sender, src app.Source) *SenderHost {
 	}
 	s := &SenderHost{host: host{net: n, id: 0}, feeder: feeder{M: m, Source: src}}
 	n.snd = s
+	n.stream = streamOf(m)
 	return s
 }
 
@@ -498,7 +496,7 @@ func (n *Network) scheduleReceiverTick(r *ReceiverHost, at sim.Time) {
 
 // drainReads performs application reads within the sink's budget.
 func (n *Network) drainReads(r *ReceiverHost, now sim.Time) {
-	r.drain(now, r.readBuf, r.Sink, stream{n.cfg.StreamMSS, n.cfg.StreamInitialSeq})
+	r.drain(now, r.readBuf, r.Sink, n.stream)
 }
 
 // flushSender routes the sender machine's outgoing packets through the
@@ -554,7 +552,7 @@ func (n *Network) deliverToReceiver(exit sim.Time, from packet.NodeID, r *Receiv
 		n.NICDrops++
 		return
 	}
-	arrive := exit + r.Group.Delay + n.cfg.LowerLayerDelay
+	arrive := exit + r.Group.Delay + lowerLayerDelay
 	pkt := p.Clone()
 	n.Engine.At(arrive, func() {
 		now := n.Engine.Now()
@@ -595,7 +593,7 @@ func (n *Network) flushReceiver(r *ReceiverHost, now sim.Time) {
 		// Fan out to the sender (delay = origin's tail only) ...
 		pkt := p.Clone()
 		origin := r
-		n.Engine.At(exit+r.Group.Delay+n.cfg.LowerLayerDelay, func() {
+		n.Engine.At(exit+r.Group.Delay+lowerLayerDelay, func() {
 			t0 := n.Engine.Now()
 			if n.faults.Blocked(t0, origin.id, 0) {
 				return
@@ -657,7 +655,7 @@ func (n *Network) flushReceiver(r *ReceiverHost, now sim.Time) {
 			n.NICDrops++
 			continue
 		}
-		arrive := exit + r.Group.Delay + n.cfg.LowerLayerDelay
+		arrive := exit + r.Group.Delay + lowerLayerDelay
 		pkt := p.Clone()
 		from := r.id
 		n.Engine.At(arrive, func() {

@@ -93,8 +93,9 @@ func TestReliabilityUnderWANLoss(t *testing.T) {
 
 func TestReliabilityTinyBuffersHighLoss(t *testing.T) {
 	// 16 KB buffers (≈11 packets) and 2% loss, with receivers whose
-	// update period is pinned far beyond the sender's hold time: the
-	// stop-and-wait regime where probes must do the heavy lifting.
+	// update period starts far beyond the sender's hold time and stays
+	// beyond it: the stop-and-wait regime where probes must do the heavy
+	// lifting.
 	cfg := DefaultConfig(Rate10Mbps, 3)
 	net := New(cfg)
 	rcfg := rate.DefaultConfig()
@@ -107,8 +108,6 @@ func TestReliabilityTinyBuffersHighLoss(t *testing.T) {
 		r := receiver.New(receiver.Config{
 			RcvBuf:              16 << 10,
 			InitialUpdatePeriod: 30 * sim.Second,
-			MinUpdatePeriod:     30 * sim.Second,
-			MaxUpdatePeriod:     30 * sim.Second,
 		})
 		net.AddReceiver(r, GroupC, app.MemorySink{})
 	}

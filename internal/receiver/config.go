@@ -6,7 +6,6 @@ import (
 	"repro/internal/repair"
 	"repro/internal/seqspace"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -44,18 +43,9 @@ type Config struct {
 	// InitialUpdatePeriod is the Update Generator's starting period; the
 	// paper uses 50 jiffies (0.5 s).
 	InitialUpdatePeriod sim.Time
-	// MinUpdatePeriod and MaxUpdatePeriod bound the dynamic adjustment.
-	MinUpdatePeriod, MaxUpdatePeriod sim.Time
-	// NakRetryInterval is the NAK Manager's base resend interval for
-	// pending NAKs (local NAK suppression window); retries back off
-	// linearly with the try count.
-	NakRetryInterval sim.Time
 	// AssumedRTT seeds the round-trip estimate used by the WARNBUF rule
 	// and urgent-request throttling until the JOIN exchange measures one.
 	AssumedRTT sim.Time
-	// WarnBuf is the number of round-trip times of sending the warning
-	// rule looks ahead; the paper sets 4.
-	WarnBuf int
 	// Quantum is the finest interval the driver can wake the machine at.
 	// Zero means kernel.Jiffy, the clock of the paper's kernel and of the
 	// simulator. What exists because of timer resolution follows it — the
@@ -70,9 +60,6 @@ type Config struct {
 	// multicast repairs after a randomized delay, offloading
 	// retransmission work from the sender.
 	LocalRecovery bool
-	// RecoverySeed seeds the randomized repair/suppression timers;
-	// zero derives one from LocalAddr.
-	RecoverySeed uint64
 
 	// FECGroupSize mirrors the sender's FEC extension setting. When
 	// positive, the first NAK for a fresh gap is deferred long enough
@@ -106,12 +93,12 @@ type Config struct {
 	// HeadNakRetryBudget (leaf mode) is how many NAK retries one missing
 	// packet may burn, unanswered by any head traffic, before the leaf
 	// declares the head dead and fails over to flat mode. Zero means
-	// DefaultHeadNakRetryBudget; negative disables the budget.
+	// 6; negative disables the budget.
 	HeadNakRetryBudget int
 	// HeadSilenceTimeout (leaf mode) declares the head dead when a
 	// response-expecting request (JOIN, HEAD_NAK, LEAVE) has been
 	// outstanding this long with no traffic from the head at all. Zero
-	// means DefaultHeadSilenceTimeout; negative disables the timer.
+	// means 2 seconds; negative disables the timer.
 	HeadSilenceTimeout sim.Time
 	// ReadoptHead re-attaches a failed-over leaf to its configured head
 	// when the head's traffic reappears (a restarted head).
@@ -124,8 +111,6 @@ type Config struct {
 	// by restarted repair heads and late (flash-crowd) joiners.
 	JoinInProgress bool
 
-	// Stats receives counters; nil allocates a private set.
-	Stats *stats.Receiver
 	// Trace receives protocol events; nil disables tracing.
 	Trace trace.Sink
 }
@@ -140,20 +125,8 @@ func (c *Config) sanitize() {
 	if c.InitialUpdatePeriod <= 0 {
 		c.InitialUpdatePeriod = 50 * kernel.Jiffy
 	}
-	if c.MinUpdatePeriod <= 0 {
-		c.MinUpdatePeriod = kernel.Jiffy
-	}
-	if c.MaxUpdatePeriod <= 0 {
-		c.MaxUpdatePeriod = 500 * kernel.Jiffy
-	}
-	if c.NakRetryInterval <= 0 {
-		c.NakRetryInterval = 4 * kernel.Jiffy
-	}
 	if c.Quantum <= 0 || c.Quantum > kernel.Jiffy {
 		c.Quantum = kernel.Jiffy
-	}
-	if c.WarnBuf <= 0 {
-		c.WarnBuf = 4
 	}
 	if c.Head != nil {
 		// The repair tier subsumes peer-based local recovery, and a head
@@ -165,13 +138,10 @@ func (c *Config) sanitize() {
 		c.LocalRecovery = false
 	}
 	if c.HeadNakRetryBudget == 0 {
-		c.HeadNakRetryBudget = DefaultHeadNakRetryBudget
+		c.HeadNakRetryBudget = defaultHeadNakRetryBudget
 	}
 	if c.HeadSilenceTimeout == 0 {
-		c.HeadSilenceTimeout = DefaultHeadSilenceTimeout
-	}
-	if c.Stats == nil {
-		c.Stats = &stats.Receiver{}
+		c.HeadSilenceTimeout = defaultHeadSilenceTimeout
 	}
 }
 
@@ -180,6 +150,22 @@ func (c *Config) sanitize() {
 // so stranded leaves re-home (and re-gate releases) before the sender
 // forgets their evicted head.
 const (
-	DefaultHeadNakRetryBudget = 6
-	DefaultHeadSilenceTimeout = 2 * sim.Second
+	defaultHeadNakRetryBudget = 6
+	defaultHeadSilenceTimeout = 2 * sim.Second
+)
+
+// The paper's fixed timings of the Fig 9 machine.
+const (
+	// minUpdatePeriod and maxUpdatePeriod bound the Update Generator's
+	// one-jiffy steps: at most one UPDATE a jiffy, at least one every
+	// 5 seconds.
+	minUpdatePeriod = kernel.Jiffy
+	maxUpdatePeriod = 500 * kernel.Jiffy
+	// nakRetryInterval is the NAK Manager's base resend interval for
+	// pending NAKs (the local NAK-suppression window); retries back off
+	// linearly with the try count.
+	nakRetryInterval = 4 * kernel.Jiffy
+	// warnBuf is how many round trips of sending the WARNBUF rule looks
+	// ahead.
+	warnBuf = 4
 )

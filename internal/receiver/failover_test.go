@@ -196,7 +196,7 @@ func TestHeadDeclineRehomesNak(t *testing.T) {
 func TestHeadColdWindowDeclineChain(t *testing.T) {
 	member := packet.NodeID(7)
 	r := newR(t, func(c *Config) {
-		c.Head = &repair.Config{SuppressionInterval: kernel.Jiffy}
+		c.Head = &repair.Config{}
 		c.JoinInProgress = true
 	})
 	// Restart mid-stream: the window anchors at the first packet seen.
@@ -235,9 +235,10 @@ func TestHeadColdWindowDeclineChain(t *testing.T) {
 	if dec.Seq != 50 || dec.Length != 2 {
 		t.Errorf("HEAD_DECLINE covers seq=%d len=%d, want 50,2", dec.Seq, dec.Length)
 	}
-	// A repeat ask (past the suppression interval) is declined directly:
-	// re-escalating a range the sender already refused cannot help.
-	r.HandleFrom(4*kernel.Jiffy, member, &packet.Packet{Header: packet.Header{
+	// A repeat ask (past the head's 4-jiffy suppression interval) is
+	// declined directly: re-escalating a range the sender already refused
+	// cannot help.
+	r.HandleFrom(10*kernel.Jiffy, member, &packet.Packet{Header: packet.Header{
 		Type: packet.TypeHeadNak, Seq: 50, Length: 2, RateAdv: 50,
 	}})
 	if r.Stats().HeadNaksEscalated != 2 {
@@ -251,14 +252,12 @@ func TestHeadColdWindowDeclineChain(t *testing.T) {
 // TestHeadDrainTimeoutBoundsLeave is the regression test for the
 // deferred-LEAVE drain bound: a head that has delivered the whole
 // stream defers its LEAVE for a wedged member, but only up to
-// LeaveDrainTimeout — one dead member must not pin the head (and the
-// sender's state for it) forever.
+// repair.LeaveDrainTimeout — one dead member must not pin the head (and
+// the sender's state for it) forever.
 func TestHeadDrainTimeoutBoundsLeave(t *testing.T) {
 	member := packet.NodeID(7)
-	drain := 500 * sim.Millisecond
-	r := newR(t, func(c *Config) {
-		c.Head = &repair.Config{LeaveDrainTimeout: drain}
-	})
+	const drain = repair.LeaveDrainTimeout
+	r := newR(t, func(c *Config) { c.Head = &repair.Config{} })
 	// A member joins far behind and never advances.
 	r.HandleFrom(0, member, &packet.Packet{Header: packet.Header{
 		Type: packet.TypeJoin, Seq: 0,

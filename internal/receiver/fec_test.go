@@ -161,7 +161,7 @@ func TestFecDoubleLossExpeditesNak(t *testing.T) {
 	if nak := findType(r.Outgoing(), packet.TypeNak); nak != nil {
 		t.Fatal("NAK sent inside the FEC defer window")
 	}
-	// Parity arrives well before the defer window (2×NakRetryInterval
+	// Parity arrives well before the defer window (2×nakRetryInterval
 	// from detection) would expire.
 	r.HandlePacket(4*kernel.Jiffy, mkParity(t, 0, payloads))
 	nak := findType(r.Outgoing(), packet.TypeNak)

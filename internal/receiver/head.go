@@ -5,6 +5,7 @@ import (
 	"repro/internal/repair"
 	"repro/internal/seqspace"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/window"
 )
@@ -22,7 +23,7 @@ type head struct {
 	drainStart sim.Time
 }
 
-func newHead(cfg Config, wndPackets int) *head {
+func newHead(cfg Config, wndPackets int, st *stats.Receiver) *head {
 	hc := *cfg.Head
 	// The head's retained window must outlast the receive window so an
 	// evicted packet is always one the application (and hence the subtree
@@ -30,7 +31,7 @@ func newHead(cfg Config, wndPackets int) *head {
 	if hc.WindowPackets < 2*wndPackets {
 		hc.WindowPackets = 2 * wndPackets
 	}
-	return &head{Head: repair.NewHead(0, hc, cfg.RecyclePackets, cfg.Stats)}
+	return &head{Head: repair.NewHead(0, hc, cfg.RecyclePackets, st)}
 }
 
 // reportedNext is the next-expected sequence number this receiver
@@ -201,7 +202,7 @@ func (r *Receiver) maybeLeave(now sim.Time) {
 			r.head.drainStart = now
 			return
 		}
-		if now-r.head.drainStart < r.head.LeaveDrainTimeout() {
+		if now-r.head.drainStart < repair.LeaveDrainTimeout {
 			return
 		}
 		// Drain bound hit: one dead or wedged member must not hold the

@@ -110,7 +110,7 @@ func (r *Receiver) headPolicy(e *nakEntry) (wait sim.Time, spent, ok bool) {
 	if !r.leaf.attached() || e.direct {
 		return 0, false, false
 	}
-	return r.leaf.backoff(r.cfg.NakRetryInterval, e.tries), r.leaf.spent(e.tries), true
+	return r.leaf.backoff(nakRetryInterval, e.tries), r.leaf.spent(e.tries), true
 }
 
 // watchHead runs the silence clock against what the machine still has

@@ -131,7 +131,7 @@ func New(cfg Config) *Receiver {
 	r := &Receiver{
 		cfg:          cfg,
 		wnd:          window.NewReceiveWindow(wndPackets, cfg.InitialSeq),
-		st:           cfg.Stats,
+		st:           &stats.Receiver{},
 		out:          outbox{local: cfg.LocalPort, remote: cfg.RemotePort, subtree: cfg.Head != nil},
 		pending:      make(map[seqspace.Seq]*nakEntry),
 		dead:         make(map[seqspace.Seq]bool),
@@ -147,7 +147,7 @@ func New(cfg Config) *Receiver {
 	case cfg.Head != nil:
 		// A repair head replaces the per-receiver Update Generator with
 		// the aggregate timer inside the head machine.
-		r.head = newHead(cfg, int(wndPackets))
+		r.head = newHead(cfg, int(wndPackets), r.st)
 		r.timers = append(r.timers, r.head.Timer())
 	case cfg.Mode == HRMC:
 		r.updateTimer.Arm(cfg.InitialUpdatePeriod)
@@ -307,7 +307,7 @@ func (r *Receiver) nakScan(now sim.Time, mode scanMode) {
 					// path when the parity itself was lost. An arriving
 					// parity that cannot repair the gap expires the
 					// defer early (see onFec).
-					e.deferUntil = now + r.cfg.NakRetryInterval
+					e.deferUntil = now + nakRetryInterval
 				}
 				r.pending[s] = e
 				if !newGap {
@@ -436,7 +436,7 @@ func (r *Receiver) dueAt(now sim.Time, e *nakEntry) sim.Time {
 	if e.tries != 0 {
 		wait, _, ok := r.headPolicy(e)
 		if !ok {
-			wait = r.cfg.NakRetryInterval * sim.Time(e.tries+1)
+			wait = nakRetryInterval * sim.Time(e.tries+1)
 		}
 		at = e.lastSent + wait
 	}
@@ -490,7 +490,7 @@ func (r *Receiver) maybeRateRequest(now sim.Time) {
 		// Rule 2: request a lower rate if the data sendable at the
 		// advertised rate over the next WARNBUF round trips exceeds the
 		// empty portion of the window.
-		horizon := sim.Time(r.cfg.WarnBuf) * r.rttEstimate
+		horizon := sim.Time(warnBuf) * r.rttEstimate
 		sendable := float64(r.advRate) * horizon.Seconds()
 		emptyBytes := float64(r.wnd.Empty()) * float64(r.cfg.MSS)
 		if sendable <= emptyBytes {
@@ -707,9 +707,9 @@ func (r *Receiver) onUpdateTimer(now sim.Time) {
 		}
 	}
 	if r.probesInPer > 0 {
-		r.updatePeriod = max(r.updatePeriod-kernel.Jiffy, r.cfg.MinUpdatePeriod)
+		r.updatePeriod = max(r.updatePeriod-kernel.Jiffy, minUpdatePeriod)
 	} else {
-		r.updatePeriod = min(r.updatePeriod+kernel.Jiffy, r.cfg.MaxUpdatePeriod)
+		r.updatePeriod = min(r.updatePeriod+kernel.Jiffy, maxUpdatePeriod)
 	}
 	r.probesInPer = 0
 	r.feedbackInPer = false

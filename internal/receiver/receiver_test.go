@@ -412,12 +412,10 @@ func TestDynamicUpdatePeriod(t *testing.T) {
 }
 
 func TestUpdatePeriodBounds(t *testing.T) {
-	r := newR(t, func(c *Config) {
-		c.InitialUpdatePeriod = 2 * kernel.Jiffy
-		c.MinUpdatePeriod = 2 * kernel.Jiffy
-		c.MaxUpdatePeriod = 4 * kernel.Jiffy
-	})
+	r := newR(t, func(c *Config) { c.InitialUpdatePeriod = maxUpdatePeriod - 2*kernel.Jiffy })
 	r.HandlePacket(0, data(0, "a"))
+	// Complete the JOIN handshake so only the update timer fires.
+	r.HandlePacket(0, &packet.Packet{Header: packet.Header{Type: packet.TypeJoinResponse}})
 	r.Outgoing()
 	now := sim.Time(0)
 	// Quiet periods push the period to the max and no further.
@@ -430,10 +428,11 @@ func TestUpdatePeriodBounds(t *testing.T) {
 		r.Advance(now)
 		r.Outgoing()
 	}
-	if got := r.updatePeriod; got != 4*kernel.Jiffy {
-		t.Errorf("period = %v, want the 4-jiffy max", got)
+	if got := r.updatePeriod; got != maxUpdatePeriod {
+		t.Errorf("period = %v, want the %v max", got, maxUpdatePeriod)
 	}
 	// Probes every period push it back to the min and no further.
+	r.updatePeriod = minUpdatePeriod + 2*kernel.Jiffy
 	for i := 0; i < 10; i++ {
 		r.HandlePacket(now, &packet.Packet{Header: packet.Header{Type: packet.TypeProbe, Seq: 0}})
 		wake, _ := r.NextWake()
@@ -441,8 +440,8 @@ func TestUpdatePeriodBounds(t *testing.T) {
 		r.Advance(now)
 		r.Outgoing()
 	}
-	if got := r.updatePeriod; got != 2*kernel.Jiffy {
-		t.Errorf("period = %v, want the 2-jiffy min", got)
+	if got := r.updatePeriod; got != minUpdatePeriod {
+		t.Errorf("period = %v, want the %v min", got, minUpdatePeriod)
 	}
 }
 

@@ -88,11 +88,7 @@ func newRecovery(cfg Config) recovery {
 		rec.cache = pktCache{m: make(map[seqspace.Seq]*packet.Packet), pooled: cfg.RecyclePackets}
 	}
 	if cfg.LocalRecovery {
-		seed := cfg.RecoverySeed
-		if seed == 0 {
-			seed = uint64(cfg.LocalAddr) + 0x10CA1
-		}
-		rec.rng = sim.NewRNG(seed)
+		rec.rng = sim.NewRNG(uint64(cfg.LocalAddr) + 0x10CA1)
 		rec.repairs = make(map[seqspace.Seq]sim.Time)
 	}
 	return rec

@@ -38,79 +38,63 @@ import (
 	"repro/internal/stats"
 )
 
-// Defaults for Config fields left zero.
+// Fixed timings of the repair tier.
 const (
-	// DefaultAggregatePeriod spaces AGG_UPDATEs to the sender. It is
+	// aggregatePeriod spaces AGG_UPDATEs to the sender. It is
 	// deliberately coarser than the receiver's own adaptive UPDATE
 	// period: the head speaks for many members, and the sender's
 	// release path only needs the subtree minimum, not a fresh sample
 	// every RTT.
-	DefaultAggregatePeriod = 25 * kernel.Jiffy
-	// DefaultSuppressionInterval is how long after answering (or
-	// escalating) a sequence number the head ignores further HEAD_NAKs
-	// for it — long enough for the repair to reach the subtree, short
-	// enough that a lost repair is re-requested quickly.
-	DefaultSuppressionInterval = 4 * kernel.Jiffy
-	// DefaultMemberTimeout evicts downstream members that stopped
+	aggregatePeriod = 25 * kernel.Jiffy
+	// suppressionInterval is how long after answering (or escalating) a
+	// sequence number the head ignores further HEAD_NAKs for it — long
+	// enough for the repair to reach the subtree, short enough that a
+	// lost repair is re-requested quickly.
+	suppressionInterval = 4 * kernel.Jiffy
+	// LeaveDrainTimeout bounds how long a departing head defers its own
+	// LEAVE waiting for the subtree to drain. A silently-dead leaf would
+	// otherwise wedge shutdown for the full MemberTimeout.
+	LeaveDrainTimeout = 4 * sim.Second
+	// declineTTL is how long a declined sequence number is remembered.
+	// After expiry a re-asked decline is re-derived through the sender
+	// (escalate → NAK_ERR → decline), so a short TTL only costs one
+	// extra round trip.
+	declineTTL = 2 * sim.Second
+)
+
+// Defaults for Config fields left zero.
+const (
+	// defaultMemberTimeout evicts downstream members that stopped
 	// reporting, so a crashed leaf cannot pin the aggregate minimum
 	// (and thus the sender's buffer) forever. It must comfortably
 	// exceed the receiver's maximum UPDATE period (500 jiffies = 5 s):
 	// evicting a live-but-quiet leaf drops it from the aggregate, which
 	// is the unsafe direction.
-	DefaultMemberTimeout = 16 * sim.Second
-	// DefaultWindowPackets bounds the head's retained retransmission
+	defaultMemberTimeout = 16 * sim.Second
+	// defaultWindowPackets bounds the head's retained retransmission
 	// window.
-	DefaultWindowPackets = 512
-	// DefaultLeaveDrainTimeout bounds how long a departing head defers
-	// its own LEAVE waiting for the subtree to drain. A silently-dead
-	// leaf would otherwise wedge shutdown for the full MemberTimeout.
-	DefaultLeaveDrainTimeout = 4 * sim.Second
-	// DefaultDeclineTTL is how long a declined sequence number is
-	// remembered. After expiry a re-asked decline is re-derived through
-	// the sender (escalate → NAK_ERR → decline), so a short TTL only
-	// costs one extra round trip.
-	DefaultDeclineTTL = 2 * sim.Second
+	defaultWindowPackets = 512
 )
 
 // Config parameterizes a repair head.
 type Config struct {
-	// AggregatePeriod is the interval between AGG_UPDATEs to the
-	// sender. Zero means DefaultAggregatePeriod.
-	AggregatePeriod sim.Time
-	// SuppressionInterval is the duplicate-NAK suppression window per
-	// sequence number. Zero means DefaultSuppressionInterval.
-	SuppressionInterval sim.Time
 	// MemberTimeout evicts members not heard from for this long. Zero
-	// means DefaultMemberTimeout.
+	// means 16 seconds.
 	MemberTimeout sim.Time
 	// WindowPackets bounds the retained retransmission window, in
-	// packets. Zero means DefaultWindowPackets. The embedding receiver
-	// raises it to at least twice its receive-window size so that
-	// evicted packets are always already consumed (below the receive
-	// window's base) — the invariant that makes non-pooled eviction a
-	// plain pointer drop.
+	// packets. Zero means 512. The embedding receiver raises it to at
+	// least twice its receive-window size so that evicted packets are
+	// always already consumed (below the receive window's base) — the
+	// invariant that makes non-pooled eviction a plain pointer drop.
 	WindowPackets int
-	// LeaveDrainTimeout caps the deferred-LEAVE drain: a departing head
-	// waits at most this long for every member to reach the stream end
-	// before leaving anyway. Zero means DefaultLeaveDrainTimeout.
-	LeaveDrainTimeout sim.Time
 }
 
 func (c *Config) sanitize() {
-	if c.AggregatePeriod <= 0 {
-		c.AggregatePeriod = DefaultAggregatePeriod
-	}
-	if c.SuppressionInterval <= 0 {
-		c.SuppressionInterval = DefaultSuppressionInterval
-	}
 	if c.MemberTimeout <= 0 {
-		c.MemberTimeout = DefaultMemberTimeout
+		c.MemberTimeout = defaultMemberTimeout
 	}
 	if c.WindowPackets <= 0 {
-		c.WindowPackets = DefaultWindowPackets
-	}
-	if c.LeaveDrainTimeout <= 0 {
-		c.LeaveDrainTimeout = DefaultLeaveDrainTimeout
+		c.WindowPackets = defaultWindowPackets
 	}
 }
 
@@ -152,7 +136,7 @@ type Head struct {
 	// declined records sequence numbers the sender refused (NAK_ERR): the
 	// data is released end-to-end and re-escalating cannot help, so the
 	// head answers further HEAD_NAKs for them with HEAD_DECLINE. Entries
-	// expire after DefaultDeclineTTL.
+	// expire after declineTTL.
 	declined stamps
 
 	// timer paces AGG_UPDATEs and member eviction.
@@ -170,11 +154,11 @@ func NewHead(now sim.Time, cfg Config, pooled bool, st *stats.Receiver) *Head {
 		pooled:   pooled,
 		members:  make(map[packet.NodeID]*Member),
 		win:      make(map[seqspace.Seq]*packet.Packet),
-		answered: stamps{make(map[seqspace.Seq]sim.Time), cfg.SuppressionInterval, 4 * cfg.WindowPackets},
-		declined: stamps{make(map[seqspace.Seq]sim.Time), DefaultDeclineTTL, 4 * cfg.WindowPackets},
+		answered: stamps{make(map[seqspace.Seq]sim.Time), suppressionInterval, 4 * cfg.WindowPackets},
+		declined: stamps{make(map[seqspace.Seq]sim.Time), declineTTL, 4 * cfg.WindowPackets},
 	}
 	st.RepairHead = 1
-	h.timer.ArmIn(now, cfg.AggregatePeriod)
+	h.timer.ArmIn(now, aggregatePeriod)
 	return h
 }
 
@@ -296,9 +280,6 @@ func (h *Head) Decline(now sim.Time, seq seqspace.Seq) { h.declined.mark(now, se
 // Declined reports whether seq carries an unexpired decline.
 func (h *Head) Declined(now sim.Time, seq seqspace.Seq) bool { return h.declined.fresh(now, seq) }
 
-// LeaveDrainTimeout returns the configured deferred-LEAVE drain bound.
-func (h *Head) LeaveDrainTimeout() sim.Time { return h.cfg.LeaveDrainTimeout }
-
 // Aggregate returns the minimum next-expected sequence number across
 // the head's own frontier and all downstream members, plus the member
 // count — the AGG_UPDATE contents. The minimum is also what every other
@@ -329,7 +310,7 @@ func (h *Head) Tick(now sim.Time) bool {
 		}
 	}
 	h.st.RepairMembers = int64(len(h.members))
-	h.timer.ArmIn(now, h.cfg.AggregatePeriod)
+	h.timer.ArmIn(now, aggregatePeriod)
 	return true
 }
 

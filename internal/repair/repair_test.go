@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/packet"
 	"repro/internal/seqspace"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -118,7 +117,7 @@ func TestRetainPooledRefcounting(t *testing.T) {
 }
 
 func TestHandledSuppression(t *testing.T) {
-	h, _ := newHead(false, Config{SuppressionInterval: 10 * sim.Millisecond})
+	h, _ := newHead(false, Config{})
 	if h.Handled(100, 5) {
 		t.Fatal("first request suppressed")
 	}
@@ -128,31 +127,31 @@ func TestHandledSuppression(t *testing.T) {
 	if h.Handled(100, 6) {
 		t.Fatal("different sequence number suppressed")
 	}
-	if h.Handled(100+10*sim.Millisecond, 5) {
+	if h.Handled(100+suppressionInterval, 5) {
 		t.Fatal("request after the interval suppressed")
 	}
 }
 
 func TestTickEvictsSilentMembers(t *testing.T) {
-	cfg := Config{AggregatePeriod: 100, MemberTimeout: 1000}
-	h, st := newHead(false, cfg)
+	const p = aggregatePeriod
+	h, st := newHead(false, Config{MemberTimeout: 10 * p})
 	h.Update(0, 1, 10)
 	h.Update(0, 2, 10)
-	if h.Tick(50) {
+	if h.Tick(p / 2) {
 		t.Fatal("Tick fired before the aggregate period")
 	}
-	if !h.Tick(100) {
+	if !h.Tick(p) {
 		t.Fatal("Tick did not fire at the aggregate period")
 	}
 	// Member 2 keeps reporting; member 1 goes silent.
-	for now := sim.Time(200); now <= 900; now += 100 {
+	for now := 2 * p; now <= 9*p; now += p {
 		h.Update(now, 2, 20)
 		h.Tick(now)
 	}
 	if h.Members() != 2 {
 		t.Fatalf("members = %d before the timeout, want 2", h.Members())
 	}
-	if !h.Tick(1100) {
+	if !h.Tick(11 * p) {
 		t.Fatal("Tick did not fire")
 	}
 	if h.Members() != 1 || st.RepairMembersEvicted != 1 {

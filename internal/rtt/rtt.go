@@ -30,8 +30,6 @@ type Estimator struct {
 	rttvar  sim.Time
 	samples int
 	backoff uint // exponential backoff shift applied to RTO
-	// MaxRTT clamps the estimate against pathological samples.
-	max sim.Time
 }
 
 // Gains, expressed as divisor shifts like the TCP implementation:
@@ -42,20 +40,20 @@ const (
 	upGain     = 2 // divisor for upward movement: gain 1/2, fast rise
 )
 
-// DefaultInitialRTT is used when the caller provides none; it matches a
+// defaultInitialRTT is used when the caller provides none; it matches a
 // campus LAN-to-MAN guess and adapts within a few samples.
-const DefaultInitialRTT = 10 * sim.Millisecond
+const defaultInitialRTT = 10 * sim.Millisecond
 
-// DefaultMaxRTT bounds the estimate.
-const DefaultMaxRTT = 10 * sim.Second
+// maxRTT clamps the estimate and the RTO against pathological samples.
+const maxRTT = 10 * sim.Second
 
 // New returns an estimator seeded with the given initial RTT. Zero or
-// negative initial values select DefaultInitialRTT.
+// negative initial values select defaultInitialRTT.
 func New(initial sim.Time) *Estimator {
 	if initial <= 0 {
-		initial = DefaultInitialRTT
+		initial = defaultInitialRTT
 	}
-	return &Estimator{initial: initial, max: DefaultMaxRTT}
+	return &Estimator{initial: initial}
 }
 
 // Samples returns the number of unambiguous samples consumed.
@@ -77,8 +75,8 @@ func (e *Estimator) Sample(m sim.Time) {
 	if m <= 0 {
 		return
 	}
-	if m > e.max {
-		m = e.max
+	if m > maxRTT {
+		m = maxRTT
 	}
 	if e.samples == 0 {
 		e.srtt = m
@@ -115,8 +113,8 @@ func (e *Estimator) RTO() sim.Time {
 	if rto < sim.Millisecond {
 		rto = sim.Millisecond
 	}
-	if rto > e.max || rto <= 0 { // overflow guard on large backoff
-		rto = e.max
+	if rto > maxRTT || rto <= 0 { // overflow guard on large backoff
+		rto = maxRTT
 	}
 	return rto
 }

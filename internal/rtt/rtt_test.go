@@ -9,7 +9,7 @@ import (
 
 func TestInitialEstimate(t *testing.T) {
 	e := New(0)
-	if e.RTT() != DefaultInitialRTT {
+	if e.RTT() != defaultInitialRTT {
 		t.Errorf("default initial RTT = %v", e.RTT())
 	}
 	e = New(5 * sim.Millisecond)
@@ -74,8 +74,8 @@ func TestIgnoredSamples(t *testing.T) {
 
 func TestSampleClamp(t *testing.T) {
 	e := New(0)
-	e.Sample(time100x(DefaultMaxRTT))
-	if e.RTT() > DefaultMaxRTT {
+	e.Sample(time100x(maxRTT))
+	if e.RTT() > maxRTT {
 		t.Errorf("sample not clamped: %v", e.RTT())
 	}
 }
@@ -90,11 +90,11 @@ func TestRTOBackoff(t *testing.T) {
 		t.Fatalf("RTO %v below srtt", base)
 	}
 	e.Backoff()
-	if got := e.RTO(); got != base*2 && got != DefaultMaxRTT {
+	if got := e.RTO(); got != base*2 && got != maxRTT {
 		t.Errorf("one backoff: RTO = %v, want %v", got, base*2)
 	}
 	e.Backoff()
-	if got := e.RTO(); got != base*4 && got != DefaultMaxRTT {
+	if got := e.RTO(); got != base*4 && got != maxRTT {
 		t.Errorf("two backoffs: RTO = %v", got)
 	}
 	// A good sample clears the backoff (Karn rule 2 exit condition).
@@ -110,8 +110,8 @@ func TestRTOSaturates(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		e.Backoff()
 	}
-	if got := e.RTO(); got != DefaultMaxRTT {
-		t.Errorf("saturated RTO = %v, want %v", got, DefaultMaxRTT)
+	if got := e.RTO(); got != maxRTT {
+		t.Errorf("saturated RTO = %v, want %v", got, maxRTT)
 	}
 }
 
@@ -130,7 +130,7 @@ func TestRTONoSamples(t *testing.T) {
 	}
 }
 
-// Property: the estimate always stays within [1µs, DefaultMaxRTT] and the
+// Property: the estimate always stays within [1µs, maxRTT] and the
 // sample counter matches the positive samples fed.
 func TestPropEstimatorBounds(t *testing.T) {
 	f := func(samples []int64) bool {
@@ -146,10 +146,10 @@ func TestPropEstimatorBounds(t *testing.T) {
 		if e.Samples() != fed {
 			return false
 		}
-		if fed > 0 && (e.RTT() < sim.Microsecond || e.RTT() > DefaultMaxRTT) {
+		if fed > 0 && (e.RTT() < sim.Microsecond || e.RTT() > maxRTT) {
 			return false
 		}
-		return e.RTO() >= sim.Millisecond && e.RTO() <= DefaultMaxRTT
+		return e.RTO() >= sim.Millisecond && e.RTO() <= maxRTT
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -161,8 +161,8 @@ func TestPropEstimatorBounds(t *testing.T) {
 func TestPropConstantConvergence(t *testing.T) {
 	f := func(ms uint16) bool {
 		d := sim.Time(int64(ms)+1) * sim.Millisecond
-		if d > DefaultMaxRTT {
-			d = DefaultMaxRTT
+		if d > maxRTT {
+			d = maxRTT
 		}
 		e := New(0)
 		for i := 0; i < 300; i++ {

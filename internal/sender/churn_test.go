@@ -18,10 +18,8 @@ func nak(seq, next uint32) *packet.Packet {
 // member had already recovered from — but only for the tombstone TTL,
 // after which the sweep reclaims the entry and the memory.
 func TestTombstoneGuardsStaleNakThenExpires(t *testing.T) {
-	const ttl = 100 * sim.Millisecond
 	s := newS(t, func(c *Config) {
 		c.Mode = HRMC
-		c.TombstoneTTL = ttl
 		c.MinBufRTTs = 1
 	})
 	now := sim.Time(0)
@@ -55,7 +53,7 @@ func TestTombstoneGuardsStaleNakThenExpires(t *testing.T) {
 
 	// Past the TTL the sweep forgets the member; the same NAK is now an
 	// uncoverable request and earns the NAK_ERR.
-	now += ttl + kernel.Jiffy
+	now += tombstoneTTL + kernel.Jiffy
 	s.Tick(now)
 	if len(s.tombs.departed) != 0 {
 		t.Fatalf("tombstones not swept after TTL: %d left", len(s.tombs.departed))
@@ -70,31 +68,28 @@ func TestTombstoneGuardsStaleNakThenExpires(t *testing.T) {
 // entries older than the TTL are swept in O(1) amortized time from the
 // tick path.
 func TestTombstoneChurnDoesNotLeak(t *testing.T) {
-	const ttl = 50 * sim.Millisecond
-	s := newS(t, func(c *Config) {
-		c.Mode = HRMC
-		c.TombstoneTTL = ttl
-	})
+	s := newS(t, func(c *Config) { c.Mode = HRMC })
+	const step = tombstoneTTL / 10
 	now := sim.Time(0)
 	peak := 0
 	for i := 0; i < 500; i++ {
 		addr := packet.NodeID(i + 1)
 		s.HandlePacket(now, addr, fb(packet.TypeJoin, 0))
 		s.HandlePacket(now, addr, fb(packet.TypeLeave, 0))
-		now += kernel.Jiffy
+		now += step
 		s.Tick(now)
 		s.Outgoing()
 		if len(s.tombs.departed) > peak {
 			peak = len(s.tombs.departed)
 		}
 	}
-	// At one join/leave per jiffy and a 5-jiffy TTL, steady state keeps
-	// only the entries younger than the TTL plus one sweep period.
-	bound := 2*int(ttl/kernel.Jiffy) + 2
+	// At one join/leave per step, steady state keeps only the entries
+	// younger than the TTL plus one sweep period.
+	bound := 2*int(tombstoneTTL/step) + 2
 	if peak > bound {
 		t.Fatalf("tombstone map peaked at %d entries, want <= %d (TTL-bounded)", peak, bound)
 	}
-	now += ttl + kernel.Jiffy
+	now += tombstoneTTL + kernel.Jiffy
 	s.Tick(now)
 	if len(s.tombs.departed) != 0 {
 		t.Fatalf("%d tombstones left after quiescence + TTL", len(s.tombs.departed))

@@ -5,7 +5,6 @@ import (
 	"repro/internal/rate"
 	"repro/internal/seqspace"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -29,13 +28,27 @@ func (m Mode) String() string {
 	return "H-RMC"
 }
 
+// Fixed timings: the paper's keepalive cap, and this implementation's
+// bound on the departed-member map.
+const (
+	// keepaliveMax caps the exponential KEEPALIVE backoff at the paper's
+	// 2 seconds.
+	keepaliveMax = 2 * sim.Second
+	// tombstoneTTL bounds how long the final state of a departed member
+	// is remembered for the stale-NAK guard. Under sustained join/leave
+	// churn the departed map would otherwise grow without bound; a
+	// straggler NAK older than this is vanishingly unlikely and merely
+	// earns a harmless NAK_ERR.
+	tombstoneTTL = 30 * sim.Second
+)
+
 // Silent-head failover defaults (see Config.HeadSilenceTimeout and
 // Config.FailoverGrace). The eviction timeout is several AGG_UPDATE
 // periods plus margin; the grace covers a leaf-side failover detection
 // plus a JOIN round trip.
 const (
-	DefaultHeadSilenceTimeout = 10 * sim.Second
-	DefaultFailoverGrace      = 5 * sim.Second
+	defaultHeadSilenceTimeout = 10 * sim.Second
+	defaultFailoverGrace      = 5 * sim.Second
 )
 
 // Config parametrizes a sender.
@@ -59,17 +72,11 @@ type Config struct {
 	// packet some member has not confirmed. A live session therefore sets
 	// 1 there when this is left zero.
 	MinBufRTTs int
-	// Rate configures the rate-based flow-control component.
+	// Rate configures the rate-based flow-control component; its Quantum
+	// is the finest interval the machine can be woken at.
 	Rate rate.Config
-	// Quantum is the finest interval the driver can wake the machine at;
-	// it reaches the machine as Rate.Quantum (which see) unless that is
-	// set. Zero means kernel.Jiffy.
-	Quantum sim.Time
 	// InitialRTT seeds the worst-receiver round-trip estimator.
 	InitialRTT sim.Time
-	// KeepaliveMax caps the exponential keepalive backoff; the paper
-	// uses 2 seconds.
-	KeepaliveMax sim.Time
 	// ExpectedReceivers, when positive, holds buffer release (not
 	// transmission) until that many receivers have joined, protecting
 	// the start of stream in deployments where the population is known.
@@ -95,15 +102,9 @@ type Config struct {
 	// receivers rebuild single losses without a NAK round trip. Zero
 	// disables FEC.
 	FECGroupSize int
-	// TombstoneTTL bounds how long the final state of a departed member
-	// is remembered for the stale-NAK guard. Under sustained join/leave
-	// churn the departed map would otherwise grow without bound; a
-	// straggler NAK older than this is vanishingly unlikely and merely
-	// earns a harmless NAK_ERR. Zero means 30 seconds.
-	TombstoneTTL sim.Time
 	// HeadSilenceTimeout evicts a repair head that has gone completely
 	// silent — no AGG_UPDATE, escalated NAK, or any other feedback — for
-	// this long. A healthy head speaks at least every AggregatePeriod, so
+	// this long. A healthy head speaks at least every aggregate period, so
 	// sustained silence means the head process died without a LEAVE and
 	// its entry would otherwise stall the release path forever. Zero
 	// means 10 seconds; negative disables the sweep.
@@ -117,8 +118,6 @@ type Config struct {
 	// seconds; negative disables the fence.
 	FailoverGrace sim.Time
 
-	// Stats receives counters; nil allocates a private set.
-	Stats *stats.Sender
 	// Trace receives protocol events; nil disables tracing.
 	Trace trace.Sink
 }
@@ -138,23 +137,11 @@ func (c *Config) sanitize() {
 	}
 	if c.Rate.MinRate == 0 && c.Rate.MaxRate == 0 {
 		def := rate.DefaultConfig()
-		def.MSS = c.MSS
+		def.MSS, def.Quantum = c.MSS, c.Rate.Quantum
 		c.Rate = def
 	}
-	if c.Rate.Quantum == 0 {
-		c.Rate.Quantum = c.Quantum
-	}
-	if c.KeepaliveMax <= 0 {
-		c.KeepaliveMax = 2 * sim.Second
-	}
-	if c.TombstoneTTL <= 0 {
-		c.TombstoneTTL = 30 * sim.Second
-	}
-	c.HeadSilenceTimeout = orOff(c.HeadSilenceTimeout, DefaultHeadSilenceTimeout)
-	c.FailoverGrace = orOff(c.FailoverGrace, DefaultFailoverGrace)
-	if c.Stats == nil {
-		c.Stats = &stats.Sender{}
-	}
+	c.HeadSilenceTimeout = orOff(c.HeadSilenceTimeout, defaultHeadSilenceTimeout)
+	c.FailoverGrace = orOff(c.FailoverGrace, defaultFailoverGrace)
 }
 
 // orOff reads a duration option where zero means def and a negative value

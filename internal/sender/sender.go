@@ -96,7 +96,7 @@ func New(cfg Config) *Sender {
 		wnd:      window.NewSendWindow(cfg.SndBuf, cfg.InitialSeq),
 		rc:       rate.New(cfg.Rate),
 		est:      rtt.New(cfg.InitialRTT),
-		st:       cfg.Stats,
+		st:       &stats.Sender{},
 		judged:   cfg.InitialSeq,
 		cutEpoch: cfg.InitialSeq,
 	}
@@ -143,6 +143,10 @@ func (s *Sender) Members() int { return s.members.Len() }
 // most entries (leaves or repair heads) the sender ever tracked at
 // once. The hierarchy scale tests assert this stays O(heads).
 func (s *Sender) MaxJoined() int { return s.maxJoined }
+
+// Stream returns the stream's geometry: the payload bytes of a full
+// DATA packet and the first sequence number.
+func (s *Sender) Stream() (mss int, initialSeq seqspace.Seq) { return s.cfg.MSS, s.cfg.InitialSeq }
 
 // WindowBytes returns the bytes currently buffered in the send window.
 func (s *Sender) WindowBytes() int { return s.wnd.Bytes() }
@@ -763,8 +767,7 @@ func (s *Sender) needsKeepalive() bool {
 }
 
 // runKeepalive sends KEEPALIVE packets carrying the last sequence number
-// transmitted, exponentially backed off to KeepaliveMax (2 s in the
-// paper).
+// transmitted, exponentially backed off to keepaliveMax.
 func (s *Sender) runKeepalive(now sim.Time) {
 	if s.kaTimer.Armed() && !s.kaTimer.Due(now) {
 		return
@@ -781,7 +784,7 @@ func (s *Sender) runKeepalive(now sim.Time) {
 	if s.kaBackoff == 0 {
 		s.kaBackoff = 2 * kernel.Jiffy
 	} else {
-		s.kaBackoff = min(2*s.kaBackoff, s.cfg.KeepaliveMax)
+		s.kaBackoff = min(2*s.kaBackoff, keepaliveMax)
 	}
 	s.kaTimer.Arm(now + s.kaBackoff)
 }

@@ -105,6 +105,16 @@ func TestRatePacing(t *testing.T) {
 	}
 }
 
+// A live session's quantum survives the default rates: a Rate that
+// names only its Quantum still gets the paper's floor and ceiling.
+func TestDefaultRateKeepsQuantum(t *testing.T) {
+	const q = 350 * sim.Microsecond
+	s := New(Config{Rate: rate.Config{Quantum: q}})
+	if got, def := s.cfg.Rate, rate.DefaultConfig(); got.Quantum != q || got.MinRate != def.MinRate || got.MaxRate != def.MaxRate {
+		t.Errorf("Rate = %+v, want the defaults with Quantum %v", got, q)
+	}
+}
+
 func TestRateGrowthWhileSending(t *testing.T) {
 	// Short hold time so lazy release keeps freeing window space and the
 	// application can keep the sender supplied.

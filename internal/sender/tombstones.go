@@ -21,7 +21,7 @@ type tombstone struct {
 // so the stale-NAK guard still recognises a straggler (reordered or
 // duplicated) NAK from a receiver that has since sent LEAVE — without
 // it, release after the last LEAVE empties the window and the straggler
-// would earn a spurious NAK_ERR. Entries expire after TombstoneTTL,
+// would earn a spurious NAK_ERR. Entries expire after tombstoneTTL,
 // swept at most once per TTL, so churn cannot grow the map without
 // bound.
 type tombstones struct {
@@ -73,7 +73,7 @@ func (s *Sender) sweepTombstones(now sim.Time) {
 	}
 	s.tombs.lastSweep = now
 	for addr, tb := range s.tombs.departed {
-		if now-tb.at >= s.cfg.TombstoneTTL {
+		if now-tb.at >= tombstoneTTL {
 			delete(s.tombs.departed, addr)
 		}
 	}
@@ -82,5 +82,5 @@ func (s *Sender) sweepTombstones(now sim.Time) {
 // tombSweepDue is when the next tombstone sweep runs, if there is
 // anything to sweep.
 func (s *Sender) tombSweepDue() (sim.Time, bool) {
-	return s.tombs.lastSweep + s.cfg.TombstoneTTL, len(s.tombs.departed) > 0
+	return s.tombs.lastSweep + tombstoneTTL, len(s.tombs.departed) > 0
 }

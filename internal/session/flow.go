@@ -34,9 +34,9 @@ func (k Kind) String() string {
 // benchmark/ alone; everything else opens from a FlowSpec.
 type FlowOption func(*FlowSpec)
 
-// DefaultFecGroupSize is the parity group size K used when FEC is
+// defaultFecGroupSize is the parity group size K used when FEC is
 // enabled without an explicit K.
-const DefaultFecGroupSize = 8
+const defaultFecGroupSize = 8
 
 // FecConfig enables per-flow forward error correction: the sender
 // multicasts one best-effort XOR parity packet per K data packets, and
@@ -45,15 +45,15 @@ const DefaultFecGroupSize = 8
 type FecConfig struct {
 	// Enabled turns the parity pipeline on.
 	Enabled bool
-	// K is the parity group size; 0 means DefaultFecGroupSize. Clamped
-	// to [2, fec.MaxGroup] by the machines.
+	// K is the parity group size; 0 means 8. Clamped to
+	// [2, fec.MaxGroup] by the machines.
 	K int
 }
 
-// GroupSize resolves the effective group size of an enabled config.
-func (c FecConfig) GroupSize() int {
+// groupSize resolves the effective group size of an enabled config.
+func (c FecConfig) groupSize() int {
 	if c.K <= 0 {
-		return DefaultFecGroupSize
+		return defaultFecGroupSize
 	}
 	return c.K
 }

@@ -490,7 +490,7 @@ func (s *Session) detach(f anyFlow) {
 // frees what every member holds, so there the hold only decides when to
 // probe; unknown populations and RMC keep the paper's late-joiner grace.
 func liveSender(cfg sender.Config) sender.Config {
-	cfg.Quantum = quantum
+	cfg.Rate.Quantum = quantum
 	if cfg.Mode == sender.HRMC && cfg.ExpectedReceivers > 0 && cfg.MinBufRTTs <= 0 {
 		cfg.MinBufRTTs = 1
 	}
@@ -510,7 +510,7 @@ func (s *Session) OpenSender(tr transport.Transport, cfg sender.Config, opts ...
 func (s *Session) openSender(tr transport.Transport, cfg sender.Config, sp FlowSpec) (*SenderFlow, error) {
 	cfg = liveSender(cfg)
 	if sp.Fec.Enabled {
-		cfg.FECGroupSize = sp.Fec.GroupSize()
+		cfg.FECGroupSize = sp.Fec.groupSize()
 	}
 	f := &SenderFlow{m: sender.New(cfg)}
 	f.init(s, tr, sp)
@@ -543,7 +543,7 @@ func (s *Session) openReceiver(tr transport.Transport, cfg receiver.Config, sp F
 	cfg.RecyclePackets = true
 	cfg.Quantum = quantum
 	if sp.Fec.Enabled {
-		cfg.FECGroupSize = sp.Fec.GroupSize()
+		cfg.FECGroupSize = sp.Fec.groupSize()
 	}
 	f := &ReceiverFlow{m: receiver.New(cfg)}
 	f.init(s, tr, sp)

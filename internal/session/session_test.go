@@ -110,8 +110,8 @@ func TestLiveSenderStamp(t *testing.T) {
 		{"rmc", sender.Config{Mode: sender.RMC, ExpectedReceivers: 2}, 0},
 	} {
 		got := liveSender(c.cfg)
-		if got.MinBufRTTs != c.want || got.Quantum != quantum {
-			t.Errorf("%s: MinBufRTTs %d, Quantum %v; want %d, %v", c.name, got.MinBufRTTs, got.Quantum, c.want, quantum)
+		if got.MinBufRTTs != c.want || got.Rate.Quantum != quantum {
+			t.Errorf("%s: MinBufRTTs %d, Quantum %v; want %d, %v", c.name, got.MinBufRTTs, got.Rate.Quantum, c.want, quantum)
 		}
 	}
 }

@@ -290,7 +290,8 @@ func TestKnownPopulationHoldsOneRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		transferAll(t, []flowPair{{sf, rf}}, pattern, size)
-		return sf.Stats().Snapshot().ReleaseBlockedMicros
+		// Under the flow's lock: the session may still wake the flow.
+		return sf.snapshot().Sender.ReleaseBlockedMicros
 	}
 	known, unknown := blocked(1), blocked(0)
 	t.Logf("window blocked on receivers: %d µs with a known population, %d µs without (want <= 1/4)", known, unknown)

@@ -74,9 +74,6 @@ type GroupConfig struct {
 	// Port is the UDP data port shared by every group on this
 	// endpoint. Required.
 	Port int
-	// Interface selects the NIC for memberships and multicast egress;
-	// nil uses the system default route.
-	Interface *net.Interface
 	// Loopback confines the endpoint to 127.0.0.1: memberships join on
 	// the loopback interface, egress is pinned there, and multicast
 	// loop is enabled — the same-host demo/test mode.
@@ -160,12 +157,9 @@ func NewGroupTransport(cfg GroupConfig) (*Endpoint, error) {
 	if cfg.Port <= 0 {
 		return nil, fmt.Errorf("udpmcast: group transport needs a data port, got %d", cfg.Port)
 	}
-	ifaddr := netip.AddrFrom4([4]byte{127, 0, 0, 1})
-	if !cfg.Loopback {
-		var err error
-		if ifaddr, err = interfaceAddr(cfg.Interface); err != nil {
-			return nil, err
-		}
+	var ifaddr netip.Addr // the system default route
+	if cfg.Loopback {
+		ifaddr = netip.AddrFrom4([4]byte{127, 0, 0, 1})
 	}
 	e, err := open(cfg.Port, true, ifaddr)
 	if err != nil {
