@@ -14,22 +14,9 @@ import (
 	"strings"
 
 	"repro/internal/packet"
+	"repro/internal/stats"
 	"repro/internal/transport"
 )
-
-// gaugeFields are stats fields exposed as gauges; everything else is a
-// monotonic counter.
-var gaugeFields = map[string]bool{
-	"RateBps":           true,
-	"CeilingBps":        true,
-	"MaxFillPermille":   true,
-	"RTTMicros":         true,
-	"RepairHead":        true,
-	"RepairMembers":     true,
-	"RepairHeads":       true,
-	"DownstreamMembers": true,
-	"OrphanedLeaves":    true,
-}
 
 // snakeCase converts a Go field name (PacketsSent, RateBps, RTTMicros)
 // to a metric suffix (packets_sent, rate_bps, rtt_micros): a word starts
@@ -80,7 +67,7 @@ func statLines(prefix, labels string, stat any) []metricLine {
 			name:   prefix + snakeCase(t.Field(i).Name),
 			labels: labels,
 			value:  float64(v.Field(i).Int()),
-			gauge:  gaugeFields[t.Field(i).Name],
+			gauge:  stats.Gauge(t.Field(i).Name),
 		})
 	}
 	return out

@@ -1,6 +1,6 @@
 // Fault injection for both network models: a FaultPlan is a declarative
 // schedule of node crashes and restarts, pairwise link partitions, and
-// timed loss bursts. The models consult the shared faultState on every
+// timed loss bursts. The driver both models share consults it on every
 // delivery, so a fault expressed once applies uniformly to multicast
 // fan-out, repair-plane unicast, and feedback paths alike. This is the
 // substrate for the chaos scenarios: a repair head dying mid-flow, a
@@ -17,14 +17,14 @@ import (
 type FaultKind int
 
 const (
-	// FaultCrash silences a node: it stops processing, emitting, and
-	// receiving. In-flight packets it already sent still deliver — a
-	// crash kills the process, not the photons on the wire.
+	// FaultCrash silences a receiver node: it stops processing,
+	// emitting, and receiving, and packets it sent that arrive while it
+	// is down are lost with it.
 	FaultCrash FaultKind = iota
-	// FaultRestart revives a crashed node with a cold machine: the model
-	// rebuilds its protocol state from scratch (empty windows, no
-	// retained repair data), which is what makes head-restart scenarios
-	// interesting.
+	// FaultRestart revives a crashed node, with a cold machine from its
+	// Rebuild (empty windows, no retained repair data; every Hierarchy
+	// node has one), which is what makes head-restart scenarios
+	// interesting. A restart of a live node does nothing.
 	FaultRestart
 	// FaultPartition cuts the pair (A, B) in both directions until a
 	// matching FaultHeal. The sender is NodeID 0.
@@ -63,7 +63,7 @@ func (p *FaultPlan) CrashAt(at sim.Time, node packet.NodeID) *FaultPlan {
 	return p
 }
 
-// RestartAt schedules a cold restart of a crashed node.
+// RestartAt schedules a restart of a crashed node.
 func (p *FaultPlan) RestartAt(at sim.Time, node packet.NodeID) *FaultPlan {
 	p.Events = append(p.Events, FaultEvent{At: at, Kind: FaultRestart, Node: node})
 	return p
@@ -96,35 +96,30 @@ func cutKey(a, b packet.NodeID) [2]packet.NodeID {
 	return [2]packet.NodeID{a, b}
 }
 
-// faultState is the live fault machinery one model instance owns. All
-// methods are nil-safe so fault-free runs pay a single pointer check.
+// faultState is the live fault machinery one model instance owns: the
+// plan's discrete events, its cuts and its bursts. A host's crash is
+// the driver's record, not this one. A fault-free run has nil state and
+// pays a single pointer check.
 type faultState struct {
-	crashed map[packet.NodeID]bool
-	cuts    map[[2]packet.NodeID]bool
-	bursts  []FaultEvent
-	rng     *sim.RNG
+	events []FaultEvent
+	cuts   map[[2]packet.NodeID]bool
+	bursts []FaultEvent
+	rng    *sim.RNG
 
 	// Drops counts packets the fault plane destroyed (burst loss only;
 	// crash and partition drops are deterministic and uncounted).
 	Drops int64
-
-	// onCrash and onRestart are the model's hooks: marking the node dead
-	// and rebuilding its machine are model-specific.
-	onCrash   func(packet.NodeID)
-	onRestart func(packet.NodeID)
 }
 
-// newFaultState builds the live state for a plan; nil plan yields nil
-// state (every method tolerates the nil receiver).
-func newFaultState(plan *FaultPlan, rng *sim.RNG) *faultState {
+// newFaultState builds the live state for a plan, its loss stream
+// derived from parent under label. A nil or empty plan yields nil state
+// and leaves parent untouched: Stream consumes parent state, and a
+// fault-free run must draw as if fault support did not exist.
+func newFaultState(plan *FaultPlan, parent *sim.RNG, label uint64) *faultState {
 	if plan == nil || len(plan.Events) == 0 {
 		return nil
 	}
-	f := &faultState{
-		crashed: make(map[packet.NodeID]bool),
-		cuts:    make(map[[2]packet.NodeID]bool),
-		rng:     rng,
-	}
+	f := &faultState{events: plan.Events, cuts: make(map[[2]packet.NodeID]bool), rng: parent.Stream(label)}
 	for _, e := range plan.Events {
 		if e.Kind == FaultBurstLoss {
 			f.bursts = append(f.bursts, e)
@@ -133,54 +128,32 @@ func newFaultState(plan *FaultPlan, rng *sim.RNG) *faultState {
 	return f
 }
 
-// install schedules the plan's discrete events (crash, restart,
-// partition, heal) on the engine. Bursts need no events: Blocked
-// consults their time windows directly.
-func (f *faultState) install(eng *sim.Engine, plan *FaultPlan) {
+// install schedules the plan's discrete events on the engine: crash and
+// restart through the driver's hooks, partition and heal here. Bursts
+// need no events: Blocked consults their time windows directly.
+func (f *faultState) install(eng *sim.Engine, crash, restart func(packet.NodeID)) {
 	if f == nil {
 		return
 	}
-	for _, e := range plan.Events {
-		ev := e
-		switch ev.Kind {
+	for _, e := range f.events {
+		switch e.Kind {
 		case FaultCrash:
-			eng.At(ev.At, func() {
-				f.crashed[ev.Node] = true
-				if f.onCrash != nil {
-					f.onCrash(ev.Node)
-				}
-			})
+			eng.At(e.At, func() { crash(e.Node) })
 		case FaultRestart:
-			eng.At(ev.At, func() {
-				delete(f.crashed, ev.Node)
-				if f.onRestart != nil {
-					f.onRestart(ev.Node)
-				}
-			})
+			eng.At(e.At, func() { restart(e.Node) })
 		case FaultPartition:
-			eng.At(ev.At, func() { f.cuts[cutKey(ev.A, ev.B)] = true })
+			eng.At(e.At, func() { f.cuts[cutKey(e.A, e.B)] = true })
 		case FaultHeal:
-			eng.At(ev.At, func() { delete(f.cuts, cutKey(ev.A, ev.B)) })
+			eng.At(e.At, func() { delete(f.cuts, cutKey(e.A, e.B)) })
 		}
 	}
 }
 
-// Crashed reports whether node is currently down.
-func (f *faultState) Crashed(node packet.NodeID) bool {
-	return f != nil && f.crashed[node]
-}
-
-// Blocked decides the fate of one packet traveling between a and b
-// (either direction; 0 is the sender) at time now: dropped when either
-// endpoint is crashed, the pair is partitioned, or an active loss burst
-// touching an endpoint draws against it.
+// Blocked decides whether the plan stops one packet traveling between a
+// and b (either direction; 0 is the sender) at time now: the pair is
+// partitioned, or an active loss burst touching an endpoint draws
+// against it.
 func (f *faultState) Blocked(now sim.Time, a, b packet.NodeID) bool {
-	if f == nil {
-		return false
-	}
-	if f.crashed[a] || f.crashed[b] {
-		return true
-	}
 	if len(f.cuts) > 0 && f.cuts[cutKey(a, b)] {
 		return true
 	}

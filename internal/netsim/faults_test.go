@@ -142,3 +142,32 @@ func TestFaultFlatBurstLoss(t *testing.T) {
 		t.Error("no retransmissions: the burst recovery was vacuous")
 	}
 }
+
+// TestFaultRestartLeavesLiveHostAlone holds the restart rule both models
+// share: a restart revives a crashed host and does nothing to a live
+// one. A RestartAt with no CrashAt before it must leave the receiver's
+// machine in place, Rebuild hook or not, and its stream bit-exact from
+// the first byte.
+func TestFaultRestartLeavesLiveHostAlone(t *testing.T) {
+	const size = int64(1 << 20)
+	net := faultNet(3, size, (&FaultPlan{}).RestartAt(300*sim.Millisecond, 2), 5)
+	victim := net.Receivers()[1]
+	machine := victim.M
+	rebuilt := 0
+	victim.Rebuild = func() *receiver.Receiver {
+		rebuilt++
+		return receiver.New(receiver.Config{RcvBuf: 256 << 10, Mode: receiver.HRMC, JoinInProgress: true})
+	}
+	if res := net.Run(120 * sim.Second); !res.Completed {
+		t.Fatal("transfer did not complete")
+	}
+	if victim.M != machine || rebuilt != 0 {
+		t.Errorf("a restart of a live host rebuilt its machine %d times", rebuilt)
+	}
+	for i, r := range net.Receivers() {
+		if r.Received != size || r.BadBytes != 0 {
+			t.Errorf("receiver %d delivered %d bytes (%d bad), want %d exact",
+				i, r.Received, r.BadBytes, size)
+		}
+	}
+}

@@ -78,55 +78,27 @@ type HierarchyConfig struct {
 // hNode is one simulated receiver host in the hierarchy.
 type hNode struct {
 	rx
-	id   packet.NodeID
 	head bool
 	tree int // subtree index; head i owns the leaves with tree == i
-
-	// rcfg is the machine's construction config, kept so a restart can
-	// rebuild it cold (with JoinInProgress set).
-	rcfg receiver.Config
 }
-
-// ID returns the node's simulated unicast address.
-func (nd *hNode) ID() packet.NodeID { return nd.id }
 
 // IsHead reports whether the node was built as a repair head.
 func (nd *hNode) IsHead() bool { return nd.head }
 
-// Hierarchy owns the two-level simulation.
+// Hierarchy is the two-level model on the shared driver. Its nodes are
+// heads first (index 0..Heads-1), then leaves; every loss its link
+// model draws counts in NICDrops.
 type Hierarchy struct {
-	Engine *sim.Engine
-	cfg    HierarchyConfig
+	driver[*hNode]
+	cfg HierarchyConfig
 
-	snd feeder
-
-	nodes    []*hNode // heads first (index 0..Heads-1), then leaves
-	finished int
 	// base is the size of the constructed topology; nodes appended later
 	// by AddLeaf live past it (see eachLeaf).
 	base int
-	// crashedUnfinished counts nodes that are down and had not finished;
-	// done() excludes them, so a run can complete around a dead host.
-	crashedUnfinished int
-
-	faults *faultState
-	seams
-
-	// stream translates a mid-stream joiner's anchor into a byte offset.
-	stream stream
 
 	headLoss    *sim.RNG
 	subtreeLoss *sim.RNG
 	leafLoss    *sim.RNG
-
-	// SenderFeedback counts feedback packets delivered to the sender —
-	// the quantity the repair tier exists to collapse.
-	SenderFeedback int64
-	// Drops counts simulated multicast losses.
-	Drops int64
-
-	// readBuf is shared across drains; the engine is single-threaded.
-	readBuf []byte
 }
 
 // NewHierarchy builds the sender, heads and leaves. Receiver IDs are
@@ -137,46 +109,37 @@ func NewHierarchy(cfg HierarchyConfig, scfg sender.Config) *Hierarchy {
 		panic("netsim: hierarchy needs heads")
 	}
 	m := sender.New(scfg)
-	h := &Hierarchy{
-		Engine:  &sim.Engine{},
-		cfg:     cfg,
-		snd:     feeder{M: m, Source: app.NewMemorySource(cfg.Size)},
-		stream:  streamOf(m),
-		readBuf: make([]byte, 64<<10),
-	}
+	h := &Hierarchy{cfg: cfg}
 	rng := sim.NewRNG(cfg.Seed)
-	h.headLoss = rng.Stream(1)
-	h.subtreeLoss = rng.Stream(2)
-	h.leafLoss = rng.Stream(3)
-	// Derived only when a plan exists: Stream consumes parent RNG state,
-	// and fault-free runs must draw identically to earlier builds.
-	if cfg.Faults != nil && len(cfg.Faults.Events) > 0 {
-		h.faults = newFaultState(cfg.Faults, rng.Stream(4))
-	}
+	h.headLoss, h.subtreeLoss, h.leafLoss = rng.Stream(1), rng.Stream(2), rng.Stream(3)
+	h.driver = newDriver[*hNode](h, newFaultState(cfg.Faults, rng, 4))
+	h.snd, h.stream = &feeder{M: m, Source: app.NewMemorySource(cfg.Size)}, streamOf(m)
 
-	total := cfg.Heads * (1 + cfg.LeavesPerHead)
-	h.nodes = make([]*hNode, 0, total)
+	h.nodes = make([]*hNode, 0, cfg.Heads*(1+cfg.LeavesPerHead))
 	for i := 0; i < cfg.Heads; i++ {
-		id := packet.NodeID(i + 1)
-		rcfg := receiver.Config{LocalAddr: id, RcvBuf: cfg.Buf, Mode: receiver.HRMC, FECGroupSize: cfg.FecK}
+		rcfg := receiver.Config{LocalAddr: packet.NodeID(i + 1), RcvBuf: cfg.Buf, Mode: receiver.HRMC, FECGroupSize: cfg.FecK}
 		if !cfg.Flat {
 			rcfg.Head = &repair.Config{MemberTimeout: cfg.HeadMemberTimeout}
 		}
-		h.nodes = append(h.nodes, &hNode{rx: rx{M: receiver.New(rcfg)}, id: id, head: true, tree: i, rcfg: rcfg})
+		h.nodes = append(h.nodes, newNode(rcfg, true, i))
 	}
 	for i := 0; i < cfg.Heads; i++ {
 		for j := 0; j < cfg.LeavesPerHead; j++ {
-			id := packet.NodeID(len(h.nodes) + 1)
-			rcfg := h.leafConfig(id, i)
-			h.nodes = append(h.nodes, &hNode{rx: rx{M: receiver.New(rcfg)}, id: id, tree: i, rcfg: rcfg})
+			h.nodes = append(h.nodes, newNode(h.leafConfig(packet.NodeID(len(h.nodes)+1), i), false, i))
 		}
 	}
 	h.base = len(h.nodes)
-	if h.faults != nil {
-		h.faults.onCrash = h.onCrash
-		h.faults.onRestart = h.onRestart
-	}
 	return h
+}
+
+// newNode builds one host. A restart rebuilds its machine cold from the
+// same config, anchoring mid-stream (JoinInProgress): empty windows, no
+// retained repair state.
+func newNode(rcfg receiver.Config, head bool, tree int) *hNode {
+	nd := &hNode{rx: rx{id: rcfg.LocalAddr, M: receiver.New(rcfg)}, head: head, tree: tree}
+	rcfg.JoinInProgress = true
+	nd.Rebuild = func() *receiver.Receiver { return receiver.New(rcfg) }
+	return nd
 }
 
 // leafConfig builds one leaf's receiver config, applying the model-wide
@@ -197,67 +160,16 @@ func (h *Hierarchy) leafConfig(id packet.NodeID, tree int) receiver.Config {
 // (JoinInProgress) and its pattern verification starts at the anchor.
 // Call from a scheduled event, not concurrently with the engine.
 func (h *Hierarchy) AddLeaf(tree int) *hNode {
-	id := packet.NodeID(len(h.nodes) + 1)
-	rcfg := h.leafConfig(id, tree)
+	rcfg := h.leafConfig(packet.NodeID(len(h.nodes)+1), tree)
 	rcfg.JoinInProgress = true
-	nd := &hNode{rx: rx{M: receiver.New(rcfg), pendingRebase: true}, id: id, tree: tree, rcfg: rcfg}
+	nd := newNode(rcfg, false, tree)
+	nd.pendingRebase = true
 	h.nodes = append(h.nodes, nd)
 	return nd
 }
 
-// onCrash marks a node dead. Its machine keeps its state (useless — a
-// restart rebuilds cold) but stops being ticked or delivered to.
-func (h *Hierarchy) onCrash(node packet.NodeID) {
-	idx := int(node) - 1
-	if idx < 0 || idx >= len(h.nodes) {
-		return
-	}
-	nd := h.nodes[idx]
-	if nd.crashed {
-		return
-	}
-	nd.crashed = true
-	if !nd.Finished {
-		h.crashedUnfinished++
-	}
-}
-
-// onRestart revives a crashed node with a cold machine: empty windows,
-// no retained repair state, JoinInProgress so it anchors mid-stream.
-// Delivery accounting restarts from the anchor.
-func (h *Hierarchy) onRestart(node packet.NodeID) {
-	idx := int(node) - 1
-	if idx < 0 || idx >= len(h.nodes) {
-		return
-	}
-	nd := h.nodes[idx]
-	if !nd.crashed {
-		return
-	}
-	nd.crashed = false
-	if !nd.Finished {
-		h.crashedUnfinished--
-	} else {
-		// Restarting a finished node re-opens its delivery: it must
-		// finish again from its new anchor.
-		h.finished--
-	}
-	rcfg := nd.rcfg
-	rcfg.JoinInProgress = true
-	nd.restart(receiver.New(rcfg))
-}
-
 // Sender returns the sender machine (for assertions).
 func (h *Hierarchy) Sender() *sender.Sender { return h.snd.M }
-
-// FaultDrops returns how many packets the fault plane's loss bursts
-// destroyed (zero without a plan).
-func (h *Hierarchy) FaultDrops() int64 {
-	if h.faults == nil {
-		return 0
-	}
-	return h.faults.Drops
-}
 
 // Nodes returns all receiver nodes, heads first.
 func (h *Hierarchy) Nodes() []*hNode { return h.nodes }
@@ -276,34 +188,25 @@ func (h *Hierarchy) eachLeaf(tree int, fn func(*hNode)) {
 	}
 }
 
-// tick is the per-jiffy driver: one event advances the sender and every
-// receiver, which keeps the event queue small at 10k+ nodes.
-func (h *Hierarchy) tick() {
-	now := h.Engine.Now()
-	h.snd.feed(now)
-	if h.due(now, h.snd.M.NextWake) {
-		h.snd.M.Tick(now)
-	}
-	h.flushSender(now)
-	for _, nd := range h.nodes {
-		if nd.crashed {
-			continue
+// start arms one tick event for the sender and every node, which keeps
+// the event queue small at 10k+ nodes.
+func (h *Hierarchy) start() {
+	h.every(jiffy, func(now sim.Time) bool {
+		h.stepSender(now)
+		for _, nd := range h.nodes {
+			h.step(nd, now)
 		}
-		if h.due(now, nd.M.NextWake) {
-			nd.M.Advance(now)
-		}
-		h.drainReads(nd, now)
-		h.flushNode(nd, now)
-	}
-	if !h.done() {
-		h.Engine.At(now+jiffy, h.tick)
-	}
+		return !h.done()
+	})
 }
 
-// flushSender routes the sender's outgoing packets: multicast fans out
+// cpu charges nothing: the model has no host costs.
+func (h *Hierarchy) cpu(_ packet.NodeID, now sim.Time, _ int) sim.Time { return now }
+
+// routeSender routes the sender's outgoing packets: multicast fans out
 // to heads at +Delay and to leaves at +Delay+LeafDelay with the loss
 // model applied; unicast goes to its node with the path delay.
-func (h *Hierarchy) flushSender(now sim.Time) {
+func (h *Hierarchy) routeSender(now sim.Time) {
 	for _, o := range h.snd.M.Outgoing() {
 		h.emit(0, o.Pkt, o.Dest.Multicast, o.Dest.Node)
 		if o.Dest.Multicast {
@@ -316,24 +219,24 @@ func (h *Hierarchy) flushSender(now sim.Time) {
 			h.Engine.At(now+h.cfg.Delay, func() {
 				for _, nd := range h.nodes[:h.cfg.Heads] {
 					if h.headLoss.Bool(h.cfg.HeadLoss) {
-						h.Drops++
+						h.NICDrops++
 						continue
 					}
-					h.deliverToNode(nd, 0, pkt)
+					h.deliver(nd, 0, pkt)
 				}
 			})
 			h.Engine.At(now+h.cfg.Delay+h.cfg.LeafDelay, func() {
 				for tree := 0; tree < h.cfg.Heads; tree++ {
 					if h.subtreeLoss.Bool(h.cfg.SubtreeLoss) {
-						h.Drops += int64(h.cfg.LeavesPerHead)
+						h.NICDrops += int64(h.cfg.LeavesPerHead)
 						continue
 					}
 					h.eachLeaf(tree, func(nd *hNode) {
 						if h.leafLoss.Bool(h.cfg.LeafLoss) {
-							h.Drops++
+							h.NICDrops++
 							return
 						}
-						h.deliverToNode(nd, 0, pkt)
+						h.deliver(nd, 0, pkt)
 					})
 				}
 			})
@@ -349,31 +252,21 @@ func (h *Hierarchy) flushSender(now sim.Time) {
 			delay += h.cfg.LeafDelay
 		}
 		pkt := o.Pkt.Clone()
-		h.Engine.At(now+delay, func() { h.deliverToNode(dst, 0, pkt) })
+		h.Engine.At(now+delay, func() { h.deliver(dst, 0, pkt) })
 	}
 }
 
-// flushNode routes one receiver's output: feedback to the sender,
-// repair multicast into the node's own subtree, and repair-plane
-// unicast to its explicit destination.
-func (h *Hierarchy) flushNode(nd *hNode, now sim.Time) {
+// route routes one receiver's output: feedback to the sender, repair
+// multicast into the node's own subtree, and repair-plane unicast to its
+// explicit destination.
+func (h *Hierarchy) route(nd *hNode, now sim.Time) {
 	delayUp := h.cfg.Delay
 	if !nd.head {
 		delayUp += h.cfg.LeafDelay
 	}
 	for _, p := range nd.M.Outgoing() {
 		h.emit(nd.id, p, false, 0)
-		pkt := p
-		from := nd.id
-		h.Engine.At(now+delayUp, func() {
-			t := h.Engine.Now()
-			if h.faults.Blocked(t, from, 0) {
-				return
-			}
-			h.SenderFeedback++
-			h.snd.M.HandlePacket(t, from, pkt)
-			h.flushSender(t)
-		})
+		h.Engine.At(now+delayUp, func() { h.toSender(nd.id, p) })
 	}
 	for _, p := range nd.M.OutgoingMulticast() {
 		// Subtree-scoped multicast: a head's repairs and declines reach
@@ -381,13 +274,10 @@ func (h *Hierarchy) flushNode(nd *hNode, now sim.Time) {
 		// tier. A failed-over leaf's multicast (a HEAD_DECLINE relayed
 		// before failover) also stays within its subtree.
 		h.emit(nd.id, p, true, 0)
-		pkt := p
-		tree := nd.tree
-		self := nd
 		h.Engine.At(now+h.cfg.LeafDelay, func() {
-			h.eachLeaf(tree, func(leaf *hNode) {
-				if leaf != self {
-					h.deliverToNode(leaf, self.id, pkt)
+			h.eachLeaf(nd.tree, func(leaf *hNode) {
+				if leaf != nd {
+					h.deliver(leaf, nd.id, p)
 				}
 			})
 		})
@@ -399,46 +289,6 @@ func (h *Hierarchy) flushNode(nd *hNode, now sim.Time) {
 			continue
 		}
 		dst := h.nodes[idx]
-		pkt := a.Pkt
-		from := nd.id
-		h.Engine.At(now+h.cfg.LeafDelay, func() { h.deliverToNode(dst, from, pkt) })
+		h.Engine.At(now+h.cfg.LeafDelay, func() { h.deliver(dst, nd.id, a.Pkt) })
 	}
-}
-
-func (h *Hierarchy) deliverToNode(nd *hNode, from packet.NodeID, p *packet.Packet) {
-	t := h.Engine.Now()
-	if nd.crashed || h.faults.Blocked(t, from, nd.id) {
-		return
-	}
-	nd.M.HandleFrom(t, from, p)
-	h.drainReads(nd, t)
-	h.flushNode(nd, t)
-}
-
-func (h *Hierarchy) drainReads(nd *hNode, now sim.Time) {
-	if nd.drain(now, h.readBuf, nil, h.stream) {
-		h.finished++
-	}
-}
-
-func (h *Hierarchy) done() bool {
-	// Crashed nodes are excluded: the run completes around a dead host.
-	return h.snd.M.Done() && h.finished+h.crashedUnfinished == len(h.nodes)
-}
-
-// Run drives the simulation until the transfer completes or limit
-// elapses, returning a Result over all nodes.
-func (h *Hierarchy) Run(limit sim.Time) Result {
-	h.faults.install(h.Engine, h.cfg.Faults)
-	h.Engine.At(jiffy, h.tick)
-	for h.Engine.Now() < limit && !h.done() {
-		if !h.Engine.Step() {
-			break
-		}
-	}
-	res := Result{Completed: true, NICDrops: h.Drops}
-	for _, nd := range h.nodes {
-		res.add(&nd.rx)
-	}
-	return res
 }

@@ -178,10 +178,10 @@ func TestNetworkStringAndGuards(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Start without a sender did not panic")
+			t.Error("Run without a sender did not panic")
 		}
 	}()
-	n.Start()
+	n.Run(sim.Second)
 }
 
 func TestSecondSenderPanics(t *testing.T) {

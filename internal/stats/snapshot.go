@@ -52,8 +52,28 @@ func (a *Aggregate) AddReceiver(r *Receiver) {
 	mergeInt64(&a.Receiver, &cp)
 }
 
-// maxFields are gauges, merged by maximum rather than summed.
+// gauges are the fields that read as a level, not a running count: the
+// control plane's /metrics types them gauge, and every other int64
+// field counter.
+var gauges = map[string]bool{
+	"RateBps":           true,
+	"CeilingBps":        true,
+	"MaxFillPermille":   true,
+	"RTTMicros":         true,
+	"RepairHead":        true,
+	"RepairMembers":     true,
+	"RepairHeads":       true,
+	"DownstreamMembers": true,
+	"OrphanedLeaves":    true,
+}
+
+// maxFields are the gauges an Aggregate merges by maximum; it sums the
+// others, like every counter.
 var maxFields = map[string]bool{"MaxFillPermille": true, "RTTMicros": true}
+
+// Gauge reports whether the Sender or Receiver field of the given name
+// is a gauge.
+func Gauge(field string) bool { return gauges[field] }
 
 // atomicCopy copies every int64 field of src into dst with atomic
 // loads. Both arguments must be pointers to the same struct type.

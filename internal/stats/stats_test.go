@@ -1,6 +1,9 @@
 package stats
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestSnapshotCopies(t *testing.T) {
 	s := &Sender{PacketsSent: 5, Releases: 2, ReleasesCompleteInfo: 1}
@@ -42,5 +45,29 @@ func TestAggregateMerges(t *testing.T) {
 	// MaxFillPermille is a gauge: merged by maximum, not summed.
 	if a.Receiver.MaxFillPermille != 500 {
 		t.Errorf("MaxFillPermille = %d, want max 500", a.Receiver.MaxFillPermille)
+	}
+}
+
+// TestGaugeListsNameInt64Fields keeps the gauge lists honest: a
+// misspelt or retired name would silently type a gauge as a counter on
+// /metrics, or sum a maximum across flows.
+func TestGaugeListsNameInt64Fields(t *testing.T) {
+	isInt64Field := func(name string) bool {
+		for _, v := range []any{Sender{}, Receiver{}} {
+			if f, ok := reflect.TypeOf(v).FieldByName(name); ok && f.Type.Kind() == reflect.Int64 {
+				return true
+			}
+		}
+		return false
+	}
+	for name := range gauges {
+		if !isInt64Field(name) {
+			t.Errorf("gauge %q is not an int64 field of stats.Sender or stats.Receiver", name)
+		}
+	}
+	for name := range maxFields {
+		if !Gauge(name) {
+			t.Errorf("max-merged field %q is not listed as a gauge", name)
+		}
 	}
 }

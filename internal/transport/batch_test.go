@@ -173,19 +173,20 @@ func TestHubConcurrentBatchEndpointsAndLoss(t *testing.T) {
 }
 
 // TestPacketPoolRoundTrip checks the pool contract: a released packet
-// comes back zeroed but keeps its payload capacity, and ClonePacket is
-// a deep copy.
+// comes back zeroed but keeps its payload capacity, and the pooled
+// clone the hub delivers is a deep copy.
 func TestPacketPoolRoundTrip(t *testing.T) {
-	p := GetPacket()
+	p := packet.Get()
 	if p.Type != 0 || len(p.Payload) != 0 {
 		t.Fatalf("fresh pooled packet not zeroed: %+v", p)
 	}
 	p.Header = packet.Header{Type: packet.TypeData, Seq: 7, Length: 3}
 	p.Payload = append(p.Payload, 1, 2, 3)
 
-	c := ClonePacket(p)
+	c := packet.GetBuf(len(p.Payload))
+	p.CloneInto(c)
 	if c == p || &c.Payload[0] == &p.Payload[0] {
-		t.Fatal("ClonePacket must deep-copy")
+		t.Fatal("the pooled clone must deep-copy")
 	}
 	if c.Seq != 7 || !bytes.Equal(c.Payload, []byte{1, 2, 3}) {
 		t.Fatalf("clone mismatch: %+v", c)
@@ -196,7 +197,7 @@ func TestPacketPoolRoundTrip(t *testing.T) {
 	}
 
 	PutPacket(c)
-	r := GetPacket()
+	r := packet.Get()
 	// sync.Pool gives no identity guarantee, but whatever comes back
 	// must be zeroed with payload length 0.
 	if r.Type != 0 || r.Seq != 0 || len(r.Payload) != 0 {
@@ -204,5 +205,5 @@ func TestPacketPoolRoundTrip(t *testing.T) {
 	}
 	PutPacket(r)
 	PutPacket(p)
-	ReleaseEnvelopes([]Envelope{{Pkt: GetPacket()}, {}})
+	ReleaseEnvelopes([]Envelope{{Pkt: packet.Get()}, {}})
 }

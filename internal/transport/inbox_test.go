@@ -25,7 +25,7 @@ func outstanding() int64 {
 func pooled(seq, n int) []Envelope {
 	env := make([]Envelope, n)
 	for i := range env {
-		p := GetPacket()
+		p := packet.Get()
 		p.Header = packet.Header{Type: packet.TypeData, Seq: uint32(seq + i)}
 		env[i] = Envelope{Pkt: p, From: 7, Group: 3}
 	}

@@ -6,8 +6,9 @@ import (
 
 // The transport layer draws its packets from the process-wide
 // reference-counted pool in internal/packet (see packet/pool.go for
-// the full ownership rules). These wrappers exist so transport code
-// and its callers keep one vocabulary for the ownership contract:
+// the full ownership rules). Transport code takes packets from it
+// directly; PutPacket and ReleaseEnvelopes name its release side for
+// the callers of a Transport:
 //
 //   - A Transport's RecvBatch hands packet ownership to the
 //     caller. The caller either releases the packet with PutPacket
@@ -23,23 +24,9 @@ import (
 //   - After the final PutPacket the packet and its payload must not be
 //     touched: the pool will hand both to an unrelated receive path.
 
-// GetPacket takes a packet from the shared pool with one reference.
-// The header is zeroed; the payload slice is empty but may have
-// recycled capacity.
-func GetPacket() *packet.Packet { return packet.Get() }
-
 // PutPacket drops one reference to p, recycling it into the shared
 // pool when no references remain. Releasing nil is a no-op.
 func PutPacket(p *packet.Packet) { packet.Put(p) }
-
-// ClonePacket deep-copies p into a pooled packet: the batched
-// delivery paths' replacement for packet.Clone, recycling both the
-// packet struct and the payload backing array.
-func ClonePacket(p *packet.Packet) *packet.Packet {
-	q := packet.GetBuf(len(p.Payload))
-	p.CloneInto(q)
-	return q
-}
 
 // ReleaseEnvelopes returns every envelope's packet to the pool and
 // clears the slots, for callers that consumed a whole RecvBatch

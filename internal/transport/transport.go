@@ -7,12 +7,13 @@
 // The interface is batch-first: implementations move []Envelope batches
 // so one syscall or lock acquisition is amortized over many packets,
 // every endpoint delivers through the same bounded Inbox, and receive
-// paths draw packet buffers from the shared pool (GetPacket/PutPacket).
+// paths draw packet buffers from the shared pool (packet.Get/PutPacket).
 package transport
 
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,8 +41,8 @@ type Envelope struct {
 
 // Transport moves batches of encoded H-RMC packets between one sender
 // and many receivers. Implementations must be safe for concurrent use.
-// Packet buffers obey the pool ownership rules documented on
-// GetPacket: RecvBatch transfers ownership of each delivered packet to
+// Packet buffers obey the pool ownership rules documented in pool.go:
+// RecvBatch transfers ownership of each delivered packet to
 // the caller (who may release it with PutPacket); SendBatch borrows
 // the packets only for the duration of the call.
 type Transport interface {
@@ -99,8 +100,12 @@ type FilteredTransport interface {
 // membership and loss draws, then each target endpoint's inbox lock
 // once for the entire batch.
 type Hub struct {
-	mu     sync.Mutex
-	eps    map[packet.NodeID]*hubEndpoint
+	mu  sync.Mutex
+	eps map[packet.NodeID]*hubEndpoint // for unicast lookup
+	// order holds the endpoints in NodeID order, the order multicast
+	// visits its targets in, so a seeded hub draws the same loss for
+	// the same target on every run.
+	order  []*hubEndpoint
 	next   packet.NodeID
 	groups map[string]GroupID // group name → dense ID, shared by all endpoints
 	nextG  GroupID
@@ -152,6 +157,7 @@ func (h *Hub) Endpoint() Transport {
 	h.next++
 	ep := &hubEndpoint{hub: h, id: id, stage: -1, inbox: NewInbox()}
 	h.eps[id] = ep
+	h.order = append(h.order, ep)
 	return ep
 }
 
@@ -311,14 +317,14 @@ func (e *hubEndpoint) SendBatch(env []Envelope) error {
 			// — including the sending endpoint, matching real multicast
 			// loopback, where a shared socket hosting both ends of a
 			// group hears its own sends.
-			for _, t := range h.eps {
+			for _, t := range h.order {
 				if t.joined[env[i].Group] {
 					keep(t, env[i].Pkt, env[i].Group)
 				}
 			}
 		case env[i].Multicast:
-			for id, t := range h.eps {
-				if id != e.id {
+			for _, t := range h.order {
+				if t != e {
 					keep(t, env[i].Pkt, 0)
 				}
 			}
@@ -338,7 +344,9 @@ func (e *hubEndpoint) SendBatch(env []Envelope) error {
 	// so the caller regains ownership of its batch even under delay.
 	for _, d := range sb.dels {
 		for i := range d.items {
-			d.items[i].Pkt = ClonePacket(d.items[i].Pkt)
+			p := d.items[i].Pkt
+			d.items[i].Pkt = packet.GetBuf(len(p.Payload))
+			p.CloneInto(d.items[i].Pkt)
 		}
 	}
 	deliver := func() {
@@ -365,6 +373,7 @@ func (e *hubEndpoint) Close() error {
 	e.inbox.Close()
 	e.hub.mu.Lock()
 	delete(e.hub.eps, e.id)
+	e.hub.order = slices.DeleteFunc(e.hub.order, func(t *hubEndpoint) bool { return t == e })
 	e.hub.mu.Unlock()
 	return nil
 }

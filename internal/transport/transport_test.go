@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -218,5 +219,53 @@ func TestHubConcurrentSendersSafe(t *testing.T) {
 	}
 	if got != senders*per {
 		t.Errorf("received %d of %d", got, senders*per)
+	}
+}
+
+// TestHubLossIsSeeded holds WithLoss to its promise of seeded loss: two
+// hubs built with the same seed and carrying the same sends deliver the
+// same packets to each of four receivers.
+func TestHubLossIsSeeded(t *testing.T) {
+	run := func() [][]uint32 {
+		hub := NewHub(WithLoss(0.3, 42))
+		src := hub.Endpoint()
+		rcvs := make([]Transport, 4)
+		for i := range rcvs {
+			rcvs[i] = hub.Endpoint()
+		}
+		for seq := uint32(0); seq < 200; seq += 10 {
+			batch := make([]Envelope, 10)
+			for i := range batch {
+				batch[i] = Envelope{Pkt: pkt(seq + uint32(i)), Multicast: true}
+			}
+			if err := src.SendBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := make([][]uint32, len(rcvs))
+		buf := make([]Envelope, 64)
+		for i, r := range rcvs {
+			r.Close()
+			for {
+				n, err := r.RecvBatch(buf)
+				if err != nil {
+					break
+				}
+				for _, e := range buf[:n] {
+					got[i] = append(got[i], e.Pkt.Seq)
+				}
+				ReleaseEnvelopes(buf[:n])
+			}
+		}
+		return got
+	}
+	first, second := run(), run()
+	for i := range first {
+		if !slices.Equal(first[i], second[i]) {
+			t.Errorf("receiver %d: %d then %d packets from the same seed, or different ones", i, len(first[i]), len(second[i]))
+		}
+		if len(first[i]) == 200 || len(first[i]) == 0 {
+			t.Errorf("receiver %d got %d of 200 at 30%% loss", i, len(first[i]))
+		}
 	}
 }

@@ -31,20 +31,15 @@ type outMsg struct {
 	addr netip.AddrPort
 }
 
-// offloadEnabled is the reference switch behind SetOffload: when
-// cleared, new sockets skip the offload probes entirely and run the
-// plain mmsg path.
+// offloadEnabled enables UDP GSO/GRO for sockets opened from now on
+// (default enabled; existing sockets keep their arming). The ladder
+// needs no configuration — it chooses by probe and by the errno the
+// kernel returns — so clearing it is only the tests' reference arm:
+// new sockets skip the offload probes entirely and run the plain mmsg
+// path.
 var offloadEnabled atomic.Bool
 
 func init() { offloadEnabled.Store(true) }
-
-// SetOffload enables or disables UDP GSO/GRO for sockets opened from
-// now on (default enabled; existing sockets keep their arming). The
-// ladder needs no configuration — it chooses by probe and by the errno
-// the kernel returns — so this exists for the tests and benchmarks
-// that compare offload-on against offload-off. A no-op on platforms
-// without an offload path.
-func SetOffload(on bool) { offloadEnabled.Store(on) }
 
 // truncLogOnce gates the one-time log line for truncated-datagram
 // drops; afterwards the incident is visible only through the counters.

@@ -17,8 +17,8 @@
 // plain mmsg path in charge. A kernel that accepts the option but
 // rejects a live UDP_SEGMENT send (observed with some seccomp/tc
 // setups) flips the process-wide gsoSupported kill-switch and the
-// writer re-sends the remainder unsegmented. SetOffload(false) is the
-// reference switch tests compare against.
+// writer re-sends the remainder unsegmented. Clearing offloadEnabled is
+// the reference switch tests compare against.
 package udpmcast
 
 import (
@@ -66,8 +66,9 @@ var gsoSupported atomic.Bool
 func init() { gsoSupported.Store(true) }
 
 // ProbeOffload reports whether the running kernel accepts the
-// UDP_SEGMENT and UDP_GRO socket options, independent of the SetOffload
-// knob. Tests and benches use it to skip offload arms gracefully.
+// UDP_SEGMENT and UDP_GRO socket options, independent of the
+// offloadEnabled switch. Tests and benches use it to skip offload arms
+// gracefully.
 func ProbeOffload() (gso, gro bool) {
 	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {

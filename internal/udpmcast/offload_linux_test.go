@@ -221,8 +221,8 @@ func TestOffloadBitExactLoopback(t *testing.T) {
 	}
 	const total = 40
 	run := func(t *testing.T, on bool, group string) map[uint32]string {
-		SetOffload(on)
-		defer SetOffload(true)
+		offloadEnabled.Store(on)
+		defer offloadEnabled.Store(true)
 		rt, err := NewReceiverTransport(group, loopbackInterface(t))
 		if err != nil {
 			t.Skipf("receiver transport: %v", err)
