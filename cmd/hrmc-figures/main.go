@@ -21,7 +21,7 @@ import (
 
 func main() {
 	var (
-		name   = flag.String("experiment", "all", "figure to regenerate (fig3, fig10, ..., fig16, or all)")
+		name   = flag.String("experiment", "all", "experiment to regenerate (fig3 … fig16 or ext-*, as -list names them), or all")
 		seeds  = flag.Int("seeds", 3, "seeded runs averaged per data point (the paper averages 5)")
 		quick  = flag.Bool("quick", false, "shrink file sizes and sweeps for a fast smoke run")
 		list   = flag.Bool("list", false, "list available experiments and exit")
@@ -30,8 +30,12 @@ func main() {
 	flag.Parse()
 
 	if *list {
+		width := 0
 		for _, r := range experiments.Registry() {
-			fmt.Printf("%-8s %s\n", r.Name, r.Desc)
+			width = max(width, len(r.Name))
+		}
+		for _, r := range experiments.Registry() {
+			fmt.Printf("%-*s  %s\n", width, r.Name, r.Desc)
 		}
 		return
 	}

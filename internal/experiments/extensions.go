@@ -7,7 +7,7 @@ import (
 	"repro/internal/sim"
 )
 
-// ExtEarlyProbe is the ablation for the early-probe extension (Section
+// extEarlyProbe is the ablation for the early-probe extension (Section
 // 7, item 1). With small buffers H-RMC behaves like stop-and-wait: the
 // window fills, the MINBUF deadline passes, the sender probes, and a
 // full probe round trip passes before release. Probing EarlyProbeRTTs
@@ -15,221 +15,163 @@ import (
 // hold time. Receivers' update periods are pinned long so probes — not
 // periodic updates — carry the release information, isolating the
 // mechanism under study.
-func ExtEarlyProbe(opt Options) []*Table {
-	opt.sanitize()
+func extEarlyProbe(opt Options) []*Table {
 	bufs := []int{32, 64, 128, 256}
 	if opt.Quick {
 		bufs = []int{32, 128}
 	}
-	t := &Table{
-		ID:     "ext-earlyprobe",
-		Title:  "early-probe ablation: throughput with probe-bound releases (10 Mbps, 3 WAN receivers)",
-		XLabel: "buffer KB", YLabel: "throughput Mbps",
-		X: bufs,
-	}
-	for _, variant := range []struct {
-		label string
-		rtts  float64
-	}{
-		{"baseline", 0},
-		{"early 4 RTTs", 4},
-	} {
-		s := Series{Label: variant.label}
-		for _, b := range bufs {
-			m := RunAvg(Scenario{
+	variants := []string{"baseline", "early 4 RTTs"}
+	rtts := []float64{0, 4}
+	tables := sweep{
+		xLabel: "buffer KB", x: bufs, series: variants, seeds: opt.Seeds,
+		point: func(s, b int) (Scenario, string) {
+			return Scenario{
 				Seed: 200, LineRate: netsim.Rate10Mbps,
 				Buffer: b * KB, FileSize: fileSize(opt, 4),
 				Receivers:      groupN(netsim.GroupC, 3),
 				UpdatePeriod:   20 * sim.Second, // pin: probes do the work
-				EarlyProbeRTTs: variant.rtts,
-			}, opt.Seeds)
-			s.Y = append(s.Y, m.ThroughputMbps)
-			checkInvariants(t, fmt.Sprintf("%s/%dK", variant.label, b), m, 0)
-		}
-		t.Series = append(t.Series, s)
-	}
-	t.AddNote("early probes hide the probe round trip inside the MINBUF hold; gains concentrate at small buffers")
-	return []*Table{t}
+				EarlyProbeRTTs: rtts[s],
+			}, fmt.Sprintf("%s/%dK", variants[s], b)
+		},
+	}.run(plot{
+		id:     "ext-earlyprobe",
+		title:  "early-probe ablation: throughput with probe-bound releases (10 Mbps, 3 WAN receivers)",
+		yLabel: "throughput Mbps", y: throughput,
+	})
+	tables[0].AddNote("early probes hide the probe round trip inside the MINBUF hold; gains concentrate at small buffers")
+	return tables
 }
 
-// ExtMulticastProbe is the ablation for the multicast-probe extension
+// extMulticastProbe is the ablation for the multicast-probe extension
 // (Section 7, item 2): with many receivers lagging at once, one
 // multicast PROBE replaces a burst of unicasts. The series compare the
 // probe packets transmitted; throughput stays comparable (the table's
 // second panel) while sender probe traffic collapses.
-func ExtMulticastProbe(opt Options) []*Table {
-	opt.sanitize()
+func extMulticastProbe(opt Options) []*Table {
 	counts := []int{10, 25, 50}
 	if opt.Quick {
 		counts = []int{10, 25}
 	}
-	probes := &Table{
-		ID:     "ext-mcastprobe",
-		Title:  "multicast-probe ablation: probe packets sent (10 Mbps, WAN receivers, 64K buffers)",
-		XLabel: "receivers", YLabel: "probe packets",
-		X: counts,
-	}
-	tp := &Table{
-		ID:     "ext-mcastprobe-tp",
-		Title:  "multicast-probe ablation: throughput (same runs)",
-		XLabel: "receivers", YLabel: "throughput Mbps",
-		X: counts,
-	}
-	for _, variant := range []struct {
-		label     string
-		threshold int
-	}{
-		{"unicast probes", 0},
-		{"multicast ≥4", 4},
-	} {
-		ps := Series{Label: variant.label}
-		ts := Series{Label: variant.label}
-		for _, n := range counts {
-			m := RunAvg(Scenario{
+	variants := []string{"unicast probes", "multicast ≥4"}
+	thresholds := []int{0, 4}
+	tables := sweep{
+		xLabel: "receivers", x: counts, series: variants, seeds: opt.Seeds,
+		point: func(s, n int) (Scenario, string) {
+			return Scenario{
 				Seed: 210, LineRate: netsim.Rate10Mbps,
 				Buffer: 64 * KB, FileSize: fileSize(opt, 2),
 				Receivers:               groupN(netsim.GroupC, n),
 				UpdatePeriod:            20 * sim.Second,
-				MulticastProbeThreshold: variant.threshold,
-			}, opt.Seeds)
-			ps.Y = append(ps.Y, m.ProbesSent)
-			ts.Y = append(ts.Y, m.ThroughputMbps)
-			checkInvariants(probes, fmt.Sprintf("%s/%d", variant.label, n), m, 0)
-		}
-		probes.Series = append(probes.Series, ps)
-		tp.Series = append(tp.Series, ts)
-	}
-	probes.AddNote("ProbesSent counts multicast probes once; wire copies scale with the group via IP multicast")
-	return []*Table{probes, tp}
+				MulticastProbeThreshold: thresholds[s],
+			}, fmt.Sprintf("%s/%d", variants[s], n)
+		},
+	}.run(plot{
+		id:     "ext-mcastprobe",
+		title:  "multicast-probe ablation: probe packets sent (10 Mbps, WAN receivers, 64K buffers)",
+		yLabel: "probe packets", y: func(m Metrics) float64 { return m.ProbesSent },
+	}, plot{
+		id:     "ext-mcastprobe-tp",
+		title:  "multicast-probe ablation: throughput (same runs)",
+		yLabel: "throughput Mbps", y: throughput,
+	})
+	tables[0].AddNote("ProbesSent counts multicast probes once; wire copies scale with the group via IP multicast")
+	return tables
 }
 
-// ExtFec is the ablation for the forward-error-correction extension
+// extFec is the ablation for the forward-error-correction extension
 // (Section 7, item 4): XOR parity every K packets lets receivers repair
 // single losses locally. On a lossy wide-area path this converts most
 // NAK round trips into silent local rebuilds — the paper's motivation
 // for wireless environments, where uncorrelated tail-link loss
 // dominates.
-func ExtFec(opt Options) []*Table {
-	opt.sanitize()
-	naks := &Table{
-		ID:     "ext-fec",
-		Title:  "FEC ablation: NAKs at the sender (10 Mbps, 5 WAN receivers, 256K buffers)",
-		XLabel: "fec group K", YLabel: "naks",
-		X: []int{0, 4, 8, 16},
-	}
-	tp := &Table{
-		ID:     "ext-fec-tp",
-		Title:  "FEC ablation: throughput and recoveries (same runs)",
-		XLabel: "fec group K", YLabel: "value",
-		X: []int{0, 4, 8, 16},
-	}
-	sn := Series{Label: "naks"}
-	st := Series{Label: "throughput Mbps"}
-	for _, k := range naks.X {
-		m := RunAvg(Scenario{
-			Seed: 230, LineRate: netsim.Rate10Mbps,
-			Buffer: 256 * KB, FileSize: fileSize(opt, 4),
-			Receivers:    groupN(netsim.GroupC, 5),
-			FECGroupSize: k,
-		}, opt.Seeds)
-		sn.Y = append(sn.Y, m.Naks)
-		st.Y = append(st.Y, m.ThroughputMbps)
-		checkInvariants(naks, fmt.Sprintf("K=%d", k), m, 0)
-	}
-	naks.Series = append(naks.Series, sn)
-	tp.Series = append(tp.Series, st)
-	naks.AddNote("K=0 disables FEC; smaller K trades more parity overhead for more single-loss coverage")
-	naks.AddNote("FEC trades throughput (parity overhead + quieter feedback) for a large cut in NAKs and retransmissions — the right trade for the paper's wireless motivation")
-	return []*Table{naks, tp}
+func extFec(opt Options) []*Table {
+	tables := sweep{
+		xLabel: "fec group K", x: []int{0, 4, 8, 16}, series: []string{""}, seeds: opt.Seeds,
+		point: func(_, k int) (Scenario, string) {
+			return Scenario{
+				Seed: 230, LineRate: netsim.Rate10Mbps,
+				Buffer: 256 * KB, FileSize: fileSize(opt, 4),
+				Receivers:    groupN(netsim.GroupC, 5),
+				FECGroupSize: k,
+			}, fmt.Sprintf("K=%d", k)
+		},
+	}.run(plot{
+		id:     "ext-fec",
+		title:  "FEC ablation: NAKs at the sender (10 Mbps, 5 WAN receivers, 256K buffers)",
+		yLabel: "naks", suffix: "naks", y: naks,
+	}, plot{
+		id:     "ext-fec-tp",
+		title:  "FEC ablation: throughput and recoveries (same runs)",
+		yLabel: "value", suffix: "throughput Mbps", y: throughput,
+	})
+	tables[0].AddNote("K=0 disables FEC; smaller K trades more parity overhead for more single-loss coverage")
+	tables[0].AddNote("FEC trades throughput (parity overhead + quieter feedback) for a large cut in NAKs and retransmissions — the right trade for the paper's wireless motivation")
+	return tables
 }
 
-// ExtLocalRecovery is the ablation for the local-recovery extension
+// extLocalRecovery is the ablation for the local-recovery extension
 // (Section 7, item 3): NAKs are multicast with SRM-style suppression and
 // peers serve repairs, offloading the sender's retransmitter. In this
 // topology peers are no closer than the sender, so the benefit shows up
 // as sender offload (fewer sender retransmissions, repairs served by the
 // group), not as lower latency.
-func ExtLocalRecovery(opt Options) []*Table {
-	opt.sanitize()
+func extLocalRecovery(opt Options) []*Table {
 	counts := []int{5, 10, 20}
 	if opt.Quick {
 		counts = []int{5, 10}
 	}
-	retr := &Table{
-		ID:     "ext-localrec",
-		Title:  "local-recovery ablation: sender retransmissions (10 Mbps, WAN receivers, 256K buffers)",
-		XLabel: "receivers", YLabel: "sender retransmissions",
-		X: counts,
-	}
-	tp := &Table{
-		ID:     "ext-localrec-tp",
-		Title:  "local-recovery ablation: throughput and repairs (same runs)",
-		XLabel: "receivers", YLabel: "value",
-		X: counts,
-	}
-	for _, variant := range []struct {
-		label string
-		on    bool
-	}{
-		{"centralized", false},
-		{"local recovery", true},
-	} {
-		sr := Series{Label: variant.label}
-		st := Series{Label: variant.label + " Mbps"}
-		for _, n := range counts {
-			m := RunAvg(Scenario{
+	variants := []string{"centralized", "local recovery"}
+	tables := sweep{
+		xLabel: "receivers", x: counts, series: variants, seeds: opt.Seeds,
+		point: func(s, n int) (Scenario, string) {
+			return Scenario{
 				Seed: 240, LineRate: netsim.Rate10Mbps,
 				Buffer: 256 * KB, FileSize: fileSize(opt, 4),
 				Receivers:     groupN(netsim.GroupC, n),
-				LocalRecovery: variant.on,
-			}, opt.Seeds)
-			sr.Y = append(sr.Y, m.Retrans)
-			st.Y = append(st.Y, m.ThroughputMbps)
-			checkInvariants(retr, fmt.Sprintf("%s/%d", variant.label, n), m, 0)
-		}
-		retr.Series = append(retr.Series, sr)
-		tp.Series = append(tp.Series, st)
-	}
-	retr.AddNote("repairs multicast by peers replace sender retransmissions; delivery guarantees are unchanged")
-	return []*Table{retr, tp}
+				LocalRecovery: s == 1,
+			}, fmt.Sprintf("%s/%d", variants[s], n)
+		},
+	}.run(plot{
+		id:     "ext-localrec",
+		title:  "local-recovery ablation: sender retransmissions (10 Mbps, WAN receivers, 256K buffers)",
+		yLabel: "sender retransmissions", y: func(m Metrics) float64 { return m.Retrans },
+	}, plot{
+		id:     "ext-localrec-tp",
+		title:  "local-recovery ablation: throughput and repairs (same runs)",
+		yLabel: "value", suffix: " Mbps", y: throughput,
+	})
+	tables[0].AddNote("repairs multicast by peers replace sender retransmissions; delivery guarantees are unchanged")
+	return tables
 }
 
-// ExtScaling studies receiver-count scaling beyond the paper's 100 (the
+// extScaling studies receiver-count scaling beyond the paper's 100 (the
 // Section 5.2 discussion: feedback processing at the sender eventually
 // costs throughput, which RMTP-style local processing would address).
 // One run per point (many-receiver runs are heavy).
-func ExtScaling(opt Options) []*Table {
-	opt.sanitize()
+func extScaling(opt Options) []*Table {
 	counts := []int{1, 5, 10, 25, 50, 100, 200}
 	if opt.Quick {
 		counts = []int{1, 10, 50}
 	}
-	tp := &Table{
-		ID:     "ext-scaling",
-		Title:  "receiver scaling: throughput (10 Mbps, group A, 1024K buffers)",
-		XLabel: "receivers", YLabel: "throughput Mbps",
-		X: counts,
-	}
-	fb := &Table{
-		ID:     "ext-scaling-fb",
-		Title:  "receiver scaling: feedback packets at the sender (same runs)",
-		XLabel: "receivers", YLabel: "updates+naks+rate requests",
-		X: counts,
-	}
-	st := Series{Label: "H-RMC"}
-	sf := Series{Label: "H-RMC"}
-	for _, n := range counts {
-		m := Run(Scenario{
-			Seed: 220, LineRate: netsim.Rate10Mbps,
-			Buffer: 1024 * KB, FileSize: fileSize(opt, 10),
-			Receivers: groupN(netsim.GroupA, n),
-		})
-		st.Y = append(st.Y, m.ThroughputMbps)
-		sf.Y = append(sf.Y, m.Updates+m.Naks+m.RateRequests+m.Urgents)
-		checkInvariants(tp, fmt.Sprintf("%dr", n), m, 0)
-	}
-	tp.Series = append(tp.Series, st)
-	fb.Series = append(fb.Series, sf)
-	tp.AddNote("the paper stops at 100 receivers and points to RMTP-style local processing beyond")
-	return []*Table{tp, fb}
+	tables := sweep{
+		xLabel: "receivers", x: counts, series: []string{"H-RMC"}, seeds: 1,
+		point: func(_, n int) (Scenario, string) {
+			return Scenario{
+				Seed: 220, LineRate: netsim.Rate10Mbps,
+				Buffer: 1024 * KB, FileSize: fileSize(opt, 10),
+				Receivers: groupN(netsim.GroupA, n),
+			}, fmt.Sprintf("%dr", n)
+		},
+	}.run(plot{
+		id:     "ext-scaling",
+		title:  "receiver scaling: throughput (10 Mbps, group A, 1024K buffers)",
+		yLabel: "throughput Mbps", y: throughput,
+	}, plot{
+		id:     "ext-scaling-fb",
+		title:  "receiver scaling: feedback packets at the sender (same runs)",
+		yLabel: "updates+naks+rate requests",
+		y:      func(m Metrics) float64 { return m.Updates + m.Naks + m.RateRequests + m.Urgents },
+	})
+	tables[0].AddNote("the paper stops at 100 receivers and points to RMTP-style local processing beyond")
+	return tables
 }

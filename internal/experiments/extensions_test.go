@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestExtFecCutsNaks(t *testing.T) {
-	tables := ExtFec(quick())
+	tables := run(t, "ext-fec")
 	noInvariantNotes(t, tables)
 	naks := findTable(t, tables, "ext-fec")
 	s := naks.Series[0]
@@ -31,7 +31,7 @@ func TestExtFecCutsNaks(t *testing.T) {
 }
 
 func TestExtScalingShape(t *testing.T) {
-	tables := ExtScaling(quick())
+	tables := run(t, "ext-scaling")
 	noInvariantNotes(t, tables)
 	tp := findTable(t, tables, "ext-scaling")
 	s := tp.Series[0]
@@ -50,7 +50,7 @@ func TestExtScalingShape(t *testing.T) {
 }
 
 func TestExtEarlyProbeHelpsSmallBuffers(t *testing.T) {
-	tables := ExtEarlyProbe(quick())
+	tables := run(t, "ext-earlyprobe")
 	noInvariantNotes(t, tables)
 	tb := findTable(t, tables, "ext-earlyprobe")
 	base := findSeries(t, tb, "baseline")
@@ -72,7 +72,7 @@ func TestExtEarlyProbeHelpsSmallBuffers(t *testing.T) {
 }
 
 func TestExtMulticastProbeCutsProbeTraffic(t *testing.T) {
-	tables := ExtMulticastProbe(quick())
+	tables := run(t, "ext-mcastprobe")
 	noInvariantNotes(t, tables)
 	probes := findTable(t, tables, "ext-mcastprobe")
 	uni := findSeries(t, probes, "unicast probes")
@@ -94,7 +94,7 @@ func TestExtMulticastProbeCutsProbeTraffic(t *testing.T) {
 }
 
 func TestExtLocalRecoveryOffloadsSender(t *testing.T) {
-	tables := ExtLocalRecovery(quick())
+	tables := run(t, "ext-localrec")
 	noInvariantNotes(t, tables)
 	retr := findTable(t, tables, "ext-localrec")
 	base := findSeries(t, retr, "centralized")

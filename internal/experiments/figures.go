@@ -8,71 +8,13 @@ import (
 	"repro/internal/sim"
 )
 
-// Standard kernel-buffer sweeps (KB), as plotted in the paper.
-var (
-	buffersStd = []int{64, 128, 256, 512, 1024}
-	buffersExt = []int{64, 128, 256, 512, 1024, 2048}
-)
-
-func bufList(opt Options, ext bool) []int {
-	if opt.Quick {
-		if ext {
-			return []int{64, 512, 2048}
-		}
-		return []int{64, 256, 1024}
-	}
-	if ext {
-		return buffersExt
-	}
-	return buffersStd
-}
-
-func fileSize(opt Options, mb int64) int64 {
-	if opt.Quick {
-		if mb >= 40 {
-			return 4 * MB
-		}
-		return 2 * MB
-	}
-	return mb * MB
-}
-
-// checkInvariants appends notes when a run breaks the reproduction's
-// ground rules (incomplete transfer, corrupted bytes, or an H-RMC
-// NAK_ERR).
-func checkInvariants(t *Table, label string, m Metrics, mode sender.Mode) {
-	if m.BadBytes > 0 {
-		t.AddNote("%s: %v corrupted bytes delivered", label, m.BadBytes)
-	}
-	if mode == sender.HRMC {
-		if !m.Completed {
-			t.AddNote("%s: transfer did not complete within the limit", label)
-		}
-		if m.NakErrs > 0 {
-			t.AddNote("%s: H-RMC emitted %v NAK_ERRs (invariant violation)", label, m.NakErrs)
-		}
-	} else if m.NakErrs > 0 {
-		// Expected for the baseline: pure NAK reliability can fail.
-		t.AddNote("%s: RMC reliability gap — %v NAK_ERRs", label, m.NakErrs)
-	}
-}
-
-// Fig3 reproduces Figure 3: the percentage of buffer releases for which
+// fig3 reproduces Figure 3: the percentage of buffer releases for which
 // the sender had complete receiver information, without updates
 // (original RMC, panel a) and with updates (H-RMC, panel b), for LAN,
 // MAN and WAN loss environments, 10 receivers.
-func Fig3(opt Options) []*Table {
-	opt.sanitize()
-	bufs := bufList(opt, false)
-	size := fileSize(opt, 5)
-	envs := []struct {
-		name string
-		g    netsim.Group
-	}{
-		{"LAN .005%", netsim.GroupA},
-		{"MAN 0.5%", netsim.GroupB},
-		{"WAN 2%", netsim.GroupC},
-	}
+func fig3(opt Options) []*Table {
+	envs := []netsim.Group{netsim.GroupA, netsim.GroupB, netsim.GroupC}
+	names := []string{"LAN .005%", "MAN 0.5%", "WAN 2%"}
 	var tables []*Table
 	for _, panel := range []struct {
 		id, title string
@@ -81,191 +23,81 @@ func Fig3(opt Options) []*Table {
 		{"fig3a", "release info without updates (original RMC)", sender.RMC},
 		{"fig3b", "release info with updates (H-RMC)", sender.HRMC},
 	} {
-		t := &Table{
-			ID: panel.id, Title: panel.title,
-			XLabel: "buffer KB", YLabel: "% releases with complete info",
-			X: bufs,
-		}
-		for _, env := range envs {
-			s := Series{Label: env.name}
-			for _, b := range bufs {
-				m := RunAvg(Scenario{
+		tables = append(tables, sweep{
+			xLabel: "buffer KB", x: bufList(opt, false), series: names, seeds: opt.Seeds,
+			point: func(s, b int) (Scenario, string) {
+				return Scenario{
 					Seed: 30, LineRate: netsim.Rate10Mbps,
-					Buffer: b * KB, FileSize: size,
-					Receivers: groupN(env.g, 10),
+					Buffer: b * KB, FileSize: fileSize(opt, 5),
+					Receivers: groupN(envs[s], 10),
 					Mode:      panel.mode,
 					Limit:     400 * sim.Second,
-				}, opt.Seeds)
-				s.Y = append(s.Y, m.ReleaseInfoPct)
-				checkInvariants(t, fmt.Sprintf("%s/%dK", env.name, b), m, panel.mode)
-			}
-			t.Series = append(t.Series, s)
-		}
-		tables = append(tables, t)
+				}, fmt.Sprintf("%s/%dK", names[s], b)
+			},
+		}.run(plot{id: panel.id, title: panel.title, yLabel: "% releases with complete info",
+			y: func(m Metrics) float64 { return m.ReleaseInfoPct }})...)
 	}
 	return tables
 }
 
-// fig10Runs runs the experimental-testbed matrix at the given line rate
-// and returns the metrics per (disk, sizeMB, receivers, buffer).
-func runPanel(opt Options, lineRate float64, disk bool, sizeMB int64, nRecv int, bufs []int, seedBase uint64) []Metrics {
-	var ms []Metrics
-	for _, b := range bufs {
-		ms = append(ms, RunAvg(Scenario{
-			Seed: seedBase, LineRate: lineRate,
-			Buffer: b * KB, FileSize: fileSize(opt, sizeMB),
-			Receivers: groupN(netsim.GroupA, nRecv),
-			DiskIO:    disk,
-		}, opt.Seeds))
-	}
-	return ms
+// testbed lists the panels of Figures 10–13, the experimental LAN study:
+// one, two and three group-A receivers over a kernel-buffer sweep, each
+// count seeded seedBase+n. Figure 10 is throughput on the 10 Mbps
+// testbed, Figure 11 the feedback of its disk tests, Figure 12 throughput
+// at 100 Mbps and Figure 13 its NAKs.
+var testbed = []struct {
+	id, title string
+	rate      float64
+	disk      bool
+	sizeMB    int64
+	seedBase  uint64
+	// nicQueue is the egress queue bound (0 keeps the default). Figure 13
+	// uses the testbed NIC's: just under one jiffy of line rate, which the
+	// full-rate bursts reached only with large buffers can overflow.
+	nicQueue int
+	ext      bool // sweep to 2048K
+	yLabel   string
+	y        func(Metrics) float64
+}{
+	{"fig10a", "memory-to-memory throughput, 10 MB", netsim.Rate10Mbps, false, 10, 40, 0, false, "throughput Mbps", throughput},
+	{"fig10b", "memory-to-memory throughput, 40 MB", netsim.Rate10Mbps, false, 40, 40, 0, false, "throughput Mbps", throughput},
+	{"fig10c", "disk-to-disk throughput, 10 MB", netsim.Rate10Mbps, true, 10, 40, 0, false, "throughput Mbps", throughput},
+	{"fig10d", "disk-to-disk throughput, 40 MB", netsim.Rate10Mbps, true, 40, 40, 0, false, "throughput Mbps", throughput},
+	{"fig11a", "rate requests, 10 MB, disk-to-disk", netsim.Rate10Mbps, true, 10, 40, 0, false, "count at sender", rateRequests},
+	{"fig11b", "NAKs, 10 MB, disk-to-disk", netsim.Rate10Mbps, true, 10, 40, 0, false, "count at sender", naks},
+	{"fig11c", "rate requests, 40 MB, disk-to-disk", netsim.Rate10Mbps, true, 40, 40, 0, false, "count at sender", rateRequests},
+	{"fig11d", "NAKs, 40 MB, disk-to-disk", netsim.Rate10Mbps, true, 40, 40, 0, false, "count at sender", naks},
+	{"fig12a", "memory-to-memory throughput, 10 MB", netsim.Rate100Mbps, false, 10, 50, 0, false, "throughput Mbps", throughput},
+	{"fig12b", "memory-to-memory throughput, 40 MB", netsim.Rate100Mbps, false, 40, 50, 0, false, "throughput Mbps", throughput},
+	{"fig13a", "NAK activity, 10 MB, memory-to-memory", netsim.Rate100Mbps, false, 10, 60, 112 << 10, true, "NAKs at sender", naks},
+	{"fig13b", "NAK activity, 40 MB, memory-to-memory", netsim.Rate100Mbps, false, 40, 60, 112 << 10, true, "NAKs at sender", naks},
 }
 
-// Fig10 reproduces Figure 10: H-RMC throughput on the 10 Mbps testbed,
-// memory and disk tests, 10 and 40 MB files, 1–3 receivers.
-func Fig10(opt Options) []*Table {
-	opt.sanitize()
-	bufs := bufList(opt, false)
-	var tables []*Table
-	for _, panel := range []struct {
-		id, title string
-		disk      bool
-		sizeMB    int64
-	}{
-		{"fig10a", "memory-to-memory throughput, 10 MB", false, 10},
-		{"fig10b", "memory-to-memory throughput, 40 MB", false, 40},
-		{"fig10c", "disk-to-disk throughput, 10 MB", true, 10},
-		{"fig10d", "disk-to-disk throughput, 40 MB", true, 40},
-	} {
-		t := &Table{
-			ID: panel.id, Title: panel.title + " (10 Mbps)",
-			XLabel: "buffer KB", YLabel: "throughput Mbps",
-			X: bufs,
-		}
-		for n := 1; n <= 3; n++ {
-			s := Series{Label: fmt.Sprintf("%d receiver(s)", n)}
-			ms := runPanel(opt, netsim.Rate10Mbps, panel.disk, panel.sizeMB, n, bufs, 40+uint64(n))
-			for i, m := range ms {
-				s.Y = append(s.Y, m.ThroughputMbps)
-				checkInvariants(t, fmt.Sprintf("%dr/%dK", n, bufs[i]), m, sender.HRMC)
+// testbedFigure runs the testbed panels of one figure, in order.
+func testbedFigure(fig string) func(Options) []*Table {
+	return func(opt Options) []*Table {
+		var tables []*Table
+		for _, p := range testbed {
+			if p.id[:len(p.id)-1] != fig {
+				continue
 			}
-			t.Series = append(t.Series, s)
+			tables = append(tables, sweep{
+				xLabel: "buffer KB", x: bufList(opt, p.ext), seeds: opt.Seeds,
+				series: []string{"1 receiver(s)", "2 receiver(s)", "3 receiver(s)"},
+				point: func(s, b int) (Scenario, string) {
+					n := s + 1
+					return Scenario{
+						Seed: p.seedBase + uint64(n), LineRate: p.rate,
+						Buffer: b * KB, FileSize: fileSize(opt, p.sizeMB),
+						Receivers:     groupN(netsim.GroupA, n),
+						DiskIO:        p.disk,
+						NICQueueBytes: p.nicQueue,
+					}, fmt.Sprintf("%dr/%dK", n, b)
+				},
+			}.run(plot{id: p.id, title: fmt.Sprintf("%s (%.0f Mbps)", p.title, p.rate*8/1e6), yLabel: p.yLabel, y: p.y})...)
 		}
-		tables = append(tables, t)
+		return tables
 	}
-	return tables
-}
-
-// Fig11 reproduces Figure 11: feedback activity (rate requests and NAKs
-// arriving at the sender) during the 10 Mbps disk tests.
-func Fig11(opt Options) []*Table {
-	opt.sanitize()
-	bufs := bufList(opt, false)
-	var tables []*Table
-	for _, panel := range []struct {
-		id, title string
-		sizeMB    int64
-		naks      bool
-	}{
-		{"fig11a", "rate requests, 10 MB, disk-to-disk", 10, false},
-		{"fig11b", "NAKs, 10 MB, disk-to-disk", 10, true},
-		{"fig11c", "rate requests, 40 MB, disk-to-disk", 40, false},
-		{"fig11d", "NAKs, 40 MB, disk-to-disk", 40, true},
-	} {
-		t := &Table{
-			ID: panel.id, Title: panel.title + " (10 Mbps)",
-			XLabel: "buffer KB", YLabel: "count at sender",
-			X: bufs,
-		}
-		for n := 1; n <= 3; n++ {
-			s := Series{Label: fmt.Sprintf("%d receiver(s)", n)}
-			ms := runPanel(opt, netsim.Rate10Mbps, true, panel.sizeMB, n, bufs, 40+uint64(n))
-			for i, m := range ms {
-				if panel.naks {
-					s.Y = append(s.Y, m.Naks)
-				} else {
-					s.Y = append(s.Y, m.RateRequests+m.Urgents)
-				}
-				checkInvariants(t, fmt.Sprintf("%dr/%dK", n, bufs[i]), m, sender.HRMC)
-			}
-			t.Series = append(t.Series, s)
-		}
-		tables = append(tables, t)
-	}
-	return tables
-}
-
-// Fig12 reproduces Figure 12: memory-to-memory throughput on the
-// 100 Mbps network.
-func Fig12(opt Options) []*Table {
-	opt.sanitize()
-	bufs := bufList(opt, false)
-	var tables []*Table
-	for _, panel := range []struct {
-		id, title string
-		sizeMB    int64
-	}{
-		{"fig12a", "memory-to-memory throughput, 10 MB", 10},
-		{"fig12b", "memory-to-memory throughput, 40 MB", 40},
-	} {
-		t := &Table{
-			ID: panel.id, Title: panel.title + " (100 Mbps)",
-			XLabel: "buffer KB", YLabel: "throughput Mbps",
-			X: bufs,
-		}
-		for n := 1; n <= 3; n++ {
-			s := Series{Label: fmt.Sprintf("%d receiver(s)", n)}
-			ms := runPanel(opt, netsim.Rate100Mbps, false, panel.sizeMB, n, bufs, 50+uint64(n))
-			for i, m := range ms {
-				s.Y = append(s.Y, m.ThroughputMbps)
-				checkInvariants(t, fmt.Sprintf("%dr/%dK", n, bufs[i]), m, sender.HRMC)
-			}
-			t.Series = append(t.Series, s)
-		}
-		tables = append(tables, t)
-	}
-	return tables
-}
-
-// Fig13 reproduces Figure 13: NAK activity in the 100 Mbps memory tests.
-// With large kernel buffers the sender's one-jiffy bursts overflow the
-// network card's egress queue, producing the only NAKs of the test.
-func Fig13(opt Options) []*Table {
-	opt.sanitize()
-	bufs := bufList(opt, true)
-	var tables []*Table
-	for _, panel := range []struct {
-		id, title string
-		sizeMB    int64
-	}{
-		{"fig13a", "NAK activity, 10 MB, memory-to-memory", 10},
-		{"fig13b", "NAK activity, 40 MB, memory-to-memory", 40},
-	} {
-		t := &Table{
-			ID: panel.id, Title: panel.title + " (100 Mbps)",
-			XLabel: "buffer KB", YLabel: "NAKs at sender",
-			X: bufs,
-		}
-		for n := 1; n <= 3; n++ {
-			s := Series{Label: fmt.Sprintf("%d receiver(s)", n)}
-			for i, b := range bufs {
-				m := RunAvg(Scenario{
-					Seed: 60 + uint64(n), LineRate: netsim.Rate100Mbps,
-					Buffer: b * KB, FileSize: fileSize(opt, panel.sizeMB),
-					Receivers: groupN(netsim.GroupA, n),
-					// The testbed NIC: an egress queue just under one
-					// jiffy of line rate, which the full-rate bursts
-					// reached only with large buffers can overflow.
-					NICQueueBytes: 112 << 10,
-				}, opt.Seeds)
-				s.Y = append(s.Y, m.Naks)
-				checkInvariants(t, fmt.Sprintf("%dr/%dK", n, bufs[i]), m, sender.HRMC)
-			}
-			t.Series = append(t.Series, s)
-		}
-		tables = append(tables, t)
-	}
-	return tables
 }
 
 // Tests 1–5 of Figure 14(b).
@@ -286,9 +118,9 @@ func testCase(n int, receivers int) []netsim.Group {
 	panic("unknown test case")
 }
 
-// Fig14 emits the characteristic-group and test-case definitions of
+// fig14 emits the characteristic-group and test-case definitions of
 // Figure 14 as data tables.
-func Fig14(opt Options) []*Table {
+func fig14(Options) []*Table {
 	groups := &Table{
 		ID: "fig14a", Title: "characteristic groups",
 		XLabel: "delay ms", YLabel: "loss %",
@@ -311,94 +143,70 @@ func Fig14(opt Options) []*Table {
 	return []*Table{groups, tests}
 }
 
-// fig1516 builds the simulated throughput and rate-request panels for a
-// line rate.
-func fig1516(opt Options, idPrefix string, lineRate float64, seedBase uint64) []*Table {
-	bufs := bufList(opt, true)
-	size := fileSize(opt, 10)
-	tp := &Table{
-		ID: idPrefix + "a", Title: fmt.Sprintf("throughput, 10 receivers (%.0f Mbps, simulated)", lineRate*8/1e6),
-		XLabel: "buffer KB", YLabel: "throughput Mbps",
-		X: bufs,
+// testsSweep sweeps the kernel buffer (to 2048K) over the given test
+// cases of Figure 14(b), n receivers each, with a 10 MB file.
+func testsSweep(opt Options, tests []int, n int, lineRate float64, seedBase uint64, seeds int) sweep {
+	sw := sweep{xLabel: "buffer KB", x: bufList(opt, true), seeds: seeds}
+	for _, test := range tests {
+		sw.series = append(sw.series, fmt.Sprintf("Test %d", test))
 	}
-	rr := &Table{
-		ID: idPrefix + "b", Title: fmt.Sprintf("rate reduce requests, 10 receivers (%.0f Mbps, simulated)", lineRate*8/1e6),
-		XLabel: "buffer KB", YLabel: "rate requests at sender",
-		X: bufs,
+	sw.point = func(s, b int) (Scenario, string) {
+		return Scenario{
+			Seed: seedBase + uint64(tests[s]), LineRate: lineRate,
+			Buffer: b * KB, FileSize: fileSize(opt, 10),
+			Receivers: testCase(tests[s], n),
+		}, fmt.Sprintf("test%d/%dK", tests[s], b)
 	}
-	for test := 1; test <= 5; test++ {
-		st := Series{Label: fmt.Sprintf("Test %d", test)}
-		sr := Series{Label: fmt.Sprintf("Test %d", test)}
-		for i, b := range bufs {
-			m := RunAvg(Scenario{
-				Seed: seedBase + uint64(test), LineRate: lineRate,
-				Buffer: b * KB, FileSize: size,
-				Receivers: testCase(test, 10),
-			}, opt.Seeds)
-			st.Y = append(st.Y, m.ThroughputMbps)
-			sr.Y = append(sr.Y, m.RateRequests+m.Urgents)
-			checkInvariants(tp, fmt.Sprintf("test%d/%dK", test, bufs[i]), m, sender.HRMC)
-		}
-		tp.Series = append(tp.Series, st)
-		rr.Series = append(rr.Series, sr)
-	}
-	return []*Table{tp, rr}
+	return sw
 }
 
-// Fig15 reproduces Figure 15: the 10 Mbps simulation study — throughput
+// simStudy builds panels (a) and (b) of Figures 15 and 16 from the same
+// runs: throughput and rate-reduce requests for Tests 1–5, 10 receivers.
+func simStudy(opt Options, fig string, lineRate float64, seedBase uint64) []*Table {
+	mbps := lineRate * 8 / 1e6
+	return testsSweep(opt, []int{1, 2, 3, 4, 5}, 10, lineRate, seedBase, opt.Seeds).run(
+		plot{id: fig + "a", title: fmt.Sprintf("throughput, 10 receivers (%.0f Mbps, simulated)", mbps), yLabel: "throughput Mbps", y: throughput},
+		plot{id: fig + "b", title: fmt.Sprintf("rate reduce requests, 10 receivers (%.0f Mbps, simulated)", mbps), yLabel: "rate requests at sender", y: rateRequests},
+	)
+}
+
+// fig15 reproduces Figure 15: the 10 Mbps simulation study — throughput
 // and rate-reduce requests for Tests 1–5 with 10 receivers, plus the
 // 100-receiver scaling panel.
-func Fig15(opt Options) []*Table {
-	opt.sanitize()
-	tables := fig1516(opt, "fig15", netsim.Rate10Mbps, 70)
+func fig15(opt Options) []*Table {
+	tables := simStudy(opt, "fig15", netsim.Rate10Mbps, 70)
 
 	// Panel (c): 100 receivers. The paper shows throughput dipping
 	// slightly versus 10 receivers and recovering with buffer size.
-	bufs := bufList(opt, true)
-	nRecv := 100
-	testsC := []int{1, 2, 3}
+	// 100-receiver runs are heavy; one seed like the paper's single plot.
+	nRecv, tests := 100, []int{1, 2, 3}
 	if opt.Quick {
-		nRecv = 30
-		testsC = []int{1, 3}
+		nRecv, tests = 30, []int{1, 3}
 	}
-	tc := &Table{
-		ID: "fig15c", Title: fmt.Sprintf("throughput, %d receivers (10 Mbps, simulated)", nRecv),
-		XLabel: "buffer KB", YLabel: "throughput Mbps",
-		X: bufs,
-	}
-	for _, test := range testsC {
-		s := Series{Label: fmt.Sprintf("Test %d", test)}
-		for i, b := range bufs {
-			m := RunAvg(Scenario{
-				Seed: 80 + uint64(test), LineRate: netsim.Rate10Mbps,
-				Buffer: b * KB, FileSize: fileSize(opt, 10),
-				Receivers: testCase(test, nRecv),
-			}, 1) // 100-receiver runs are heavy; one seed like the paper's single plot
-			s.Y = append(s.Y, m.ThroughputMbps)
-			checkInvariants(tc, fmt.Sprintf("test%d/%dK", test, bufs[i]), m, sender.HRMC)
-		}
-		tc.Series = append(tc.Series, s)
-	}
-	return append(tables, tc)
+	c := testsSweep(opt, tests, nRecv, netsim.Rate10Mbps, 80, 1).run(plot{
+		id: "fig15c", title: fmt.Sprintf("throughput, %d receivers (10 Mbps, simulated)", nRecv),
+		yLabel: "throughput Mbps", y: throughput,
+	})
+	return append(tables, c...)
 }
 
-// Fig16 reproduces Figure 16: the 100 Mbps simulation study, plus the
+// fig16 reproduces Figure 16: the 100 Mbps simulation study, plus the
 // Section 5.2 headline that 100 receivers still reach roughly two thirds
 // of the line rate with large buffers.
-func Fig16(opt Options) []*Table {
-	opt.sanitize()
-	tables := fig1516(opt, "fig16", netsim.Rate100Mbps, 90)
+func fig16(opt Options) []*Table {
+	tables := simStudy(opt, "fig16", netsim.Rate100Mbps, 90)
 
 	nRecv := 100
 	if opt.Quick {
 		nRecv = 30
 	}
 	buf := 2048
-	m := Run(Scenario{
+	sc := Scenario{
 		Seed: 95, LineRate: netsim.Rate100Mbps,
 		Buffer: buf * KB, FileSize: fileSize(opt, 40),
 		Receivers: groupN(netsim.GroupA, nRecv),
-	})
+	}
+	m := Run(sc)
 	tc := &Table{
 		ID: "fig16c", Title: fmt.Sprintf("max throughput, %d receivers, large buffers (100 Mbps, simulated)", nRecv),
 		XLabel: "buffer KB", YLabel: "throughput Mbps",
@@ -406,8 +214,6 @@ func Fig16(opt Options) []*Table {
 		Series: []Series{{Label: fmt.Sprintf("%d receivers, group A", nRecv), Y: []float64{m.ThroughputMbps}}},
 	}
 	tc.AddNote("paper reports ≈66 Mbps for 100 receivers — a modest drop from the 10-receiver case")
-	checkInvariants(tc, "100r", m, sender.HRMC)
+	checkInvariants(tc, fmt.Sprintf("%dr", nRecv), m, sc.Mode)
 	return append(tables, tc)
 }
-
-var _ = sim.Second // keep sim imported for future panels

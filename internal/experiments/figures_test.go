@@ -1,14 +1,29 @@
 package experiments
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/netsim"
+	"repro/internal/sender"
+	"repro/internal/sim"
 )
 
 // quick returns smoke-test options: one seed, shrunken sweeps.
 func quick() Options { return Options{Seeds: 1, Quick: true} }
+
+// run regenerates a registered experiment with quick options.
+func run(t *testing.T, name string) []*Table {
+	t.Helper()
+	r, ok := Find(name)
+	if !ok {
+		t.Fatalf("experiment %s not registered", name)
+	}
+	return r.Run(quick())
+}
 
 func findTable(t *testing.T, tables []*Table, id string) *Table {
 	t.Helper()
@@ -64,7 +79,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	tables := Fig3(quick())
+	tables := run(t, "fig3")
 	noInvariantNotes(t, tables)
 	a := findTable(t, tables, "fig3a")
 	b := findTable(t, tables, "fig3b")
@@ -88,7 +103,7 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	tables := Fig10(quick())
+	tables := run(t, "fig10")
 	noInvariantNotes(t, tables)
 	a := findTable(t, tables, "fig10a")
 	// Throughput grows with buffer size and flattens; with the largest
@@ -111,7 +126,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	tables := Fig11(quick())
+	tables := run(t, "fig11")
 	noInvariantNotes(t, tables)
 	// Disk tests produce rate requests (memory tests produce none);
 	// NAKs stay near zero on the clean LAN.
@@ -138,7 +153,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	tables := Fig12(quick())
+	tables := run(t, "fig12")
 	noInvariantNotes(t, tables)
 	a := findTable(t, tables, "fig12a")
 	b := findTable(t, tables, "fig12b")
@@ -155,7 +170,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig13Shape(t *testing.T) {
-	tables := Fig13(quick())
+	tables := run(t, "fig13")
 	noInvariantNotes(t, tables)
 	a := findTable(t, tables, "fig13b")
 	for _, s := range a.Series {
@@ -176,7 +191,7 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestFig14Definitions(t *testing.T) {
-	tables := Fig14(quick())
+	tables := run(t, "fig14")
 	groups := findTable(t, tables, "fig14a")
 	if len(groups.X) != 3 {
 		t.Error("fig14a must define three characteristic groups")
@@ -213,7 +228,7 @@ func TestFig14Definitions(t *testing.T) {
 }
 
 func TestFig15Shape(t *testing.T) {
-	tables := Fig15(quick())
+	tables := run(t, "fig15")
 	noInvariantNotes(t, tables)
 	tp := findTable(t, tables, "fig15a")
 	l := len(tp.X) - 1
@@ -242,7 +257,7 @@ func TestFig15Shape(t *testing.T) {
 }
 
 func TestFig16Shape(t *testing.T) {
-	tables := Fig16(quick())
+	tables := run(t, "fig16")
 	noInvariantNotes(t, tables)
 	tp := findTable(t, tables, "fig16a")
 	l := len(tp.X) - 1
@@ -272,23 +287,86 @@ func TestTableFormat(t *testing.T) {
 	}
 }
 
+// TestRunAvgAverages pins the averaging: run i takes seed s + i·1000003,
+// every float64 field and Duration is the mean of the runs summed in seed
+// order, and Completed is their AND. The limit cuts the middle seed
+// short, so the AND has a false to carry.
 func TestRunAvgAverages(t *testing.T) {
 	sc := Scenario{
 		Seed: 5, LineRate: netsim.Rate10Mbps, Buffer: 128 * KB,
 		FileSize: 256 << 10, Receivers: groupN(netsim.GroupB, 2),
+		Limit: 950 * sim.Millisecond,
 	}
-	m1 := Run(sc)
+	var runs [3]Metrics
+	for i := range runs {
+		s := sc
+		s.Seed = sc.Seed + uint64(i)*1000003
+		runs[i] = Run(s)
+	}
+	if runs[0].Completed == runs[1].Completed && runs[1].Completed == runs[2].Completed {
+		t.Fatalf("the limit no longer splits the seeds: completed %v %v %v", runs[0].Completed, runs[1].Completed, runs[2].Completed)
+	}
 	avg := RunAvg(sc, 3)
-	if !avg.Completed {
-		t.Fatal("averaged run incomplete")
+	if want := runs[0].Completed && runs[1].Completed && runs[2].Completed; avg.Completed != want {
+		t.Errorf("Completed = %v, want %v", avg.Completed, want)
 	}
-	// The average must be in the neighborhood of a single run but is
-	// generally not identical (different seeds).
-	if avg.ThroughputMbps <= 0 {
-		t.Error("averaged throughput non-positive")
+	if want := sim.Time(float64(runs[0].Duration+runs[1].Duration+runs[2].Duration) / 3); avg.Duration != want {
+		t.Errorf("Duration = %v, want %v", avg.Duration, want)
 	}
-	if m1.ThroughputMbps <= 0 {
-		t.Error("single-run throughput non-positive")
+	got := reflect.ValueOf(avg)
+	for f := 0; f < got.NumField(); f++ {
+		if got.Field(f).Kind() != reflect.Float64 {
+			continue
+		}
+		sum := 0.0
+		for _, m := range runs {
+			sum += reflect.ValueOf(m).Field(f).Float()
+		}
+		if want := sum / 3; got.Field(f).Float() != want {
+			t.Errorf("%s = %v, want %v", got.Type().Field(f).Name, got.Field(f).Float(), want)
+		}
+	}
+	if runs[0].Naks == runs[1].Naks && runs[1].Naks == runs[2].Naks {
+		t.Error("the seeds drew the same losses; the mean checks nothing")
+	}
+}
+
+// TestSweepNotesIncompleteRuns: a run cut off after one jiffy notes its
+// sweep label on the first of the tables it fills and on no other; the
+// RMC baseline may give up on a transfer, so in RMC mode the same runs
+// note nothing.
+func TestSweepNotesIncompleteRuns(t *testing.T) {
+	names := []string{"LAN .005%", "WAN 2%"}
+	for _, mode := range []sender.Mode{sender.HRMC, sender.RMC} {
+		tables := sweep{
+			xLabel: "buffer KB", x: []int{64, 128}, series: names, seeds: 1,
+			point: func(s, b int) (Scenario, string) {
+				return Scenario{
+					Seed: 1, LineRate: netsim.Rate10Mbps,
+					Buffer: b * KB, FileSize: MB,
+					Receivers: groupN(netsim.GroupA, 2),
+					Mode:      mode,
+					Limit:     10 * sim.Millisecond,
+				}, fmt.Sprintf("%s/%dK", names[s], b)
+			},
+		}.run(plot{id: "first", y: throughput}, plot{id: "second", suffix: " rr", y: rateRequests})
+		if got := findSeries(t, tables[1], "WAN 2% rr").Y; len(got) != 2 {
+			t.Errorf("second table's series has %d points, want 2", len(got))
+		}
+		if len(tables[1].Notes) != 0 {
+			t.Errorf("mode %v: second table carries notes %q", mode, tables[1].Notes)
+		}
+		var want []string
+		if mode == sender.HRMC {
+			for _, n := range names {
+				for _, b := range []int{64, 128} {
+					want = append(want, fmt.Sprintf("%s/%dK: transfer did not complete within the limit", n, b))
+				}
+			}
+		}
+		if !slices.Equal(tables[0].Notes, want) {
+			t.Errorf("mode %v: first table notes %q, want %q", mode, tables[0].Notes, want)
+		}
 	}
 }
 

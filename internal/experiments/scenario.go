@@ -2,13 +2,16 @@
 // evaluation (Section 5): the release-information study (Figure 3), the
 // experimental LAN study at 10 and 100 Mbps (Figures 10–13), and the
 // simulation study over characteristic groups (Figures 14–16). Each
-// figure has a runner returning formatted tables; cmd/hrmc-figures and the
-// root bench_test.go drive them.
+// figure is a Runner in the Registry; nearly all of them are one sweep,
+// which averages a scenario over seeded runs at every point of a series ×
+// X grid and plots what each of its tables asks of the result.
+// cmd/hrmc-figures drives the Registry.
 package experiments
 
 import (
 	"fmt"
 	"io"
+	"reflect"
 
 	"repro/internal/app"
 	"repro/internal/netsim"
@@ -63,10 +66,6 @@ type Metrics struct {
 	ProbesSent   float64
 	Retrans      float64
 	NakErrs      float64
-
-	// Local-recovery extension counters.
-	RepairsSent      float64
-	RetransCancelled float64
 
 	// Figure 3 metric, in percent.
 	ReleaseInfoPct float64
@@ -151,73 +150,60 @@ func Run(sc Scenario) Metrics {
 	res := net.Run(sc.Limit)
 	st := s.Stats()
 	m := Metrics{
-		Completed:        res.Completed,
-		Duration:         res.Duration,
-		ThroughputMbps:   res.ThroughputMbps(),
-		Naks:             float64(st.NaksReceived),
-		RateRequests:     float64(st.RateRequestsReceived),
-		Urgents:          float64(st.UrgentReceived),
-		Updates:          float64(st.UpdatesReceived),
-		ProbesSent:       float64(st.ProbesSent + st.MulticastProbesSent),
-		Retrans:          float64(st.Retransmissions),
-		NakErrs:          float64(st.NakErrsSent),
-		ReleaseInfoPct:   100 * st.ReleaseInfoRatio(),
-		RetransCancelled: float64(st.RetransCancelled),
-		NICDrops:         float64(res.NICDrops),
-		RouterDrops:      float64(res.RouterDrops),
+		Completed:      res.Completed,
+		Duration:       res.Duration,
+		ThroughputMbps: res.ThroughputMbps(),
+		Naks:           float64(st.NaksReceived),
+		RateRequests:   float64(st.RateRequestsReceived),
+		Urgents:        float64(st.UrgentReceived),
+		Updates:        float64(st.UpdatesReceived),
+		ProbesSent:     float64(st.ProbesSent + st.MulticastProbesSent),
+		Retrans:        float64(st.Retransmissions),
+		NakErrs:        float64(st.NakErrsSent),
+		ReleaseInfoPct: 100 * st.ReleaseInfoRatio(),
+		NICDrops:       float64(res.NICDrops),
+		RouterDrops:    float64(res.RouterDrops),
 	}
 	for _, r := range net.Receivers() {
 		m.BadBytes += float64(r.BadBytes)
-		m.RepairsSent += float64(r.M.Stats().RepairsSent)
 	}
 	return m
 }
 
 // RunAvg averages seeds runs of the scenario (seeds ≥ 1), mirroring the
-// paper's five-test averages.
+// paper's five-test averages: run i takes seed sc.Seed + i·1000003, every
+// numeric field is summed in seed order and divided by seeds, and the
+// average completed only if every run did.
 func RunAvg(sc Scenario, seeds int) Metrics {
-	if seeds < 1 {
-		seeds = 1
-	}
-	var acc Metrics
-	acc.Completed = true
+	seeds = max(seeds, 1)
+	acc := Metrics{Completed: true}
+	sum := reflect.ValueOf(&acc).Elem()
 	for i := 0; i < seeds; i++ {
 		s := sc
 		s.Seed = sc.Seed + uint64(i)*1000003
-		m := Run(s)
-		acc.Completed = acc.Completed && m.Completed
-		acc.Duration += m.Duration
-		acc.ThroughputMbps += m.ThroughputMbps
-		acc.Naks += m.Naks
-		acc.RateRequests += m.RateRequests
-		acc.Urgents += m.Urgents
-		acc.Updates += m.Updates
-		acc.ProbesSent += m.ProbesSent
-		acc.Retrans += m.Retrans
-		acc.NakErrs += m.NakErrs
-		acc.ReleaseInfoPct += m.ReleaseInfoPct
-		acc.RepairsSent += m.RepairsSent
-		acc.RetransCancelled += m.RetransCancelled
-		acc.NICDrops += m.NICDrops
-		acc.RouterDrops += m.RouterDrops
-		acc.BadBytes += m.BadBytes
+		m := reflect.ValueOf(Run(s))
+		for f := 0; f < sum.NumField(); f++ {
+			switch a, v := sum.Field(f), m.Field(f); a.Kind() {
+			case reflect.Bool:
+				a.SetBool(a.Bool() && v.Bool())
+			case reflect.Int64:
+				a.SetInt(a.Int() + v.Int())
+			case reflect.Float64:
+				a.SetFloat(a.Float() + v.Float())
+			default:
+				panic("experiments: RunAvg cannot average Metrics." + sum.Type().Field(f).Name)
+			}
+		}
 	}
-	f := float64(seeds)
-	acc.Duration = sim.Time(float64(acc.Duration) / f)
-	acc.ThroughputMbps /= f
-	acc.Naks /= f
-	acc.RateRequests /= f
-	acc.Urgents /= f
-	acc.Updates /= f
-	acc.ProbesSent /= f
-	acc.Retrans /= f
-	acc.NakErrs /= f
-	acc.ReleaseInfoPct /= f
-	acc.RepairsSent /= f
-	acc.RetransCancelled /= f
-	acc.NICDrops /= f
-	acc.RouterDrops /= f
-	acc.BadBytes /= f
+	n := float64(seeds)
+	for f := 0; f < sum.NumField(); f++ {
+		switch a := sum.Field(f); a.Kind() {
+		case reflect.Int64:
+			a.SetInt(int64(float64(a.Int()) / n))
+		case reflect.Float64:
+			a.SetFloat(a.Float() / n)
+		}
+	}
 	return acc
 }
 

@@ -12,7 +12,7 @@ type Series struct {
 }
 
 // Table is one figure panel rendered as the paper's rows: X is the swept
-// parameter (kernel buffer size in KB throughout the evaluation).
+// parameter (kernel buffer size in KB throughout the paper's figures).
 type Table struct {
 	ID     string // e.g. "fig10a"
 	Title  string
@@ -109,31 +109,22 @@ type Options struct {
 	Quick bool
 }
 
-// DefaultOptions mirror the paper's averaging.
-func DefaultOptions() Options { return Options{Seeds: 3} }
-
-func (o *Options) sanitize() {
-	if o.Seeds < 1 {
-		o.Seeds = 1
-	}
-}
-
 // Registry returns all figure runners in paper order.
 func Registry() []Runner {
 	return []Runner{
-		{Name: "fig3", Desc: "Percentage of releases with complete receiver information, RMC vs H-RMC (simulated, 10 receivers)", Run: Fig3},
-		{Name: "fig10", Desc: "Throughput on a 10 Mbps network: mem/disk × 10/40 MB × 1-3 receivers (experimental testbed, simulated here)", Run: Fig10},
-		{Name: "fig11", Desc: "Feedback activity (rate requests, NAKs) for the 10 Mbps disk tests", Run: Fig11},
-		{Name: "fig12", Desc: "Throughput on a 100 Mbps network, memory-to-memory", Run: Fig12},
-		{Name: "fig13", Desc: "NAK activity on a 100 Mbps network: NIC burst drops appear beyond 1024K buffers", Run: Fig13},
-		{Name: "fig14", Desc: "Characteristic groups and test cases (definitions)", Run: Fig14},
-		{Name: "fig15", Desc: "Simulated 10 Mbps: throughput and rate requests for Tests 1-5; 100-receiver scaling", Run: Fig15},
-		{Name: "fig16", Desc: "Simulated 100 Mbps: throughput and rate requests; 100-receiver headline", Run: Fig16},
-		{Name: "ext-earlyprobe", Desc: "Ablation: early probes vs stop-and-wait releases (Section 7, item 1)", Run: ExtEarlyProbe},
-		{Name: "ext-mcastprobe", Desc: "Ablation: multicast vs unicast probes with many lagging receivers (Section 7, item 2)", Run: ExtMulticastProbe},
-		{Name: "ext-fec", Desc: "Ablation: XOR-parity forward error correction vs NAK recovery (Section 7, item 4)", Run: ExtFec},
-		{Name: "ext-localrec", Desc: "Ablation: local recovery (multicast NAKs + peer repairs) vs centralized recovery (Section 7, item 3)", Run: ExtLocalRecovery},
-		{Name: "ext-scaling", Desc: "Extension study: receiver-count scaling to 200 (Section 5.2 discussion)", Run: ExtScaling},
+		{Name: "fig3", Desc: "Percentage of releases with complete receiver information, RMC vs H-RMC (simulated, 10 receivers)", Run: fig3},
+		{Name: "fig10", Desc: "Throughput on a 10 Mbps network: mem/disk × 10/40 MB × 1-3 receivers (experimental testbed, simulated here)", Run: testbedFigure("fig10")},
+		{Name: "fig11", Desc: "Feedback activity (rate requests, NAKs) for the 10 Mbps disk tests", Run: testbedFigure("fig11")},
+		{Name: "fig12", Desc: "Throughput on a 100 Mbps network, memory-to-memory", Run: testbedFigure("fig12")},
+		{Name: "fig13", Desc: "NAK activity on a 100 Mbps network: NIC burst drops appear beyond 1024K buffers", Run: testbedFigure("fig13")},
+		{Name: "fig14", Desc: "Characteristic groups and test cases (definitions)", Run: fig14},
+		{Name: "fig15", Desc: "Simulated 10 Mbps: throughput and rate requests for Tests 1-5; 100-receiver scaling", Run: fig15},
+		{Name: "fig16", Desc: "Simulated 100 Mbps: throughput and rate requests; 100-receiver headline", Run: fig16},
+		{Name: "ext-earlyprobe", Desc: "Ablation: early probes vs stop-and-wait releases (Section 7, item 1)", Run: extEarlyProbe},
+		{Name: "ext-mcastprobe", Desc: "Ablation: multicast vs unicast probes with many lagging receivers (Section 7, item 2)", Run: extMulticastProbe},
+		{Name: "ext-fec", Desc: "Ablation: XOR-parity forward error correction vs NAK recovery (Section 7, item 4)", Run: extFec},
+		{Name: "ext-localrec", Desc: "Ablation: local recovery (multicast NAKs + peer repairs) vs centralized recovery (Section 7, item 3)", Run: extLocalRecovery},
+		{Name: "ext-scaling", Desc: "Extension study: receiver-count scaling to 200 (Section 5.2 discussion)", Run: extScaling},
 	}
 }
 
