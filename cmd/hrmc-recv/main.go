@@ -1,16 +1,17 @@
 // Command hrmc-recv joins an H-RMC multicast group and writes the
-// reliably delivered stream to a file or stdout. See hrmc-send for a
-// same-host demo.
+// reliably delivered stream to a file or stdout, as one flow of a
+// control.Manager. See hrmc-send for a same-host demo.
 package main
 
 import (
 	"flag"
-	"fmt"
 	"io"
+	"log"
 	"net"
 	"os"
 	"time"
 
+	"repro/internal/control"
 	"repro/internal/session"
 	"repro/internal/udpmcast"
 )
@@ -24,60 +25,49 @@ func main() {
 		fecK   = flag.Int("fec", 0, "FEC parity group size K (0 disables; must match the sender's -fec)")
 	)
 	flag.Parse()
+	log.SetFlags(0)
+	log.SetPrefix("hrmc-recv: ")
 
-	var ifi *net.Interface
+	ifi, _ := net.InterfaceByName("lo")
 	if *iface != "" {
 		var err error
-		ifi, err = net.InterfaceByName(*iface)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hrmc-recv: %v\n", err)
-			os.Exit(1)
+		if ifi, err = net.InterfaceByName(*iface); err != nil {
+			log.Fatal(err)
 		}
-	} else if lo, err := net.InterfaceByName("lo"); err == nil {
-		ifi = lo
 	}
 
 	tr, err := udpmcast.NewReceiverTransport(*group, ifi)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hrmc-recv: %v\n", err)
-		os.Exit(1)
+		log.Fatal(err)
 	}
 
-	var dst io.Writer = os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hrmc-recv: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		dst = f
+	cfg := control.ManagerConfig{
+		Session: session.New(session.Config{}),
+		Dialer: control.DialerFunc(func(control.FlowSpec) (control.Link, error) {
+			return control.Link{Transport: tr}, nil
+		}),
 	}
-
-	// All flow knobs funnel through the canonical session.FlowSpec, the
-	// same translation the daemon's control plane admits flows with.
-	spec := session.FlowSpec{Kind: session.KindReceiver, Buf: *rcvbuf}
-	if *fecK > 0 {
-		spec.Fec = session.FecConfig{Enabled: true, K: *fecK}
+	spec := control.FlowSpec{Group: *group, Role: control.RoleRecv, File: *out, Buf: *rcvbuf, Fec: *fecK}
+	if *out == "-" {
+		cfg.OpenSink = func(control.FlowSpec) (io.WriteCloser, error) { return os.Stdout, nil }
 	}
-	sess := session.New(session.Config{})
-	rcv, err := sess.OpenReceiverFlow(tr, spec)
+	mgr := control.NewManager(cfg)
+	fs, err := mgr.Admit(spec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hrmc-recv: %v\n", err)
-		os.Exit(1)
+		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "hrmc-recv: joined %s, waiting for data\n", *group)
+	log.Printf("joined %s, waiting for data", *group)
 	start := time.Now()
-	n, err := io.Copy(dst, rcv)
-	_ = sess.Close() // ships the final UPDATE+LEAVE and closes the transport
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hrmc-recv: %v\n", err)
-		os.Exit(1)
-	}
+	mgr.Wait()
 	el := time.Since(start)
-	st := rcv.Stats()
-	fmt.Fprintf(os.Stderr, "hrmc-recv: received %d bytes in %v (%.2f Mbps)\n",
+	fs, _ = mgr.Status(fs.ID)
+	_ = cfg.Session.Close() // ships the final UPDATE+LEAVE and closes the transport
+	if fs.State != control.StateDone {
+		log.Fatalf("flow %s: %s", fs.State, fs.Error)
+	}
+	n, st := fs.BytesCopied, fs.Receiver
+	log.Printf("received %d bytes in %v (%.2f Mbps)",
 		n, el.Round(time.Millisecond), float64(n)*8/el.Seconds()/1e6)
-	fmt.Fprintf(os.Stderr, "hrmc-recv: %d data pkts, %d dups, %d naks sent, %d updates sent, %d probes answered\n",
+	log.Printf("%d data pkts, %d dups, %d naks sent, %d updates sent, %d probes answered",
 		st.DataReceived, st.Duplicates, st.NaksSent, st.UpdatesSent, st.ProbesReceived)
 }

@@ -30,13 +30,19 @@
 //
 // (Past ~20 groups per shard, raise net.ipv4.igmp_max_memberships.)
 //
+// Every mirror checks its stream against the generated pattern; the run
+// exits non-zero unless all 400 flows end done and every mirror holds
+// all its bytes intact.
+//
 //	go run ./examples/manygroups
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 
+	"repro/internal/app"
 	"repro/internal/control"
 	"repro/internal/session"
 	"repro/internal/transport"
@@ -64,22 +70,18 @@ func main() {
 		log.Fatal(err)
 	}
 	mgr := control.NewManager(control.ManagerConfig{
-		Session: sess,
-		Dialer:  dialer,
+		Session:  sess,
+		Dialer:   dialer,
+		OpenSink: func(control.FlowSpec) (io.WriteCloser, error) { return &verifySink{}, nil },
 	})
 
 	specs := make([]control.FlowSpec, 0, 2*groups)
 	for g := 0; g < groups; g++ {
 		addr := fmt.Sprintf("239.66.%d.%d", 1+g/254, 1+g%254)
 		specs = append(specs,
-			control.FlowSpec{
-				Name: fmt.Sprintf("mirror-%d", g), Group: addr,
-				Role: control.RoleRecv,
-			},
-			control.FlowSpec{
-				Name: fmt.Sprintf("dist-%d", g), Group: addr,
-				Role: control.RoleSend, Size: sizeEach, Receivers: 1,
-			},
+			control.FlowSpec{Name: fmt.Sprintf("mirror-%d", g), Group: addr, Role: control.RoleRecv},
+			control.FlowSpec{Name: fmt.Sprintf("dist-%d", g), Group: addr, Role: control.RoleSend,
+				Size: sizeEach, Receivers: 1},
 		)
 	}
 	control.AssignPorts(specs)
@@ -93,6 +95,8 @@ func main() {
 	for _, fs := range mgr.List() {
 		if fs.State == control.StateDone {
 			done++
+		} else {
+			fmt.Printf("%s: %s %s\n", fs.Name, fs.State, fs.Error)
 		}
 	}
 	fmt.Printf("%d/%d flows done (%d groups x %d KiB)\n",
@@ -104,4 +108,30 @@ func main() {
 	}
 	fmt.Printf("%d flows multiplexed over %d shared transports (%d UDP sockets in hrmcd's sharded mode)\n",
 		2*groups, shards, 2*shards)
+	if done != 2*groups {
+		log.Fatalf("%d of %d flows did not finish done", 2*groups-done, 2*groups)
+	}
+}
+
+// verifySink checks a mirror's stream against the senders' pattern. It
+// reads on past a bad byte so the sender still drains; Close reports
+// the first bad byte or a short stream, which fails the flow.
+type verifySink struct {
+	off int64
+	bad error
+}
+
+func (v *verifySink) Write(p []byte) (int, error) {
+	if i := app.VerifyPattern(p, v.off); i >= 0 && v.bad == nil {
+		v.bad = fmt.Errorf("byte %d differs from the pattern", v.off+int64(i))
+	}
+	v.off += int64(len(p))
+	return len(p), nil
+}
+
+func (v *verifySink) Close() error {
+	if v.bad == nil && v.off != sizeEach {
+		v.bad = fmt.Errorf("received %d of %d bytes", v.off, sizeEach)
+	}
+	return v.bad
 }

@@ -34,14 +34,6 @@ func BenchmarkUpdate100(b *testing.B) {
 	}
 }
 
-func BenchmarkAllPast100(b *testing.B) {
-	t := benchTable(100)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		t.AllPast(50)
-	}
-}
-
 func BenchmarkLacking100(b *testing.B) {
 	t := benchTable(100)
 	var dst []*Member

@@ -213,30 +213,6 @@ func (t *Table) Heads() int { return t.heads }
 // repair heads.
 func (t *Table) Downstream() int { return t.downstream }
 
-// Each calls fn for every member in join order; fn returning false stops
-// the walk.
-func (t *Table) Each(fn func(*Member) bool) {
-	for m := t.head; m != nil; m = m.next {
-		if !fn(m) {
-			return
-		}
-	}
-}
-
-// AllPast reports whether every member is known to have received all data
-// up to and including seq (that is, every member's next expected sequence
-// number is after seq). An empty table trivially satisfies the predicate,
-// matching anonymous pre-join behaviour. This is the release-safety check
-// of probe_members.
-func (t *Table) AllPast(seq seqspace.Seq) bool {
-	for m := t.head; m != nil; m = m.next {
-		if !m.KnownState || !seqspace.After(m.NextExpected, seq) {
-			return false
-		}
-	}
-	return true
-}
-
 // Lacking appends to dst every member whose state is unknown or whose
 // next expected sequence number is not past seq — the set the sender must
 // probe before releasing seq.
@@ -254,7 +230,7 @@ func (t *Table) Lacking(seq seqspace.Seq, dst []*Member) []*Member {
 // eviction. Leaves are never reported: an idle leaf is probed, not
 // evicted, because only heads carry an obligation to speak periodically
 // (the AGG_UPDATE timer). Callers collect first and Remove afterwards;
-// removing during an Each walk is unsafe.
+// removing during the walk is unsafe.
 func (t *Table) StaleHeads(now, timeout sim.Time, dst []*Member) []*Member {
 	for m := t.head; m != nil; m = m.next {
 		if m.Head && now-m.LastHeard >= timeout {

@@ -68,31 +68,26 @@ func TestHashCollisions(t *testing.T) {
 	}
 }
 
-func TestEachJoinOrder(t *testing.T) {
+// Lacking walks the member list in join order, and a removal keeps the
+// order of the rest.
+func TestLackingJoinOrder(t *testing.T) {
 	var tb Table
 	for i := packet.NodeID(10); i < 15; i++ {
 		tb.Add(i, 0)
 	}
 	tb.Remove(12)
 	var got []packet.NodeID
-	tb.Each(func(m *Member) bool {
+	for _, m := range tb.Lacking(0, nil) {
 		got = append(got, m.Addr)
-		return true
-	})
+	}
 	want := []packet.NodeID{10, 11, 13, 14}
 	if len(got) != len(want) {
-		t.Fatalf("Each order %v, want %v", got, want)
+		t.Fatalf("Lacking order %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Each order %v, want %v", got, want)
+			t.Fatalf("Lacking order %v, want %v", got, want)
 		}
-	}
-	// Early stop.
-	n := 0
-	tb.Each(func(*Member) bool { n++; return false })
-	if n != 1 {
-		t.Errorf("Each early stop visited %d", n)
 	}
 }
 
@@ -141,24 +136,18 @@ func TestUpdateClearsProbe(t *testing.T) {
 
 func TestAllPastAndLacking(t *testing.T) {
 	var tb Table
-	if !tb.AllPast(100) {
-		t.Error("empty table must be trivially past any seq")
+	if got := tb.Lacking(100, nil); len(got) != 0 {
+		t.Errorf("empty table lacks %d members; it must be trivially past any seq", len(got))
 	}
 	tb.Add(1, 0)
 	tb.Add(2, 0)
-	if tb.AllPast(0) {
-		t.Error("members with unknown state counted as past")
-	}
 	if got := tb.Lacking(0, nil); len(got) != 2 {
-		t.Fatalf("Lacking = %d members, want 2", len(got))
+		t.Fatalf("Lacking = %d members, want 2: unknown state is never past", len(got))
 	}
 	tb.Update(1, 6, 0)
 	tb.Update(2, 4, 0)
-	if !tb.AllPast(3) {
-		t.Error("AllPast(3) false with next-expected {6,4}")
-	}
-	if tb.AllPast(4) {
-		t.Error("AllPast(4) true but member 2 expects 4")
+	if got := tb.Lacking(3, nil); len(got) != 0 {
+		t.Errorf("Lacking(3) = %d members with next-expected {6,4}, want 0", len(got))
 	}
 	lack := tb.Lacking(4, nil)
 	if len(lack) != 1 || lack[0].Addr != 2 {
@@ -246,7 +235,9 @@ func TestPropTableMatchesMap(t *testing.T) {
 		}
 		// The linked list visits exactly the map's members, once each.
 		seen := map[packet.NodeID]int{}
-		tb.Each(func(m *Member) bool { seen[m.Addr]++; return true })
+		for m := tb.head; m != nil; m = m.next {
+			seen[m.Addr]++
+		}
 		if len(seen) != len(ref) {
 			return false
 		}
@@ -265,16 +256,31 @@ func TestPropTableMatchesMap(t *testing.T) {
 	}
 }
 
-// Property: AllPast(seq) is exactly "Lacking(seq) is empty".
+// Property: Lacking(seq) is exactly the members, in join order, whose
+// reported next-expected is not past seq; it is empty exactly when all
+// are past.
 func TestPropAllPastLackingAgree(t *testing.T) {
 	f := func(nexts []uint16, seq uint16) bool {
 		var tb Table
+		var want []packet.NodeID
 		for i, n := range nexts {
 			a := packet.NodeID(i + 1)
 			tb.Add(a, 0)
 			tb.Update(a, seqspace.Seq(n), 0)
+			if !seqspace.After(seqspace.Seq(n), seqspace.Seq(seq)) {
+				want = append(want, a)
+			}
 		}
-		return tb.AllPast(seqspace.Seq(seq)) == (len(tb.Lacking(seqspace.Seq(seq), nil)) == 0)
+		got := tb.Lacking(seqspace.Seq(seq), nil)
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range want {
+			if got[i].Addr != want[i] {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

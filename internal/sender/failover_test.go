@@ -63,7 +63,7 @@ func TestSilentHeadEvictedAndReleaseFenced(t *testing.T) {
 	if s.Members() != 0 {
 		t.Error("evicted head still in the membership table")
 	}
-	// The table is now empty, so AllPast passes trivially — but the
+	// The table is now empty, so no member lacks any seq — but the
 	// orphans behind the dead head were last reported at seq 1. The
 	// fence must hold the release there for the grace period.
 	for now += kernel.Jiffy; now < evictedAt+grace-kernel.Jiffy; now += kernel.Jiffy {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/packet"
 	"repro/internal/rate"
+	"repro/internal/seqspace"
 	"repro/internal/sim"
 )
 
@@ -199,6 +200,51 @@ func TestNakCutsGrownRate(t *testing.T) {
 	s.HandlePacket(now+kernel.Jiffy, 8, nak2)
 	if got := s.Rate(now + kernel.Jiffy); got < after/2 {
 		t.Errorf("same-epoch NAK cut again: %v", got)
+	}
+}
+
+// The rate is cut once per loss epoch: a NAK for data sent before the
+// last cut reports the loss that cut already answered, and the first NAK
+// for data from snd_nxt at that cut onward is a new loss. Each NAK comes
+// well past the rate controller's own one-cut-per-RTT hold, so only the
+// epoch rule decides.
+func TestOneRateCutPerLossEpoch(t *testing.T) {
+	s := newS(t, func(c *Config) { c.MinBufRTTs = 1 })
+	now := sim.Time(0)
+	growRate(t, s, &now, 8e6)
+	nakAt := func(seq seqspace.Seq) (before, after float64) {
+		t.Helper()
+		now += 100 * sim.Millisecond
+		if s.wnd.Entry(seq) == nil {
+			t.Fatalf("seq %d is not buffered; its NAK would not reach the cut", seq)
+		}
+		before = s.Rate(now)
+		n := fb(packet.TypeNak, uint32(seq))
+		n.Length = 1
+		s.HandlePacket(now, 7, n)
+		return before, s.Rate(now)
+	}
+
+	lost := s.wnd.Next() - 1
+	if before, after := nakAt(lost); after >= before {
+		t.Fatalf("first NAK did not cut: %v -> %v", before, after)
+	}
+	epoch := s.wnd.Next()
+	if before, after := nakAt(lost); after != before {
+		t.Errorf("NAK for data sent before the cut cut again: %v -> %v", before, after)
+	}
+
+	s.Write(now, make([]byte, 5000))
+	for i := 0; i < 10; i++ {
+		now += kernel.Jiffy
+		s.Tick(now)
+		s.Outgoing()
+	}
+	if !seqspace.After(s.wnd.Next(), epoch) {
+		t.Fatalf("nothing written from the epoch's start %d", epoch)
+	}
+	if before, after := nakAt(epoch); after >= before {
+		t.Errorf("NAK for the first packet of a new epoch did not cut: %v -> %v", before, after)
 	}
 }
 

@@ -1,10 +1,10 @@
 // FlowSpec: the one canonical translation from a declarative flow
 // description to the machine config and the flow it opens.
-// Every front end — the hrmc-send/hrmc-recv CLIs, the hrmcd daemon's
-// config file, internal/control's admission API, internal/hrmcsock's
-// sockets and the examples — builds a FlowSpec and opens it through
-// OpenSenderFlow/OpenReceiverFlow, so a knob added here reaches every
-// entry point at once.
+// Every front end — internal/control's admission API (which the hrmcd
+// daemon's config file and the hrmc-send/hrmc-recv CLIs go through),
+// internal/hrmcsock's sockets and the examples — builds a FlowSpec and
+// opens it through OpenSenderFlow/OpenReceiverFlow, so a knob added
+// here reaches every entry point at once.
 package session
 
 import (
