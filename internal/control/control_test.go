@@ -560,3 +560,73 @@ func TestControlRetentionEvictsTerminalFlows(t *testing.T) {
 		t.Errorf("session still hosts %d flows after sweep, want 1", n)
 	}
 }
+
+// failAfter is a sink that takes n bytes and fails every Write after.
+type failAfter struct{ n int }
+
+var errSinkFull = errors.New("sink full")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errSinkFull
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+func (w *failAfter) Close() error { return nil }
+
+// A receiver whose sink fails leaves the group, so its sender releases
+// past it: a 4 MiB flow, eight windows long, into a sink that fails
+// after 4 KiB ends with the receiver failed on the sink's error and the
+// sender done, and Manager.Wait returns. A receiver left joined and
+// unread would hold the sender's window, and Wait, for good.
+func TestControlFailedSinkLeavesGroup(t *testing.T) {
+	hub := transport.NewHub()
+	sess := session.New(session.Config{})
+	defer sess.Abort()
+	m := NewManager(ManagerConfig{
+		Session: sess,
+		Dialer: DialerFunc(func(FlowSpec) (Link, error) {
+			return Link{Transport: hub.Endpoint()}, nil
+		}),
+		OpenSink: func(FlowSpec) (io.WriteCloser, error) { return &failAfter{n: 4 << 10}, nil },
+	})
+	specs := []FlowSpec{
+		{Name: "rcv", Group: "g", Role: RoleRecv},
+		{Name: "snd", Group: "g", Role: RoleSend, Size: 4 << 20, Receivers: 1,
+			MinRateBps: 1e6, MaxRateBps: 64e6},
+	}
+	AssignPorts(specs)
+	var ids []int
+	for _, spec := range specs {
+		fs, err := m.Admit(spec)
+		if err != nil {
+			t.Fatalf("admit %s: %v", spec.Name, err)
+		}
+		ids = append(ids, fs.ID)
+	}
+	waited := make(chan struct{})
+	go func() {
+		m.Wait()
+		close(waited)
+	}()
+	select {
+	case <-waited:
+	case <-time.After(30 * time.Second):
+		rcv, _ := m.Status(ids[0])
+		snd, _ := m.Status(ids[1])
+		t.Fatalf("Manager.Wait still blocked after 30 s: receiver %s, %d bytes copied; sender %s, %d bytes copied",
+			rcv.State, rcv.BytesCopied, snd.State, snd.BytesCopied)
+	}
+	rcv, _ := m.Status(ids[0])
+	snd, _ := m.Status(ids[1])
+	if rcv.State != StateFailed || !strings.Contains(rcv.Error, errSinkFull.Error()) {
+		t.Errorf("receiver ended %s (%q), want %s on the sink's error", rcv.State, rcv.Error, StateFailed)
+	}
+	if snd.State != StateDone || snd.BytesCopied != 4<<20 {
+		t.Errorf("sender ended %s with %d bytes copied, want %s with all %d", snd.State, snd.BytesCopied, StateDone, 4<<20)
+	}
+}

@@ -104,6 +104,14 @@ type Receiver struct {
 	leaveSent     bool
 	leaveAcked    bool
 
+	// Rule 2's live hold (holdWarning): whether a tripped rate request
+	// is being held and since when, and whether this receiver has sent a
+	// rate request since the flow began or since its last urgent one —
+	// until then the sender may be in slow start and nothing is held.
+	warnHeld    bool
+	warnSince   sim.Time
+	warnedSince bool
+
 	advRate uint32 // last rate advertisement heard from the sender
 
 	// rebased records the JoinInProgress anchor point (mid-stream join).
@@ -496,12 +504,16 @@ func (r *Receiver) maybeRateRequest(now sim.Time) {
 		if sendable <= emptyBytes {
 			return
 		}
+		if r.holdWarning(now) {
+			return
+		}
 		// Rate requests are deliberately not suppressed (Section 5.2);
 		// only the driver's timer granularity bounds them.
 		if now-r.lastControl < r.cfg.Quantum && r.lastControl != 0 {
 			return
 		}
 		r.lastControl = now
+		r.warnHeld, r.warnedSince = false, true
 		r.st.RateRequests++
 		r.sendControl(now, trace.RegionWarning, 0)
 		r.retime(now)
@@ -512,9 +524,34 @@ func (r *Receiver) maybeRateRequest(now sim.Time) {
 			return
 		}
 		r.lastUrgent = now
+		r.warnedSince = false // the sender restarts in slow start
 		r.st.UrgentRequests++
 		r.sendControl(now, trace.RegionCritical, packet.FlagURG)
 	}
+}
+
+// holdWarning reports whether rule 2's tripped rate request waits.
+// Under a live quantum the driver hands the machine a whole receive
+// batch — one GSO burst is a quarter of a 256 KiB window — before the
+// application could read any of it, so the look-ahead sees a reader
+// locked out, not one that falls behind. The request then goes only if a
+// packet at least a quantum after the first trip still trips the rule,
+// and no Read has drained the window back to Safe in between (Read ends
+// the hold). Nothing is held while the sender may be ramping
+// exponentially — before this receiver's first rate request of the flow,
+// and from each urgent one, after which the sender restarts in slow
+// start, until the next rate request: a warning there is the only brake
+// short of an urgent stop. Under the paper's jiffy clock the rule stays
+// per packet.
+func (r *Receiver) holdWarning(now sim.Time) bool {
+	if r.cfg.Quantum >= kernel.Jiffy || !r.warnedSince {
+		return false
+	}
+	if !r.warnHeld {
+		r.warnHeld, r.warnSince = true, now
+		return true
+	}
+	return now-r.warnSince < r.cfg.Quantum
 }
 
 // sendControl asks the sender for half the advertised rate. Rate control
@@ -741,6 +778,9 @@ func (r *Receiver) Read(now sim.Time, buf []byte) (int, error) {
 	}
 	n, fin := r.wnd.Read(buf)
 	r.st.BytesDelivered += int64(n)
+	if r.wnd.Region() == window.Safe {
+		r.warnHeld = false
+	}
 	if fin {
 		r.finDelivered = true
 		trace.Emit(r.cfg.Trace, now, trace.StreamComplete, uint32(r.wnd.Next()), r.st.BytesDelivered)
@@ -760,6 +800,20 @@ func (r *Receiver) Read(now sim.Time, buf []byte) (int, error) {
 		}
 	}
 	return n, nil
+}
+
+// Leave ends the membership before the end of the stream: the owner is
+// closing the flow, and the sender must stop holding its window for a
+// receiver that will read no more. It queues the LEAVE that Read queues
+// at end of stream, once, and only after the JOIN went out — a sender
+// that never heard of the receiver holds nothing for it. The machine is
+// not driven afterwards.
+func (r *Receiver) Leave(now sim.Time) {
+	if r.leaveSent || !r.joined {
+		return
+	}
+	r.leaveSent = true
+	r.sendState(now, packet.TypeLeave, upstream)
 }
 
 // Buffered returns the number of in-order packets awaiting Read.

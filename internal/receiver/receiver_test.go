@@ -109,36 +109,45 @@ func TestRateRequestRetimesJoinSample(t *testing.T) {
 	}
 	// batch empties the window, delivers one 64-packet in-order burst —
 	// 35 % of the window, past the Warning mark — up to the first rate
-	// request, and returns what the machine sent.
+	// request and, if rule 2's live hold kept that back, one more packet
+	// a quantum later with no Read in between. It returns what the
+	// machine sent and when its last packet arrived.
 	buf := make([]byte, 256<<10)
-	batch := func(r *Receiver, now sim.Time) []*packet.Packet {
+	batch := func(r *Receiver, now sim.Time) ([]*packet.Packet, sim.Time) {
 		r.Read(now, buf)
-		for i, asked := 0, r.Stats().RateRequests; i < 64 && r.Stats().RateRequests == asked; i++ {
+		asked := r.Stats().RateRequests
+		for i := 0; i < 64 && r.Stats().RateRequests == asked; i++ {
 			r.HandlePacket(now, bulk(r.wnd.Next()))
 		}
-		return r.Outgoing()
+		if r.Stats().RateRequests == asked {
+			now += r.cfg.Quantum
+			r.HandlePacket(now, bulk(r.wnd.Next()))
+		}
+		return r.Outgoing(), now
 	}
 	answer := func(r *Receiver, now sim.Time, seq uint32) {
 		r.HandlePacket(now, &packet.Packet{Header: packet.Header{Type: packet.TypeJoinResponse, Seq: seq}})
 	}
 
 	r, now := joined(100*us, 3*sim.Millisecond)
-	j := findType(batch(r, now+sim.Millisecond), packet.TypeJoin)
+	out, asked := batch(r, now+sim.Millisecond)
+	j := findType(out, packet.TypeJoin)
 	if j == nil || j.Seq != uint32(r.wnd.Next()) {
 		t.Fatalf("rate request on a 3 ms JOIN sample: re-timing JOIN = %v, want one carrying %d", j, r.wnd.Next())
 	}
-	answer(r, now+sim.Millisecond+50*us, 1) // a straggler answering the first JOIN
+	answer(r, asked+50*us, 1) // a straggler answering the first JOIN
 	if r.rttEstimate != 3*sim.Millisecond {
 		t.Errorf("estimate after an answer to an older JOIN = %v, want 3ms kept", r.rttEstimate)
 	}
-	if out := batch(r, now+2*sim.Millisecond); findType(out, packet.TypeJoin) != nil {
+	if out, _ := batch(r, now+2*sim.Millisecond); findType(out, packet.TypeJoin) != nil {
 		t.Error("a second re-timing JOIN went out while the first was in flight")
 	}
-	answer(r, now+sim.Millisecond+400*us, j.Seq)
+	answer(r, asked+400*us, j.Seq)
 	if r.rttEstimate != 400*us || r.Stats().RTTMicros != 400 {
 		t.Errorf("estimate after a 400 us re-timing = %v (gauge %d us), want 400us", r.rttEstimate, r.Stats().RTTMicros)
 	}
-	j = findType(batch(r, now+3*sim.Millisecond), packet.TypeJoin)
+	out, _ = batch(r, now+3*sim.Millisecond)
+	j = findType(out, packet.TypeJoin)
 	if j == nil {
 		t.Fatal("no re-timing JOIN while the estimate is still above the floor")
 	}
@@ -147,8 +156,8 @@ func TestRateRequestRetimesJoinSample(t *testing.T) {
 		t.Errorf("estimate after a slower re-timing = %v, want 400us kept", r.rttEstimate)
 	}
 	for i := sim.Time(0); i < 2*maxRetimes; i++ {
-		at := now + (20+20*i)*sim.Millisecond
-		if j := findType(batch(r, at), packet.TypeJoin); j != nil {
+		out, at := batch(r, now+(20+20*i)*sim.Millisecond)
+		if j := findType(out, packet.TypeJoin); j != nil {
 			answer(r, at+sim.Millisecond, j.Seq)
 		}
 	}
@@ -166,13 +175,87 @@ func TestRateRequestRetimesJoinSample(t *testing.T) {
 		{"the paper's jiffy clock", kernel.Jiffy, 3 * sim.Millisecond, true},
 	} {
 		r, now := joined(c.quantum, c.sample)
-		out := batch(r, now+sim.Millisecond)
+		out, _ := batch(r, now+sim.Millisecond)
 		if asked := findType(out, packet.TypeControl) != nil; asked != c.asks {
 			t.Errorf("%s: rate request sent = %v, want %v", c.name, asked, c.asks)
 		}
 		if findType(out, packet.TypeJoin) != nil {
 			t.Errorf("%s: the JOIN exchange was re-timed", c.name)
 		}
+	}
+}
+
+// Rule 2 under a live quantum answers a reader that falls behind, not a
+// receive batch landing: a 64-packet burst — one GSO burst handed over
+// as one batch, past the Warning mark of a 256 KiB window — trips the
+// rule, but the rate request waits a quantum, and goes only if a packet
+// that late still trips it with no Read having drained the window to
+// Safe in between. While the sender may still be ramping — before the
+// flow's first rate request and after an urgent one — a trip asks at
+// once, and under the paper's jiffy clock the rule stays per packet.
+func TestRuleTwoHoldsABatchTransient(t *testing.T) {
+	const q = 350 * sim.Microsecond
+	buf := make([]byte, 256<<10)
+	// burst delivers n in-order packets at one instant and returns the
+	// rate requests and urgent requests the machine sent.
+	burst := func(r *Receiver, now sim.Time, n int) (warn, urgent int) {
+		for i := 0; i < n; i++ {
+			r.HandlePacket(now, bulk(r.wnd.Next()))
+		}
+		for _, p := range r.Outgoing() {
+			switch {
+			case p.Type != packet.TypeControl:
+			case p.URG():
+				urgent++
+			default:
+				warn++
+			}
+		}
+		return warn, urgent
+	}
+	// steady returns a receiver past its first rate request, its window
+	// drained, and the time it stands at.
+	steady := func(quantum sim.Time) (*Receiver, sim.Time) {
+		r := newR(t, func(c *Config) { c.RcvBuf = 256 << 10; c.Quantum = quantum })
+		now := sim.Second
+		if warn, _ := burst(r, now, 64); warn != 1 {
+			t.Fatalf("quantum %v: the flow's first trip drew %d rate requests, want 1 at once", quantum, warn)
+		}
+		now += sim.Millisecond
+		r.Read(now, buf)
+		return r, now
+	}
+
+	r, now := steady(q)
+	if warn, _ := burst(r, now, 64); warn != 0 {
+		t.Errorf("a batch past Warning drew %d rate requests at once, want it held", warn)
+	}
+	r.Read(now+q/2, buf)
+	if warn, _ := burst(r, now+q, 64); warn != 0 {
+		t.Errorf("a batch a Read drained to Safe within the quantum, then another, drew %d rate requests, want none", warn)
+	}
+
+	r, now = steady(q)
+	burst(r, now, 64)
+	if warn, _ := burst(r, now+q-1, 1); warn != 0 {
+		t.Errorf("a packet under a quantum after the trip drew %d rate requests, want none", warn)
+	}
+	if warn, _ := burst(r, now+q, 1); warn != 1 {
+		t.Errorf("a packet a quantum after the trip, no Read between, drew %d rate requests, want 1", warn)
+	}
+
+	r, now = steady(q)
+	if warn, urgent := burst(r, now, 140); warn != 0 || urgent != 1 {
+		t.Fatalf("a batch past Critical drew %d rate and %d urgent requests, want 0 and 1", warn, urgent)
+	}
+	r.Read(now+sim.Millisecond, buf)
+	if warn, _ := burst(r, now+2*sim.Millisecond, 64); warn != 1 {
+		t.Errorf("the first trip after an urgent request drew %d rate requests, want 1 at once", warn)
+	}
+
+	r, now = steady(kernel.Jiffy)
+	if warn, _ := burst(r, now+kernel.Jiffy, 64); warn != 1 {
+		t.Errorf("under the jiffy clock a batch past Warning drew %d rate requests, want 1 at once", warn)
 	}
 }
 

@@ -34,6 +34,7 @@ func TestSessionPoolBalanceUnderConcurrentAbort(t *testing.T) {
 
 	var readers, writers sync.WaitGroup
 	var toAbort []*SenderFlow
+	var pairs []flowPair
 	for g := 0; g < groups; g++ {
 		sp, rp := groupPorts(g)
 		data := make([]byte, size)
@@ -51,6 +52,7 @@ func TestSessionPoolBalanceUnderConcurrentAbort(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenSender g%d: %v", g, err)
 		}
+		pairs = append(pairs, flowPair{sf, rf})
 		if g < groups/2 {
 			// Full transfer: must still be bit-exact with aborts
 			// happening on neighboring flows.
@@ -90,6 +92,7 @@ func TestSessionPoolBalanceUnderConcurrentAbort(t *testing.T) {
 		}
 	}
 
+	defer bound(t, "pool balance", pairs...)()
 	// Let every flow get airborne, then abort the victims concurrently
 	// while the survivors keep the poller mid-batch.
 	time.Sleep(30 * time.Millisecond)

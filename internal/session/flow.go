@@ -519,10 +519,19 @@ func (f *ReceiverFlow) Read(b []byte) (int, error) {
 }
 
 // Close tears the receiving flow down; pending and future Reads return
-// ErrClosed (after any already-buffered in-order data). The flow stays
-// in Snapshot until Detach or Session.Close.
+// ErrClosed (after any already-buffered in-order data). A flow closed
+// before the end of its stream leaves the group, so its sender releases
+// past it instead of waiting on a receiver that reads no more. The flow
+// stays in Snapshot until Detach or Session.Close.
 func (f *ReceiverFlow) Close() error {
-	f.fail(ErrClosed)
+	f.mu.Lock()
+	if f.err == nil {
+		f.err = ErrClosed
+		f.m.Leave(f.sess.now())
+		f.flush()
+	}
+	f.cond.Broadcast()
+	f.mu.Unlock()
 	return nil
 }
 

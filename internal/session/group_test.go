@@ -83,6 +83,7 @@ func TestSessionGroupAddressedFlows(t *testing.T) {
 
 	data := make([]byte, size)
 	app.FillPattern(data, 42<<20)
+	defer bound(t, "group-addressed", flowPair{sf, rf})()
 	done := make(chan error, 1)
 	go func() {
 		if _, err := sf.Write(data); err != nil {

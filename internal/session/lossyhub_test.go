@@ -27,6 +27,7 @@ func TestShortStreamsReleaseOverLossyHub(t *testing.T) {
 	defer sess.Close()
 
 	var wg sync.WaitGroup
+	var pairs []flowPair
 	for g := 0; g < groups; g++ {
 		sp, rp := groupPorts(g)
 		data := make([]byte, size)
@@ -57,6 +58,7 @@ func TestShortStreamsReleaseOverLossyHub(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenSenderFlow g%d: %v", g, err)
 		}
+		pairs = append(pairs, flowPair{sf, rf})
 		wg.Add(1)
 		go func(g int, sf *SenderFlow) {
 			defer wg.Done()
@@ -68,6 +70,7 @@ func TestShortStreamsReleaseOverLossyHub(t *testing.T) {
 			}
 		}(g, sf)
 	}
+	defer bound(t, "short streams", pairs...)()
 	wg.Wait()
 }
 
@@ -104,6 +107,7 @@ func TestStrayFirstPacketIsNotTheSender(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer bound(t, "stray "+typ.String(), flowPair{sf, rf})()
 			got := make(chan []byte, 1)
 			go func() {
 				b, _ := io.ReadAll(rf)

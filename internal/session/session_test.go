@@ -54,10 +54,59 @@ func openPair(t *testing.T, sess *Session, str, rtr transport.Transport, g int, 
 	return flowPair{sf, rf}
 }
 
+// transferTimeout bounds each transfer a test moves, so a flow-control
+// or release regression — a rate rule that holds too long, a window that
+// never frees — fails the test that moved the stream, naming the bytes
+// delivered, instead of hanging the package until the binary's timeout.
+// The slowest transfer here takes about a second under the race
+// detector.
+const transferTimeout = 30 * time.Second
+
+// bound arms the deadline of one transfer over pairs; either flow of a
+// pair may be nil. Unless the returned stop runs first, at
+// transferTimeout it fails t with the bytes moved by each pair not yet
+// done (the first eight), then closes the receivers — ending their Reads
+// and, by their LEAVE, the senders' wait on them — and aborts the
+// senders, ending their Writes and Closes. The test's end stops it too.
+func bound(t *testing.T, what string, pairs ...flowPair) (stop func() bool) {
+	timer := time.AfterFunc(transferTimeout, func() {
+		shown := 0
+		for i, p := range pairs {
+			var sent, delivered int64
+			done := true
+			if p.sf != nil {
+				fs := p.sf.snapshot()
+				sent, done = fs.Sender.BytesSent, fs.Done
+			}
+			if p.rf != nil {
+				fs := p.rf.snapshot()
+				delivered, done = fs.Receiver.BytesDelivered, done && fs.Done
+			}
+			if done || shown == 8 {
+				continue
+			}
+			shown++
+			t.Errorf("%s: flow %d of %d not done after %v: %d bytes sent, %d delivered",
+				what, i, len(pairs), transferTimeout, sent, delivered)
+		}
+		for _, p := range pairs {
+			if p.rf != nil {
+				p.rf.Close()
+			}
+			if p.sf != nil {
+				p.sf.Abort()
+			}
+		}
+	})
+	t.Cleanup(func() { timer.Stop() })
+	return timer.Stop
+}
+
 // transferAll moves size bytes over every pair at once and checks each
 // receiver got its own stream bit-exact. Flow g sends
 // pattern[g:g+size], so no two flows carry the same bytes.
 func transferAll(t *testing.T, pairs []flowPair, pattern []byte, size int) {
+	stop := bound(t, "transferAll", pairs...)
 	var wg sync.WaitGroup
 	for g, p := range pairs {
 		data := pattern[g : g+size]
@@ -92,6 +141,9 @@ func transferAll(t *testing.T, pairs []flowPair, pattern []byte, size int) {
 		}()
 	}
 	wg.Wait()
+	if !stop() {
+		t.FailNow() // the deadline passed: a later transfer would only wait again
+	}
 }
 
 // A live sender holds a packet one round trip before it probes when it
@@ -131,6 +183,7 @@ func TestSessionMultiplexStress(t *testing.T) {
 	defer sess.Close()
 
 	var wg sync.WaitGroup
+	var flows []flowPair
 	for g := 0; g < groups; g++ {
 		sp, rp := groupPorts(g)
 		data := make([]byte, size)
@@ -143,6 +196,7 @@ func TestSessionMultiplexStress(t *testing.T) {
 			if err != nil {
 				t.Fatalf("OpenReceiver g%d: %v", g, err)
 			}
+			flows = append(flows, flowPair{rf: rf})
 			wg.Add(1)
 			go func(g, i int, rf *ReceiverFlow) {
 				defer wg.Done()
@@ -164,6 +218,7 @@ func TestSessionMultiplexStress(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenSender g%d: %v", g, err)
 		}
+		flows = append(flows, flowPair{sf: sf})
 		wg.Add(1)
 		go func(g int, sf *SenderFlow) {
 			defer wg.Done()
@@ -176,12 +231,14 @@ func TestSessionMultiplexStress(t *testing.T) {
 		}(g, sf)
 	}
 
+	stop := bound(t, "multiplex stress", flows...)
 	// A mid-flight snapshot exercises the locking under the race
 	// detector while every flow is active.
 	time.Sleep(30 * time.Millisecond)
 	_ = sess.Snapshot()
 
 	wg.Wait()
+	stop()
 	snap := sess.Snapshot()
 	if len(snap.Flows) != groups*(1+rcvPerGroup) {
 		t.Errorf("snapshot has %d flows, want %d", len(snap.Flows), groups*(1+rcvPerGroup))
@@ -234,6 +291,7 @@ func TestSessionBudgetGovernor(t *testing.T) {
 	defer sess.Close()
 
 	var wg sync.WaitGroup
+	var pairs []flowPair
 	start := time.Now()
 	for g := 0; g < flows; g++ {
 		sp, rp := groupPorts(g)
@@ -261,6 +319,7 @@ func TestSessionBudgetGovernor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pairs = append(pairs, flowPair{sf, rf})
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -272,7 +331,9 @@ func TestSessionBudgetGovernor(t *testing.T) {
 			}
 		}(g)
 	}
+	stop := bound(t, "budget governor", pairs...)
 	wg.Wait()
+	stop()
 	elapsed := time.Since(start)
 
 	snap := sess.Snapshot()
@@ -464,6 +525,7 @@ func TestSessionDemuxSharedTransport(t *testing.T) {
 			t.Errorf("%s close: %v", name, err)
 		}
 	}
+	defer bound(t, "shared transport", flowPair{s1, r1}, flowPair{s2, r2})()
 	wg.Add(4)
 	go check("g1", r1, data1)
 	go check("g2", r2, data2)

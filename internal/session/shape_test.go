@@ -215,6 +215,7 @@ func TestIdleFlowsCostNothing(t *testing.T) {
 	}
 	// Join every receiver: one short write each, read to the last byte,
 	// streams left open.
+	stop := bound(t, "idle flows' first writes", pairs...)
 	var wg sync.WaitGroup
 	for g, p := range pairs {
 		wg.Add(1)
@@ -229,6 +230,7 @@ func TestIdleFlowsCostNothing(t *testing.T) {
 		}(g, p)
 	}
 	wg.Wait()
+	stop()
 	// The 1,000 workers finish exiting after Done, later still on a busy
 	// host: count what stays, not what has yet to leave.
 	grown := runtime.NumGoroutine() - before
