@@ -272,6 +272,55 @@ func TestFig16Shape(t *testing.T) {
 	}
 }
 
+// rateCuts counts the sender's rate-cut events in a scenario's text
+// trace; every event is one Write.
+type rateCuts int
+
+func (c *rateCuts) Write(line []byte) (int, error) {
+	if f := strings.Fields(string(line)); len(f) > 2 && f[1] == "snd" && f[2] == "rate-cut" {
+		*c++
+	}
+	return len(line), nil
+}
+
+// TestFig16cDropIsLossDriven pins the cause of Fig 16(c)'s many-receiver
+// drop: it is loss, not feedback processing. Fig 16(c)'s scenario (group
+// A, 2048K buffers, seed 95) runs a 10 MB transfer to 10 and to 100
+// receivers. With group A's delay but no loss, the two reach the same
+// throughput within 1 %: the extra UPDATEs of 90 more receivers cost the
+// sender's modelled CPU nothing that shows. With group A's loss, the
+// sender cuts its rate more often the more receivers there are: each
+// receiver's uncorrelated NIC drops are its own, and a NAK for data sent
+// after the last cut opens a new cut epoch.
+func TestFig16cDropIsLossDriven(t *testing.T) {
+	transfer := func(g netsim.Group, n int) (Metrics, int) {
+		var cuts rateCuts
+		m := Run(Scenario{
+			Seed: 95, LineRate: netsim.Rate100Mbps, Buffer: 2048 * KB, FileSize: 10 * MB,
+			Receivers: groupN(g, n), TraceTo: &cuts,
+		})
+		if !m.Completed || m.BadBytes != 0 {
+			t.Fatalf("group %s, %d receivers: completed %v, %v bad bytes", g.Name, n, m.Completed, m.BadBytes)
+		}
+		return m, int(cuts)
+	}
+	clean := netsim.Group{Name: "A0", Delay: netsim.GroupA.Delay}
+	c10, _ := transfer(clean, 10)
+	c100, _ := transfer(clean, 100)
+	t.Logf("no loss: 10 receivers %.1f Mbps, 100 receivers %.1f Mbps", c10.ThroughputMbps, c100.ThroughputMbps)
+	if d := c100.ThroughputMbps/c10.ThroughputMbps - 1; d < -0.01 || d > 0.01 {
+		t.Errorf("without loss 100 receivers ran %.1f Mbps against 10 receivers' %.1f (%+.1f %%), want within 1 %%",
+			c100.ThroughputMbps, c10.ThroughputMbps, 100*d)
+	}
+	l10, cut10 := transfer(netsim.GroupA, 10)
+	l100, cut100 := transfer(netsim.GroupA, 100)
+	t.Logf("group A loss: 10 receivers %.1f Mbps, %d rate cuts, %v drops; 100 receivers %.1f Mbps, %d rate cuts, %v drops",
+		l10.ThroughputMbps, cut10, l10.NICDrops+l10.RouterDrops, l100.ThroughputMbps, cut100, l100.NICDrops+l100.RouterDrops)
+	if cut100 <= cut10 {
+		t.Errorf("with group A's loss 100 receivers drew %d rate cuts and 10 drew %d: want more with more receivers", cut100, cut10)
+	}
+}
+
 func TestTableFormat(t *testing.T) {
 	tb := &Table{
 		ID: "figX", Title: "demo", XLabel: "buffer KB", YLabel: "Mbps",

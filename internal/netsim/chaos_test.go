@@ -11,10 +11,16 @@ import (
 
 	"repro/internal/packet"
 	"repro/internal/rate"
+	"repro/internal/receiver"
+	"repro/internal/repair"
 	"repro/internal/sender"
 	"repro/internal/seqspace"
 	"repro/internal/sim"
 )
+
+// patient leaves keep asking their head however long it is silent:
+// neither failover detector runs.
+func patient(c *receiver.Config) { c.HeadSilenceTimeout, c.HeadNakRetryBudget = -1, -1 }
 
 // TestChaosFailoverHeadCrash is the headline scenario: 10 repair heads
 // front 1,010 leaves, and one head crashes mid-flow. Its leaves must
@@ -32,23 +38,18 @@ func TestChaosFailoverHeadCrash(t *testing.T) {
 	rcfg := rate.DefaultConfig()
 	rcfg.MaxRate = Rate100Mbps
 	plan := (&FaultPlan{}).CrashAt(600*sim.Millisecond, 1)
-	h := NewHierarchy(HierarchyConfig{
-		Heads:         heads,
-		LeavesPerHead: leaves,
-		Size:          size,
-		Buf:           256 << 10,
-		Seed:          7,
-		Delay:         10 * sim.Millisecond,
-		LeafDelay:     2 * sim.Millisecond,
-		HeadLoss:      0.01,
-		SubtreeLoss:   0.02,
-		LeafLoss:      0.005,
-		Faults:        plan,
+	h := Tree{
+		Heads:  heads,
+		Leaves: leaves,
+		Size:   size,
+		Buf:    256 << 10,
+		Seed:   7,
+		Faults: plan,
+		Group:  scaleGroup,
 		// Fast leaf-side detection so failover happens well inside the
 		// sender's release grace window.
-		LeafHeadSilence: sim.Second,
-		LeafNakBudget:   4,
-	}, sender.Config{
+		Leaf: func(c *receiver.Config) { c.HeadSilenceTimeout, c.HeadNakRetryBudget = sim.Second, 4 },
+	}.Build(sender.Config{
 		SndBuf:             256 << 10,
 		Mode:               sender.HRMC,
 		Rate:               rcfg,
@@ -59,11 +60,11 @@ func TestChaosFailoverHeadCrash(t *testing.T) {
 	if !res.Completed {
 		t.Fatal("transfer did not complete around the crashed head")
 	}
-	if res.NICDrops == 0 {
+	if res.NICDrops+res.RouterDrops == 0 {
 		t.Fatal("loss model produced no drops; test is vacuous")
 	}
 	var failovers int64
-	for _, nd := range h.Nodes() {
+	for _, nd := range h.Receivers() {
 		if nd.Crashed() {
 			continue
 		}
@@ -76,12 +77,12 @@ func TestChaosFailoverHeadCrash(t *testing.T) {
 	if failovers == 0 {
 		t.Error("no leaf failed over from the crashed head")
 	}
-	st := h.Sender().Stats()
+	st := h.Sender().M.Stats()
 	if st.HeadsEvicted < 1 {
 		t.Errorf("HeadsEvicted = %d, want >= 1 (silent head)", st.HeadsEvicted)
 	}
 	t.Logf("failovers=%d headsEvicted=%d orphaned=%d maxJoined=%d nakErrs=%d",
-		failovers, st.HeadsEvicted, st.OrphanedLeaves, h.Sender().MaxJoined(), st.NakErrsSent)
+		failovers, st.HeadsEvicted, st.OrphanedLeaves, h.Sender().M.MaxJoined(), st.NakErrsSent)
 }
 
 // TestChaosHeadRestartColdWindow exercises escalate-or-decline against
@@ -118,23 +119,21 @@ func TestChaosHeadRestartColdWindow(t *testing.T) {
 		RestartAt(3000*sim.Millisecond, head).
 		// Long after release, the victim reaches the head again and asks.
 		HealAt(15*sim.Second, victim, head)
-	h := NewHierarchy(HierarchyConfig{
-		Heads:         1,
-		LeavesPerHead: 4,
-		Size:          size,
-		Buf:           256 << 10,
-		Seed:          21,
-		Delay:         10 * sim.Millisecond,
-		LeafDelay:     2 * sim.Millisecond,
-		Faults:        plan,
+	h := Tree{
+		Heads:  1,
+		Leaves: 4,
+		Size:   size,
+		Buf:    256 << 10,
+		Seed:   21,
+		Faults: plan,
+		Group:  Group{Delay: 10 * sim.Millisecond},
 		// The victim must keep asking its head forever — failover would
 		// sidestep the decline path this test is about.
-		LeafHeadSilence: -1,
-		LeafNakBudget:   -1,
+		Leaf: patient,
 		// Forget the silenced victim quickly so release moves past its
 		// hole while the head is still alive.
-		HeadMemberTimeout: sim.Second,
-	}, sender.Config{
+		Head: repair.Config{MemberTimeout: sim.Second},
+	}.Build(sender.Config{
 		SndBuf: 64 << 10,
 		Mode:   sender.HRMC,
 		Rate:   rcfg,
@@ -146,7 +145,7 @@ func TestChaosHeadRestartColdWindow(t *testing.T) {
 	// the run ends at the limit; assertions look at per-node state.
 	h.Run(25 * sim.Second)
 
-	nodes := h.Nodes()
+	nodes := h.Receivers()
 	hd := nodes[0]
 	if !hd.Finished || hd.BadBytes != 0 {
 		t.Fatalf("restarted head: finished=%v bad=%d, want re-finished clean",
@@ -187,7 +186,7 @@ func TestChaosHeadRestartColdWindow(t *testing.T) {
 	if hst.HeadDeclinesSent < 1 {
 		t.Errorf("head HeadDeclinesSent = %d, want >= 1", hst.HeadDeclinesSent)
 	}
-	if st := h.Sender().Stats(); st.NakErrsSent < 1 {
+	if st := h.Sender().M.Stats(); st.NakErrsSent < 1 {
 		t.Errorf("sender NakErrsSent = %d, want >= 1", st.NakErrsSent)
 	}
 }
@@ -210,30 +209,29 @@ func TestChaosFlashCrowdPartition(t *testing.T) {
 		PartitionAt(400*sim.Millisecond, 0, 3).
 		BurstLossAt(600*sim.Millisecond, 900*sim.Millisecond, 2, 0.5).
 		HealAt(1800*sim.Millisecond, 0, 3)
-	h := NewHierarchy(HierarchyConfig{
-		Heads:         heads,
-		LeavesPerHead: perHd,
-		Size:          size,
-		Buf:           256 << 10,
-		Seed:          9,
-		Delay:         10 * sim.Millisecond,
-		LeafDelay:     2 * sim.Millisecond,
-		Faults:        plan,
+	tree := Tree{
+		Heads:  heads,
+		Leaves: perHd,
+		Size:   size,
+		Buf:    256 << 10,
+		Seed:   9,
+		Faults: plan,
+		Group:  Group{Delay: 10 * sim.Millisecond},
 		// Patient leaves: the head is only unreachable, not dead.
-		LeafHeadSilence: -1,
-		LeafNakBudget:   -1,
-	}, sender.Config{
+		Leaf: patient,
+	}
+	h := tree.Build(sender.Config{
 		SndBuf:             128 << 10,
 		Mode:               sender.HRMC,
 		Rate:               rcfg,
 		MSS:                1024,
 		HeadSilenceTimeout: -1,
 	})
-	var lateNodes []*hNode
+	var lateNodes []*ReceiverHost
 	for i := 0; i < crowd; i++ {
 		at := 500*sim.Millisecond + sim.Time(i)*10*sim.Millisecond
 		h.Engine.At(at, func() {
-			lateNodes = append(lateNodes, h.AddLeaf(1))
+			lateNodes = append(lateNodes, tree.AddLeaf(h, 1))
 		})
 	}
 	res := h.Run(60 * sim.Second)
@@ -244,7 +242,7 @@ func TestChaosFlashCrowdPartition(t *testing.T) {
 		t.Fatal("loss burst dropped nothing; test is vacuous")
 	}
 	var failovers int64
-	for _, nd := range h.Nodes() {
+	for _, nd := range h.Receivers() {
 		failovers += nd.M.Stats().HeadFailovers
 		if nd.BadBytes != 0 {
 			t.Fatalf("node %d saw %d corrupted bytes", nd.ID(), nd.BadBytes)
@@ -253,7 +251,7 @@ func TestChaosFlashCrowdPartition(t *testing.T) {
 	if failovers != 0 {
 		t.Errorf("failovers = %d, want 0: partition healed, head never died", failovers)
 	}
-	for _, nd := range h.Nodes()[:heads*(1+perHd)] {
+	for _, nd := range h.Receivers()[:heads*(1+perHd)] {
 		if nd.Received != size {
 			t.Fatalf("node %d delivered %d bytes, want %d", nd.ID(), nd.Received, size)
 		}
@@ -272,11 +270,11 @@ func TestChaosFlashCrowdPartition(t *testing.T) {
 				nd.ID(), nd.Finished, nd.Received, want, rb)
 		}
 	}
-	st := h.Sender().Stats()
+	st := h.Sender().M.Stats()
 	if st.HeadsEvicted != 0 {
 		t.Errorf("HeadsEvicted = %d, want 0: the partition healed in time", st.HeadsEvicted)
 	}
-	if mj := h.Sender().MaxJoined(); mj > heads+2 {
+	if mj := h.Sender().M.MaxJoined(); mj > heads+2 {
 		t.Errorf("sender tracked %d members, want <= heads+2 = %d: the crowd must stay behind heads",
 			mj, heads+2)
 	}

@@ -1,79 +1,32 @@
-// The one driver both network models run on. It owns everything the
-// flat Network and the two-level Hierarchy do alike: the sender's
-// feed/Tick/HandlePacket path, the receiver host record and its stream
-// verification, crash and restart, the node step, packet input, and the
-// end of a run. A model keeps only its topology and link model, behind
-// the link seam: how its ticks are armed, how a machine's output travels,
-// and what a host's CPU charges.
+// The driver half of Network: everything that runs the machines rather
+// than carries their packets. It owns the sender's feed/Tick/HandlePacket
+// path, the receiver host's stream verification, crash and restart, the
+// one tick that steps every host, packet input, and the end of a run.
+// The link model (netsim.go) only decides where a packet goes, when it
+// gets there and whether it is lost on the way.
 package netsim
 
 import (
 	"repro/internal/app"
 	"repro/internal/packet"
-	"repro/internal/receiver"
 	"repro/internal/sender"
 	"repro/internal/seqspace"
 	"repro/internal/sim"
 )
 
-// jiffy is the tick both models run their machines on.
+// jiffy is the tick the machines run on.
 const jiffy = 10 * sim.Millisecond
 
-// node is a receiver host of either model: the model's own record with
-// the shared rx embedded.
-type node interface{ rec() *rx }
-
-// link is the routing seam, all that differs between the models.
-type link[N node] interface {
-	// start arms the model's tick events.
-	start()
-	// routeSender sends what the sender machine has queued.
-	routeSender(now sim.Time)
-	// route sends what one receiver machine has queued.
-	route(nd N, now sim.Time)
-	// cpu reserves host id's CPU (0 is the sender) for one packet with
-	// the given payload and returns when it is processed: now when the
-	// model charges no CPU.
-	cpu(id packet.NodeID, now sim.Time, payload int) sim.Time
-}
-
-// driver is the simulation state both models share.
-type driver[N node] struct {
-	Engine *sim.Engine
-	link   link[N]
-	faults *faultState
-	seams
-
-	snd   *feeder
-	nodes []N // NodeID i+1 at index i
-	// stream translates a mid-stream joiner's anchor into a byte offset.
-	stream stream
-	// finished counts hosts whose application has read the FIN; down
-	// counts the crashed ones that had not. A run completes around a
-	// dead host.
-	finished, down int
-	// readBuf is shared by every drain; the engine is single-threaded.
-	readBuf []byte
-
-	// SenderFeedback counts packets receivers delivered to the sender:
-	// the quantity the repair tier exists to collapse.
-	SenderFeedback int64
-	// NICDrops and RouterDrops count the link model's losses.
-	NICDrops, RouterDrops int64
-}
-
-func newDriver[N node](l link[N], faults *faultState) driver[N] {
-	return driver[N]{Engine: &sim.Engine{}, link: l, faults: faults, readBuf: make([]byte, 64<<10)}
-}
-
-// seams are the drivers' test hooks (see wake_test.go). wakeDriven runs
-// a machine's Tick or Advance only on the jiffies at or past its
-// NextWake, the way a deadline-driven driver would; emitted sees every
-// packet a machine hands the network, before the link model decides its
-// fate.
+// seams are the network's test hooks (see wake_test.go and
+// shared_test.go). wakeDriven runs a machine's Tick or Advance only on
+// the jiffies at or past its NextWake, the way a deadline-driven driver
+// would; emitted sees every packet a machine hands the network, before
+// the link model decides its fate; shared sees each copy land hands to
+// several hosts.
 type seams struct {
 	wakeDriven bool
 	emitted    func(from packet.NodeID, p *packet.Packet, multicast bool, to packet.NodeID)
+	shared     func(p *packet.Packet)
 }
 
 // due reports whether a machine is to be run on this jiffy.
@@ -137,23 +90,6 @@ func (f *feeder) feed(now sim.Time) {
 	}
 }
 
-// rx is the receiver host record both models share: the machine, the
-// application reading its stream, one crash flag and an optional
-// rebuild.
-type rx struct {
-	id packet.NodeID
-	M  *receiver.Receiver
-	// Sink, when set, bounds the application's reads by its budget.
-	Sink app.Sink
-	// Rebuild constructs a cold replacement machine when a FaultRestart
-	// revives this host (typically receiver.New with JoinInProgress
-	// set). Without it a restart resumes the old machine: the process
-	// froze rather than died.
-	Rebuild func() *receiver.Receiver
-	crashed bool
-	delivery
-}
-
 // delivery is what the application has read, verified against the
 // pattern the source wrote. A rebuilt machine starts a fresh one.
 type delivery struct {
@@ -166,14 +102,6 @@ type delivery struct {
 	// joined mid-stream reports its JoinInProgress anchor.
 	pendingRebase bool
 }
-
-func (r *rx) rec() *rx { return r }
-
-// ID returns the host's simulated unicast address.
-func (r *rx) ID() packet.NodeID { return r.id }
-
-// Crashed reports whether the host is currently down.
-func (r *rx) Crashed() bool { return r.crashed }
 
 // stream is the sender's stream geometry, which translates a mid-stream
 // joiner's anchor sequence s into the byte offset (s − initialSeq)·mss.
@@ -193,7 +121,7 @@ func streamOf(m *sender.Sender) stream {
 // drain performs application reads into buf — within the sink's budget,
 // when there is a sink — and reports whether this drain delivered the
 // FIN.
-func (r *rx) drain(now sim.Time, buf []byte, st stream) (finished bool) {
+func (r *ReceiverHost) drain(now sim.Time, buf []byte, st stream) (finished bool) {
 	if r.pendingRebase {
 		rb, ok := r.M.RebasedAt()
 		if !ok {
@@ -232,169 +160,198 @@ func (r *rx) drain(now sim.Time, buf []byte, st stream) (finished bool) {
 }
 
 // byID returns the receiver host with the given address, or nil.
-func (d *driver[N]) byID(id packet.NodeID) *rx {
-	if i := int(id) - 1; i >= 0 && i < len(d.nodes) {
-		return d.nodes[i].rec()
+func (n *Network) byID(id packet.NodeID) *ReceiverHost {
+	if i := int(id) - 1; i >= 0 && i < len(n.nodes) {
+		return n.nodes[i]
 	}
 	return nil
 }
 
 // crash takes a receiver host down: it stops being stepped, and nothing
 // reaches it or leaves it until a restart.
-func (d *driver[N]) crash(id packet.NodeID) {
-	r := d.byID(id)
+func (n *Network) crash(id packet.NodeID) {
+	r := n.byID(id)
 	if r == nil || r.crashed {
 		return
 	}
 	r.crashed = true
 	if !r.Finished {
-		d.down++
+		n.down++
 	}
 }
 
 // restart revives a crashed host, with a cold machine from its Rebuild
 // when it has one. It does nothing to a live host.
-func (d *driver[N]) restart(id packet.NodeID) {
-	r := d.byID(id)
+func (n *Network) restart(id packet.NodeID) {
+	r := n.byID(id)
 	if r == nil || !r.crashed {
 		return
 	}
 	r.crashed = false
 	if !r.Finished {
-		d.down--
+		n.down--
 	}
 	if r.Rebuild == nil {
 		return
 	}
 	if r.Finished {
-		d.finished-- // it must finish again from its new anchor
+		n.finished-- // it must finish again from its new anchor
 	}
-	r.M, r.delivery = r.Rebuild(), delivery{pendingRebase: true}
+	r.M, r.delivery, r.idle = r.Rebuild(), delivery{pendingRebase: true}, false
 }
 
 // blocked decides the fate of one packet between a and b (0 is the
 // sender) at now: lost when either end is down or the fault plane cuts
 // or bursts it.
-func (d *driver[N]) blocked(now sim.Time, a, b packet.NodeID) bool {
-	if d.faults == nil {
+func (n *Network) blocked(now sim.Time, a, b packet.NodeID) bool {
+	if n.faults == nil {
 		return false
 	}
-	return d.isDown(a) || d.isDown(b) || d.faults.Blocked(now, a, b)
+	return n.isDown(a) || n.isDown(b) || n.faults.Blocked(now, a, b)
 }
 
-func (d *driver[N]) isDown(id packet.NodeID) bool {
-	r := d.byID(id)
+func (n *Network) isDown(id packet.NodeID) bool {
+	r := n.byID(id)
 	return r != nil && r.crashed
 }
 
-// every runs fn at the given time, then once a jiffy for as long as fn
-// reports there is more to do.
-func (d *driver[N]) every(at sim.Time, fn func(now sim.Time) bool) {
-	d.Engine.At(at, func() {
-		now := d.Engine.Now()
-		if fn(now) {
-			d.every(now+jiffy, fn)
+// start arms the one tick event. Each jiffy it steps the sender, then
+// every receiver host in NodeID order, hosts added mid-run included. A
+// live host that has finished (its machine Done) sits out every tick
+// after; a crashed one keeps being visited, cheaply, so a restart
+// resumes it. The tick stops where the run ends, even between two
+// hosts.
+func (n *Network) start() {
+	var tick func()
+	tick = func() {
+		now := n.Engine.Now()
+		n.stepSender(now)
+		for _, r := range n.nodes {
+			if n.done() {
+				return
+			}
+			if !r.idle {
+				n.step(r, now)
+				r.idle = !r.crashed && r.M.Done()
+			}
 		}
-	})
+		if !n.done() {
+			n.Engine.At(now+jiffy, tick)
+		}
+	}
+	n.Engine.At(jiffy, tick)
 }
 
 // stepSender is the sender's tick: the application feeds the window,
 // the machine's Tick runs when due, and its output is routed.
-func (d *driver[N]) stepSender(now sim.Time) {
-	d.snd.feed(now)
-	if d.due(now, d.snd.M.NextWake) {
-		d.snd.M.Tick(now)
+func (n *Network) stepSender(now sim.Time) {
+	n.senderHost.feed(now)
+	if n.due(now, n.senderHost.M.NextWake) {
+		n.senderHost.M.Tick(now)
 	}
-	d.link.routeSender(now)
+	n.routeSender(now)
 }
 
 // step is one receiver host's tick: the machine's Advance when due, the
 // application's reads, and its output routed. A crashed host sits it
 // out.
-func (d *driver[N]) step(nd N, now sim.Time) {
-	r := nd.rec()
+func (n *Network) step(r *ReceiverHost, now sim.Time) {
 	if r.crashed {
 		return
 	}
-	if d.due(now, r.M.NextWake) {
+	if n.due(now, r.M.NextWake) {
 		r.M.Advance(now)
 	}
-	d.settle(nd, now)
+	n.settle(r, now)
 }
 
 // settle follows every receiver machine entry point: the application
 // reads, and the machine's output is routed.
-func (d *driver[N]) settle(nd N, now sim.Time) {
-	if nd.rec().drain(now, d.readBuf, d.stream) {
-		d.finished++
+func (n *Network) settle(r *ReceiverHost, now sim.Time) {
+	if r.drain(now, n.readBuf, n.stream) {
+		n.finished++
 	}
-	d.link.route(nd, now)
+	n.route(r, now)
 }
 
-// deliver is a packet from `from` reaching receiver host nd: unless the
-// fault plane stops it, it waits for the host's CPU, then the machine
-// handles it.
-func (d *driver[N]) deliver(nd N, from packet.NodeID, p *packet.Packet) {
-	r := nd.rec()
-	now := d.Engine.Now()
-	if d.blocked(now, from, r.id) {
-		return
+// deliver is p from `from` reaching hosts, in NodeID order, at once.
+// Unless the fault plane stops it, each host's CPU takes it next; the
+// hosts whose CPUs are through with it at the same instant (every idle
+// one) then handle it in one engine event, in the same order. A host
+// that crashed meanwhile drops it, and a run that ends between two hosts
+// ends there.
+func (n *Network) deliver(hosts []*ReceiverHost, from packet.NodeID, p *packet.Packet) {
+	now := n.Engine.Now()
+	var ready []arrival
+	for _, r := range hosts {
+		if n.blocked(now, from, r.id) {
+			continue
+		}
+		done := r.cpu(now, len(p.Payload))
+		if k := len(ready) - 1; k >= 0 && ready[k].at == done {
+			ready[k].hosts = append(ready[k].hosts, r)
+			continue
+		}
+		ready = append(ready, arrival{done, []*ReceiverHost{r}})
 	}
-	if done := d.link.cpu(r.id, now, len(p.Payload)); done > now {
-		d.Engine.At(done, func() {
-			if !r.crashed {
-				d.handle(nd, from, p)
+	for _, a := range ready {
+		n.Engine.At(a.at, func() {
+			for _, r := range a.hosts {
+				if n.done() {
+					return
+				}
+				if !r.crashed {
+					n.handle(r, from, p)
+				}
 			}
 		})
-		return
 	}
-	d.handle(nd, from, p)
 }
 
-// handle is receiver host nd's machine taking a packet, then settling.
-func (d *driver[N]) handle(nd N, from packet.NodeID, p *packet.Packet) {
-	now := d.Engine.Now()
-	nd.rec().M.HandleFrom(now, from, p)
-	d.settle(nd, now)
+// handle is receiver host r's machine taking a packet, then settling.
+func (n *Network) handle(r *ReceiverHost, from packet.NodeID, p *packet.Packet) {
+	now := n.Engine.Now()
+	r.M.HandleFrom(now, from, p)
+	n.settle(r, now)
 }
 
 // toSender is a packet from receiver `from` reaching the sender: unless
 // the fault plane stops it, it waits for the sender's CPU, then the
 // machine handles it.
-func (d *driver[N]) toSender(from packet.NodeID, p *packet.Packet) {
-	now := d.Engine.Now()
-	if d.blocked(now, from, 0) {
+func (n *Network) toSender(from packet.NodeID, p *packet.Packet) {
+	now := n.Engine.Now()
+	if n.blocked(now, from, 0) {
 		return
 	}
-	d.SenderFeedback++
-	if done := d.link.cpu(0, now, len(p.Payload)); done > now {
-		d.Engine.At(done, func() { d.senderHandle(from, p) })
+	n.SenderFeedback++
+	if done := n.senderHost.cpu(now, len(p.Payload)); done > now {
+		n.Engine.At(done, func() { n.senderHandle(from, p) })
 		return
 	}
-	d.senderHandle(from, p)
+	n.senderHandle(from, p)
 }
 
 // senderHandle is the sender machine taking a packet, then its output
 // routed.
-func (d *driver[N]) senderHandle(from packet.NodeID, p *packet.Packet) {
-	now := d.Engine.Now()
-	d.snd.M.HandlePacket(now, from, p)
-	d.link.routeSender(now)
+func (n *Network) senderHandle(from packet.NodeID, p *packet.Packet) {
+	now := n.Engine.Now()
+	n.senderHost.M.HandlePacket(now, from, p)
+	n.routeSender(now)
 }
 
 // done reports whether the whole transfer has completed: the sender is
 // done and every host still up has read the FIN.
-func (d *driver[N]) done() bool {
-	return d.snd.M.Done() && d.finished+d.down == len(d.nodes)
+func (n *Network) done() bool {
+	return n.senderHost.M.Done() && n.finished+n.down == len(n.nodes)
 }
 
 // FaultDrops returns how many packets the fault plane's loss bursts
 // destroyed (zero without a plan).
-func (d *driver[N]) FaultDrops() int64 {
-	if d.faults == nil {
+func (n *Network) FaultDrops() int64 {
+	if n.faults == nil {
 		return 0
 	}
-	return d.faults.Drops
+	return n.faults.Drops
 }
 
 // Result summarizes a run.
@@ -419,21 +376,23 @@ func (r Result) ThroughputMbps() float64 {
 }
 
 // Run drives the simulation until the transfer completes or limit
-// elapses. Call it once, after every host is added.
-func (d *driver[N]) Run(limit sim.Time) Result {
-	if d.snd == nil {
+// elapses. Call it once, after the sender is added; receiver hosts added
+// from a scheduled event join mid-run.
+func (n *Network) Run(limit sim.Time) Result {
+	if n.senderHost == nil {
 		panic("netsim: no sender")
 	}
-	d.faults.install(d.Engine, d.crash, d.restart)
-	d.link.start()
-	for d.Engine.Now() < limit && !d.done() {
-		if !d.Engine.Step() {
+	n.running = true
+	n.faults.install(n.Engine, n.crash, n.restart)
+	n.start()
+	for n.Engine.Now() < limit && !n.done() {
+		if !n.Engine.Step() {
 			break
 		}
 	}
-	res := Result{Completed: true, NICDrops: d.NICDrops, RouterDrops: d.RouterDrops}
-	for _, nd := range d.nodes {
-		res.add(nd.rec())
+	res := Result{Completed: true, NICDrops: n.NICDrops, RouterDrops: n.RouterDrops}
+	for _, r := range n.nodes {
+		res.add(r)
 	}
 	return res
 }
@@ -441,7 +400,7 @@ func (d *driver[N]) Run(limit sim.Time) Result {
 // add folds one receiver host into the result: the run completed when
 // every host still up at its end has finished, and lasted until the last
 // of them did.
-func (res *Result) add(r *rx) {
+func (res *Result) add(r *ReceiverHost) {
 	if !r.Finished {
 		res.Completed = res.Completed && r.crashed
 		return

@@ -1,11 +1,10 @@
-// Fault injection for both network models: a FaultPlan is a declarative
-// schedule of node crashes and restarts, pairwise link partitions, and
-// timed loss bursts. The driver both models share consults it on every
-// delivery, so a fault expressed once applies uniformly to multicast
-// fan-out, repair-plane unicast, and feedback paths alike. This is the
-// substrate for the chaos scenarios: a repair head dying mid-flow, a
-// partitioned leaf rejoining, a flash crowd arriving through a lossy
-// window.
+// Fault injection for the Network: a FaultPlan is a declarative schedule
+// of node crashes and restarts, pairwise link partitions, and timed loss
+// bursts. The network consults it on every delivery, so a fault
+// expressed once applies uniformly to multicast fan-out, repair-plane
+// unicast, and feedback paths alike. This is the substrate for the chaos
+// scenarios: a repair head dying mid-flow, a partitioned leaf rejoining,
+// a flash crowd arriving through a lossy window.
 package netsim
 
 import (
@@ -22,9 +21,8 @@ const (
 	// is down are lost with it.
 	FaultCrash FaultKind = iota
 	// FaultRestart revives a crashed node, with a cold machine from its
-	// Rebuild (empty windows, no retained repair data; every Hierarchy
-	// node has one), which is what makes head-restart scenarios
-	// interesting. A restart of a live node does nothing.
+	// Rebuild (empty windows, no retained repair data), which is what
+	// makes head-restart scenarios interesting. A restart of a live node does nothing.
 	FaultRestart
 	// FaultPartition cuts the pair (A, B) in both directions until a
 	// matching FaultHeal. The sender is NodeID 0.
@@ -96,7 +94,7 @@ func cutKey(a, b packet.NodeID) [2]packet.NodeID {
 	return [2]packet.NodeID{a, b}
 }
 
-// faultState is the live fault machinery one model instance owns: the
+// faultState is the live fault machinery one network owns: the
 // plan's discrete events, its cuts and its bursts. A host's crash is
 // the driver's record, not this one. A fault-free run has nil state and
 // pays a single pointer check.

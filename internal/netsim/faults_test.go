@@ -1,7 +1,6 @@
-// Fault-plane tests against the flat Network model: the same
-// crash/restart, partition, and burst machinery the hierarchy chaos
-// scenarios use must hold for plain receivers reporting straight to
-// the sender.
+// Fault-plane tests without a repair tier: the same crash/restart,
+// partition, and burst machinery the chaos scenarios use must hold for
+// plain receivers reporting straight to the sender.
 package netsim
 
 import (
@@ -143,8 +142,7 @@ func TestFaultFlatBurstLoss(t *testing.T) {
 	}
 }
 
-// TestFaultRestartLeavesLiveHostAlone holds the restart rule both models
-// share: a restart revives a crashed host and does nothing to a live
+// TestFaultRestartLeavesLiveHostAlone holds the restart rule: a restart revives a crashed host and does nothing to a live
 // one. A RestartAt with no CrashAt before it must leave the receiver's
 // machine in place, Rebuild hook or not, and its stream bit-exact from
 // the first byte.

@@ -165,19 +165,15 @@ func TestFecCrossoverRecoveryLatency(t *testing.T) {
 // unmodified through the tree) and the run completes bit-exact at
 // every node with less feedback than the same tree without parity.
 func TestFecHierarchyCompletes(t *testing.T) {
-	run := func(fecK int) (*Hierarchy, Result) {
-		hc := HierarchyConfig{
-			Heads:         2,
-			LeavesPerHead: 3,
-			Size:          256 << 10,
-			Buf:           256 << 10,
-			Seed:          5,
-			Delay:         10 * sim.Millisecond,
-			LeafDelay:     2 * sim.Millisecond,
-			HeadLoss:      0.01,
-			SubtreeLoss:   0.005,
-			LeafLoss:      0.02,
-			FecK:          fecK,
+	run := func(fecK int) (*Network, Result) {
+		tree := Tree{
+			Heads:  2,
+			Leaves: 3,
+			Size:   256 << 10,
+			Buf:    256 << 10,
+			Seed:   5,
+			Group:  Group{Delay: 10 * sim.Millisecond, Loss: 0.02},
+			FecK:   fecK,
 		}
 		// Only heads join the sender's membership table, so no
 		// ExpectedReceivers gate — mirror hierarchyTransfer's shape.
@@ -189,13 +185,13 @@ func TestFecHierarchyCompletes(t *testing.T) {
 			Rate:         rcfg,
 			FECGroupSize: fecK,
 		}
-		h := NewHierarchy(hc, scfg)
+		h := tree.Build(scfg)
 		res := h.Run(600 * sim.Second)
 		if !res.Completed {
-			for i, nd := range h.Nodes() {
+			for i, nd := range h.Receivers() {
 				st := nd.M.Stats()
 				t.Logf("node %d head=%v finished=%v received=%d recovered=%d fallback=%d naks=%d headnaksrecv=%d",
-					i, nd.IsHead(), nd.Finished, nd.Received, st.FecRecovered, st.FecFallbackNaks, st.NaksSent, st.HeadNaksReceived)
+					i, i < tree.Heads, nd.Finished, nd.Received, st.FecRecovered, st.FecFallbackNaks, st.NaksSent, st.HeadNaksReceived)
 			}
 			t.Fatalf("hierarchy run (fecK=%d) did not complete", fecK)
 		}
@@ -203,7 +199,7 @@ func TestFecHierarchyCompletes(t *testing.T) {
 	}
 	h, _ := run(8)
 	var recovered int64
-	for i, nd := range h.Nodes() {
+	for i, nd := range h.Receivers() {
 		if nd.Received != 256<<10 || nd.BadBytes != 0 {
 			t.Errorf("node %d: %d bytes, %d bad", i, nd.Received, nd.BadBytes)
 		}
@@ -216,8 +212,8 @@ func TestFecHierarchyCompletes(t *testing.T) {
 	// the repair-plane traffic the heads field from their leaves.
 	// (Raw SenderFeedback is dominated by periodic updates, whose count
 	// wobbles with completion time — compare NAK traffic instead.)
-	headNaks := func(h *Hierarchy) (n int64) {
-		for _, nd := range h.Nodes() {
+	headNaks := func(h *Network) (n int64) {
+		for _, nd := range h.Receivers() {
 			n += nd.M.Stats().HeadNaksReceived
 		}
 		return n

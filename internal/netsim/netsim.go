@@ -9,6 +9,14 @@
 // receivers of the group) and 10% uncorrelated (at each receiver's
 // network interface), following the paper's reading of Yajnik et al.
 // that most loss happens on tail links.
+//
+// The same model carries the hierarchical repair tier: a group can be a
+// repair head's subtree, and the tier's scale and chaos scenarios run
+// 10,000 receivers on it. What makes that affordable is that the fan-out
+// costs nothing per receiver beyond the receiver's own work: one copy of
+// a routed packet is shared by every host it reaches, one tick steps
+// every host, and one event per distinct instant delivers a packet, and
+// hands it to the machines, for every host that shares that instant.
 package netsim
 
 import (
@@ -84,17 +92,41 @@ const (
 	Rate100Mbps = 100e6 / 8
 )
 
-// Network is the paper's host, interface and router model on the
-// shared driver: one sender host and any number of receiver hosts
-// organized in characteristic groups.
+// Network is the paper's host, interface and router model: one sender
+// host and any number of receiver hosts organized in characteristic
+// groups. A group can also be a repair head's subtree: its head is one
+// host built with receiver.Config.Head, its leaves the group's other
+// hosts, built with RepairHead.
 type Network struct {
-	driver[*ReceiverHost]
-	cfg Config
-	rng *sim.RNG
+	Engine *sim.Engine
+	cfg    Config
+	rng    *sim.RNG
+	faults *faultState
+	seams
 
 	senderHost *SenderHost
+	nodes      []*ReceiverHost // NodeID i+1 at index i
 	// Per-group router serialization and loss streams.
 	groups map[string]*groupRouter
+	// stream translates a mid-stream joiner's anchor into a byte offset.
+	stream stream
+	// running is set once Run starts: a host added after that joins the
+	// stream in progress.
+	running bool
+	// finished counts hosts whose application has read the FIN; down
+	// counts the crashed ones that had not. A run completes around a
+	// dead host.
+	finished, down int
+	// readBuf is shared by every drain; the engine is single-threaded.
+	readBuf []byte
+	// batch collects the arrivals of the packet being routed (see land).
+	batch []arrival
+
+	// SenderFeedback counts packets receivers delivered to the sender:
+	// the quantity the repair tier exists to collapse.
+	SenderFeedback int64
+	// NICDrops and RouterDrops count the link model's losses.
+	NICDrops, RouterDrops int64
 }
 
 // newHook, when a test sets it, sees every Network New creates —
@@ -105,6 +137,13 @@ type groupRouter struct {
 	g    Group
 	loss *sim.RNG
 	lost bool // this multicast packet's correlated draw
+	// hosts are the group's receiver hosts in NodeID order.
+	hosts []*ReceiverHost
+	// repair is set once a host of the group speaks the repair plane
+	// (addressed unicast: a leaf to its head, a head to a leaf). From then
+	// on the group is a head's subtree, and its multicast — a head's
+	// repairs and declines — reaches only the group.
+	repair bool
 }
 
 // New creates an empty network.
@@ -112,8 +151,8 @@ func New(cfg Config) *Network {
 	if cfg.LineRate <= 0 {
 		cfg.LineRate = Rate10Mbps
 	}
-	n := &Network{cfg: cfg, rng: sim.NewRNG(cfg.Seed), groups: make(map[string]*groupRouter)}
-	n.driver = newDriver[*ReceiverHost](n, newFaultState(cfg.Faults, n.rng, 99))
+	n := &Network{Engine: &sim.Engine{}, cfg: cfg, rng: sim.NewRNG(cfg.Seed), groups: make(map[string]*groupRouter), readBuf: make([]byte, 64<<10)}
+	n.faults = newFaultState(cfg.Faults, n.rng, 99)
 	if newHook != nil {
 		newHook(n)
 	}
@@ -180,37 +219,64 @@ type SenderHost struct {
 	feeder
 }
 
-// ReceiverHost couples a receiver machine with its group.
+// ReceiverHost is one receiver machine on its host, in its group, with
+// the application reading its stream.
 type ReceiverHost struct {
 	host
-	rx
+	id packet.NodeID
+	M  *receiver.Receiver
+	// Sink, when set, bounds the application's reads by its budget.
+	Sink app.Sink
+	// Rebuild constructs a cold replacement machine when a FaultRestart
+	// revives this host (typically receiver.New with JoinInProgress
+	// set). Without it a restart resumes the old machine: the process
+	// froze rather than died.
+	Rebuild func() *receiver.Receiver
+	crashed bool
+	// idle is set once the live host's machine is Done: the tick passes
+	// it by.
+	idle bool
+	delivery
 	Group Group
 	gr    *groupRouter
 	rxRng *sim.RNG
 }
 
+// ID returns the host's simulated unicast address.
+func (r *ReceiverHost) ID() packet.NodeID { return r.id }
+
+// Crashed reports whether the host is currently down.
+func (r *ReceiverHost) Crashed() bool { return r.crashed }
+
 // AddSender installs the sender host; only one is supported (the paper's
 // protocol is single-source).
 func (n *Network) AddSender(m *sender.Sender, src app.Source) *SenderHost {
-	if n.snd != nil {
+	if n.senderHost != nil {
 		panic("netsim: second sender")
 	}
 	n.senderHost = &SenderHost{host: host{net: n}, feeder: feeder{M: m, Source: src}}
-	n.snd, n.stream = &n.senderHost.feeder, streamOf(m)
+	n.stream = streamOf(m)
 	return n.senderHost
 }
 
 // AddReceiver installs a receiver host in the given characteristic
-// group.
+// group; its NodeID is one more than the last host's. A host added while
+// the network runs (from a scheduled event) joins the stream in
+// progress: its machine must be built with JoinInProgress, and its
+// stream is verified from the anchor the machine reports.
 func (n *Network) AddReceiver(m *receiver.Receiver, g Group, sink app.Sink) *ReceiverHost {
 	id := packet.NodeID(len(n.nodes) + 1)
 	r := &ReceiverHost{
-		host:  host{net: n},
-		rx:    rx{id: id, M: m, Sink: sink},
-		Group: g,
-		rxRng: n.rng.Stream(uint64(id) + 1000),
+		host:     host{net: n},
+		id:       id,
+		M:        m,
+		Sink:     sink,
+		delivery: delivery{pendingRebase: n.running},
+		Group:    g,
+		rxRng:    n.rng.Stream(uint64(id) + 1000),
 	}
 	r.gr = n.group(g)
+	r.gr.hosts = append(r.gr.hosts, r)
 	n.nodes = append(n.nodes, r)
 	return r
 }
@@ -220,28 +286,6 @@ func (n *Network) Receivers() []*ReceiverHost { return n.nodes }
 
 // Sender returns the installed sender host.
 func (n *Network) Sender() *SenderHost { return n.senderHost }
-
-// start arms a tick event per host. A crashed receiver keeps ticking,
-// cheaply, so a restart resumes it without rescheduling.
-func (n *Network) start() {
-	n.every(jiffy, func(now sim.Time) bool {
-		n.stepSender(now)
-		return !n.done()
-	})
-	for _, r := range n.nodes {
-		n.every(jiffy, func(now sim.Time) bool {
-			n.step(r, now)
-			return (r.crashed || !r.M.Done()) && !n.done()
-		})
-	}
-}
-
-func (n *Network) cpu(id packet.NodeID, now sim.Time, payload int) sim.Time {
-	if id == 0 {
-		return n.senderHost.cpu(now, payload)
-	}
-	return n.nodes[id-1].cpu(now, payload)
-}
 
 // routeSender pushes the sender machine's output through its CPU and NIC
 // and fans it out to its destinations: one correlated draw per group
@@ -255,9 +299,10 @@ func (n *Network) routeSender(now sim.Time) {
 			continue
 		}
 		if !o.Dest.Multicast {
-			if i := int(o.Dest.Node) - 1; i >= 0 && i < len(n.nodes) && !n.routerLost(n.nodes[i].gr) {
-				n.arrive(exit, 0, n.nodes[i], o.Pkt)
+			if r := n.byID(o.Dest.Node); r != nil && !n.routerLost(r.gr) {
+				n.arrive(exit, r)
 			}
+			n.land(0, o.Pkt)
 			continue
 		}
 		for _, gr := range n.groups {
@@ -268,8 +313,9 @@ func (n *Network) routeSender(now sim.Time) {
 				n.RouterDrops++
 				continue
 			}
-			n.arrive(exit, 0, r, o.Pkt)
+			n.arrive(exit, r)
 		}
+		n.land(0, o.Pkt)
 	}
 }
 
@@ -291,21 +337,57 @@ func (n *Network) nicLost(r *ReceiverHost) bool {
 	return false
 }
 
-// arrive applies r's tail link to a packet that leaves the backbone at
-// exit: uncorrelated loss at the receiver NIC, then the group's one-way
-// delay and the lower-layer latency.
-func (n *Network) arrive(exit sim.Time, from packet.NodeID, r *ReceiverHost, p *packet.Packet) {
+// arrival is one instant at which the packet being routed reaches
+// hosts, and those hosts in NodeID order.
+type arrival struct {
+	at    sim.Time
+	hosts []*ReceiverHost
+}
+
+// arrive applies r's tail link to the packet being routed, which leaves
+// the backbone at exit: uncorrelated loss at the receiver NIC, then the
+// group's one-way delay and the lower-layer latency. It adds r to the
+// batch land schedules.
+func (n *Network) arrive(exit sim.Time, r *ReceiverHost) {
 	if n.nicLost(r) {
 		return
 	}
-	pkt := p.Clone()
-	n.Engine.At(exit+r.Group.Delay+lowerLayerDelay, func() { n.deliver(r, from, pkt) })
+	at := exit + r.Group.Delay + lowerLayerDelay
+	for i := range n.batch {
+		if n.batch[i].at == at {
+			n.batch[i].hosts = append(n.batch[i].hosts, r)
+			return
+		}
+	}
+	n.batch = append(n.batch, arrival{at, []*ReceiverHost{r}})
 }
 
-// route sends receiver feedback back to the sender, and — for the
-// local-recovery extension — multicast NAKs and repairs to the whole
-// group including the sender. Repair-plane unicast, which only a repair
-// head or leaf emits, runs on Hierarchy and is not routed here.
+// land schedules the batch arrive collected for p, sent by `from`: one
+// copy of p is shared by every host it reaches (a machine never writes
+// to a packet it is handed), and one engine event per distinct arrival
+// time hands it to that instant's hosts in NodeID order. The engine runs
+// equal times first in first out, so that is the order one event per
+// host would give.
+func (n *Network) land(from packet.NodeID, p *packet.Packet) {
+	if len(n.batch) == 0 {
+		return
+	}
+	pkt := p.Clone()
+	if n.shared != nil {
+		n.shared(pkt)
+	}
+	for _, a := range n.batch {
+		n.Engine.At(a.at, func() { n.deliver(a.hosts, from, pkt) })
+	}
+	n.batch = n.batch[:0]
+}
+
+// route sends receiver r's output. Feedback goes up to the sender.
+// Multicast — NAKs and repairs under local recovery — goes to the sender
+// and every other receiver, unless r's group is a repair head's subtree:
+// then a head's repairs and declines reach only the group. Repair-plane
+// unicast goes from r's CPU and NIC through the group's router to the
+// destination's tail link.
 func (n *Network) route(r *ReceiverHost, now sim.Time) {
 	for _, p := range r.M.OutgoingMulticast() {
 		n.emit(r.id, p, true, 0)
@@ -313,19 +395,38 @@ func (n *Network) route(r *ReceiverHost, now sim.Time) {
 		if !ok {
 			continue
 		}
-		// Fan out to the sender (delay = origin's tail only) ...
-		n.up(r, exit, p)
-		// ... and to every other receiver (origin tail + their tail).
-		for _, dst := range n.nodes {
-			if dst != r && !n.routerLost(dst.gr) {
-				n.arrive(exit+r.Group.Delay, r.id, dst, p)
+		if r.gr.repair {
+			for _, dst := range r.gr.hosts {
+				if dst != r {
+					n.arrive(exit+r.Group.Delay, dst)
+				}
+			}
+		} else {
+			// Fan out to the sender (delay = origin's tail only) ...
+			n.up(r, exit, p)
+			// ... and to every other receiver (origin tail + their tail).
+			for _, dst := range n.nodes {
+				if dst != r && !n.routerLost(dst.gr) {
+					n.arrive(exit+r.Group.Delay, dst)
+				}
 			}
 		}
+		n.land(r.id, p)
 	}
 	for _, p := range r.M.Outgoing() {
 		n.emit(r.id, p, false, 0)
 		if exit, ok := n.climb(r, now, p); ok && !n.nicLost(r) {
 			n.up(r, exit, p)
+		}
+	}
+	for _, a := range r.M.OutgoingAddressed() {
+		n.emit(r.id, a.Pkt, false, a.To)
+		r.gr.repair = true
+		if exit, ok := n.climb(r, now, a.Pkt); ok {
+			if dst := n.byID(a.To); dst != nil {
+				n.arrive(exit+r.Group.Delay, dst)
+			}
+			n.land(r.id, a.Pkt)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/netsim"
 	"repro/internal/rate"
+	"repro/internal/receiver"
 	"repro/internal/sender"
 	"repro/internal/sim"
 )
@@ -18,16 +19,22 @@ import (
 // network has to agree. A deadline NextWake forgets is a hung flow under
 // the session's deadline-driven driver, and this is where it shows first.
 // The full run is also pinned to the packets the machines emitted when
-// this test was written, so a change that moves both drivers the same way
-// fails here too; -short runs only the fig10 and fig15 scenarios and logs.
+// this test was written, in two folds: the figure scenarios with the FEC
+// transfer, and the repair tier, so a change that moves both drivers the
+// same way fails here too and says which part moved; -short runs only
+// the fig10 and fig15 scenarios and the repair tier, and logs.
 func TestNextWakeComplete(t *testing.T) {
-	const (
-		wantPackets = 480856
-		wantFNV     = 0x8ac81fb05f9c2854
-	)
-	drive := func(wakeDriven bool) *netsim.PacketHash {
-		ph := netsim.NewPacketHash()
-		netsim.OnNew(func(n *netsim.Network) { n.Seams(wakeDriven, ph.Add) })
+	pins := []struct {
+		part    string
+		packets int
+		fnv     uint64
+	}{
+		{"figures", 474316, 0xd0a7fffee6bcd1b2},
+		{"repair tier", 6010, 0x680e46d436c4a2f6},
+	}
+	drive := func(wakeDriven bool) map[string]*netsim.PacketHash {
+		figures, tier := netsim.NewPacketHash(), netsim.NewPacketHash()
+		netsim.OnNew(func(n *netsim.Network) { n.Seams(wakeDriven, figures.Add) })
 		defer netsim.OnNew(nil)
 		for _, r := range experiments.Registry() {
 			if testing.Short() && r.Name != "fig10" && r.Name != "fig15" {
@@ -49,30 +56,34 @@ func TestNextWakeComplete(t *testing.T) {
 		// release fence are all deadlines nothing else in the run arms.
 		rc := rate.DefaultConfig()
 		rc.MaxRate = netsim.Rate100Mbps
-		h := netsim.NewHierarchy(netsim.HierarchyConfig{
-			Heads: 3, LeavesPerHead: 8, Size: 4 << 20, Buf: 256 << 10, Seed: 7,
-			Delay: 10 * sim.Millisecond, LeafDelay: 2 * sim.Millisecond,
-			HeadLoss: 0.01, SubtreeLoss: 0.02, LeafLoss: 0.005,
-			Faults:          (&netsim.FaultPlan{}).CrashAt(600*sim.Millisecond, 1),
-			LeafHeadSilence: sim.Second, LeafNakBudget: 4,
-		}, sender.Config{
+		h := netsim.Tree{
+			Heads: 3, Leaves: 8, Size: 4 << 20, Buf: 256 << 10,
+			Seed:   7,
+			Faults: (&netsim.FaultPlan{}).CrashAt(600*sim.Millisecond, 1),
+			Group:  netsim.Group{Delay: 10 * sim.Millisecond, Loss: 0.02},
+			Leaf:   func(c *receiver.Config) { c.HeadSilenceTimeout, c.HeadNakRetryBudget = sim.Second, 4 },
+		}.Build(sender.Config{
 			SndBuf: 256 << 10, Mode: sender.HRMC, Rate: rc,
 			HeadSilenceTimeout: 3 * sim.Second, FailoverGrace: 2 * sim.Second,
 		})
-		h.Seams(wakeDriven, ph.Add)
-		if res := h.Run(60 * sim.Second); !res.Completed || h.Sender().Stats().HeadsEvicted == 0 {
-			t.Errorf("repair tier (wake-driven %v): completed %v, %d heads evicted", wakeDriven, res.Completed, h.Sender().Stats().HeadsEvicted)
+		h.Seams(wakeDriven, tier.Add)
+		if res := h.Run(60 * sim.Second); !res.Completed || h.Sender().M.Stats().HeadsEvicted == 0 {
+			t.Errorf("repair tier (wake-driven %v): completed %v, %d heads evicted", wakeDriven, res.Completed, h.Sender().M.Stats().HeadsEvicted)
 		}
-		return ph
+		return map[string]*netsim.PacketHash{"figures": figures, "repair tier": tier}
 	}
 	everyJiffy, onlyDue := drive(false), drive(true)
-	t.Logf("every jiffy: %d packets, FNV %016x; only when due: %d packets, FNV %016x",
-		everyJiffy.Packets, everyJiffy.Sum(), onlyDue.Packets, onlyDue.Sum())
-	if everyJiffy.Packets != onlyDue.Packets || everyJiffy.Sum() != onlyDue.Sum() {
-		t.Error("a machine run only at its NextWake did not emit what one run every jiffy does")
-	}
-	if !testing.Short() && (everyJiffy.Packets != wantPackets || everyJiffy.Sum() != wantFNV) {
-		t.Errorf("the machines emitted %d packets, FNV %016x; pinned: %d packets, FNV %016x",
-			everyJiffy.Packets, everyJiffy.Sum(), wantPackets, uint64(wantFNV))
+	for _, pin := range pins {
+		part := pin.part
+		e, d := everyJiffy[part], onlyDue[part]
+		t.Logf("%s: every jiffy %d packets, FNV %016x; only when due %d packets, FNV %016x",
+			part, e.Packets, e.Sum(), d.Packets, d.Sum())
+		if e.Packets != d.Packets || e.Sum() != d.Sum() {
+			t.Errorf("%s: a machine run only at its NextWake did not emit what one run every jiffy does", part)
+		}
+		if !testing.Short() && (e.Packets != pin.packets || e.Sum() != pin.fnv) {
+			t.Errorf("%s: the machines emitted %d packets, FNV %016x; pinned: %d packets, FNV %016x",
+				part, e.Packets, e.Sum(), pin.packets, pin.fnv)
+		}
 	}
 }
